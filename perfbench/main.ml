@@ -9,7 +9,7 @@
      fig9     the Fig. 9 closed batch on the three 4-PE-page fabrics
               (Experiments.fig9: Os_sim.run, Halving, 3 replicates);
      serve    the deployment's open-loop farm (Farm.run);
-     launch   200 thread launches from the warm store: clear the memo,
+     launch   thread launches from the warm store: clear the memo,
               Binary.compile one (config, kernel) pair -- a disk load --
               and Transform.fold it to half the fabric's pages.
 
@@ -20,14 +20,25 @@
    farm seed's capacity varies by a quarter.
 
    The untraced run (--trace 0) gives the end-to-end metrics: one cycle
-   per scenario (virtual-time metrics, checks, warm-up), the capacity
-   search, then measured rounds that repeat the cold compile, the
-   fixed-load Farm.run and the launch loop until --seconds have passed
-   and their host times are steady.  The traced run (--trace 1) runs the
-   cycles with every layer call wrapped in a wall-clock span (see Spans)
-   and gives the per-layer metrics.  Output checks run in both, outside
-   the timed sections.  LAYERS.md says which per-layer metric moves which
-   end-to-end metric. *)
+   per scenario (virtual-time metrics, checks, warm-up) and the capacity
+   search at the run's pool width, then measured steps that repeat one
+   scenario's cold compile, fixed-load Farm.run and launch loop each, on
+   one domain, until --seconds have passed.  The traced run (--trace 1)
+   runs the cycles on one domain with every layer call wrapped in a span
+   (see Spans) and gives the per-layer metrics.  Output checks run in
+   both, outside the timed sections.  LAYERS.md says which per-layer
+   metric moves which end-to-end metric.
+
+   Host times are read on the measuring thread's CPU clock, with no other
+   domain alive, and scaled by a calibration (see below).  The benchmark
+   shares a few virtual CPUs with other guests: wall time counts the time
+   the hypervisor gives the CPU to another guest, and at pool width 2
+   every minor collection waits for the other domain to be scheduled, so
+   when a second process competed for the CPUs the wall time of a
+   two-domain compile tripled and even its CPU time grew by half.  One
+   domain's CPU time leaves both out.  The price is that the host metrics
+   do not show how well the pool scales; the determinism check still runs
+   at both widths. *)
 
 open Cgra_core
 module Farm = Cgra_farm.Farm
@@ -45,7 +56,13 @@ let now = Clock.now
    scenario count, so one --seed names the same scenarios everywhere. *)
 let seed_stride = 16
 
+(* Launches in each traced cycle. *)
 let launches_per_scenario = 200
+
+(* Launches in each measured step, and checked in each scenario's first
+   cycle: a launch takes tens of microseconds, so it takes this many for
+   the launch loop to fill a steady share of the step. *)
+let launches_per_step = 1000
 
 let fig9_replicates = 3
 
@@ -158,12 +175,63 @@ let nearest_rank sorted permille =
   sorted.(max 0 (min (n - 1) ((((permille * n) + 999) / 1000) - 1)))
 
 (* Every timed section starts from a settled heap, so it does not pay
-   for collecting the garbage of the stage before it. *)
+   for collecting the garbage of the stage before it.  Its time is the
+   calling thread's CPU time. *)
 let timed f =
   Gc.full_major ();
-  let t0 = now () in
+  let t0 = Clock.cpu () in
   let r = f () in
-  (r, now () -. t0)
+  (r, Clock.cpu () -. t0)
+
+(* ----- calibration ----- *)
+
+(* The host's neighbours change how fast it runs this process: over one
+   run the CPU time of the same compile varied by a third from one second
+   to the next, and a whole run could be a fifth slower than the next.
+   So every measured host time is paired with a calibration: a fixed
+   piece of work that is not the program's (integer-map inserts and
+   lookups, a list sort, a hashtable fill, allocating as the program
+   does), timed on the same clock just before and just after it.  The
+   host time is scaled by [calibration_ref] over the mean of the two:
+   it reads as the CPU time on a host running at the reference speed.  A
+   change to the program moves the host time and not the calibration. *)
+module Int_map = Map.Make (Int)
+
+let calibration_work () =
+  let state = ref 12345 in
+  let next () =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    !state
+  in
+  let m = ref Int_map.empty in
+  for i = 1 to 20_000 do
+    m := Int_map.add (next ()) i !m
+  done;
+  let found = ref 0 in
+  for _ = 1 to 20_000 do
+    match Int_map.find_opt (next ()) !m with Some v -> found := !found + v | None -> ()
+  done;
+  let sorted = List.sort compare (List.init 20_000 (fun _ -> next ())) in
+  let h = Hashtbl.create 16 in
+  List.iter (fun x -> Hashtbl.replace h (x land 0xffff) x) sorted;
+  ignore (Sys.opaque_identity (!found, Hashtbl.length h))
+
+(* The reference calibration time, in seconds: about the calibration's
+   median on the 2-vCPU host the benchmark was built on, where a run's
+   median ranged over 0.016-0.025 s. *)
+let calibration_ref = 0.020
+
+let calibrate () =
+  Gc.full_major ();
+  let t0 = Clock.cpu () in
+  calibration_work ();
+  let t = Clock.cpu () -. t0 in
+  add "calibration_s" t;
+  t
+
+(* Host time [t] measured between calibrations [before] and [after],
+   scaled to the quiet host. *)
+let scaled ~before ~after t = t *. calibration_ref /. ((before +. after) /. 2.0)
 
 let ok_or_fail what = function Ok x -> x | Error e -> failwith (what ^ ": " ^ e)
 
@@ -376,52 +444,103 @@ let launch_pairs w =
        (fun c -> List.map (fun n -> (c, Kernels.find_exn n)) w.launch_kernels)
        w.configs)
 
-let launches ~pool ~seed ~pairs ~cold ~metric =
+(* A launch loop's sequence: [n] (config, kernel) pairs drawn from the
+   seed. *)
+let launch_sequence ~seed ~pairs ~n =
   let rng = Rng.create ~seed in
-  Gc.full_major ();
-  for _ = 1 to launches_per_scenario do
-    let c, (k : Kernels.t) = pairs.(Rng.int rng (Array.length pairs)) in
-    let arch = arch_of c in
-    let target_pages = max 1 (Cgra_arch.Cgra.n_pages arch / 2) in
-    let where = config_name c ^ "/" ^ k.name in
-    Binary.clear_cache ();
-    let before = Binary.stats () in
-    let t0 = now () in
-    let r =
-      Spans.with_span ~root:true ~detail:where "launch" (fun () ->
-          match
-            Spans.with_span "binary.compile" (fun () ->
-                Binary.compile ~seed ~pool arch k)
-          with
-          | Error e -> Error e
-          | Ok b ->
-              Ok
-                ( b,
-                  Spans.with_span "pagemaster.fold" (fun () ->
-                      Transform.fold ~target_pages b.paged) ))
-    in
-    add metric (now () -. t0);
-    let after = Binary.stats () in
-    check
-      (after.disk_hits = before.disk_hits + 1 && after.compiles = before.compiles)
-      (where ^ ": launch did not load from the warm store");
-    match r with
-    | Error e -> check false (where ^ ": " ^ e)
-    | Ok (b, fold) -> (
-        check
-          (List.assoc_opt where cold
-          = Some (Codec.mapping_bytes b.base, Codec.mapping_bytes b.paged))
-          (where ^ ": warm-loaded mapping differs from the cold one");
-        check (Result.is_ok fold) (where ^ ": Transform.fold failed");
-        match fold with
-        | Error _ -> ()
-        | Ok sh ->
-            add "fold.exact" (if sh.pe_exact then 1.0 else 0.0);
-            if sh.pe_exact then
+  Array.init n (fun _ ->
+      let c, (k : Kernels.t) = pairs.(Rng.int rng (Array.length pairs)) in
+      (c, k, config_name c ^ "/" ^ k.name))
+
+(* One launch: clear the memo, load the pair from the warm store
+   (Binary.compile), fold it to half the fabric's pages. *)
+let launch ~pool ~seed (c, k, where) =
+  let arch = arch_of c in
+  let target_pages = max 1 (Cgra_arch.Cgra.n_pages arch / 2) in
+  Binary.clear_cache ();
+  Spans.with_span ~root:true ~detail:where "launch" (fun () ->
+      match Spans.with_span "binary.compile" (fun () -> Binary.compile ~seed ~pool arch k) with
+      | Error e -> Error e
+      | Ok b ->
+          Ok (b, Spans.with_span "pagemaster.fold" (fun () -> Transform.fold ~target_pages b.paged)))
+
+(* What a repeat of a launch must reproduce: the II of both mappings,
+   and the fold's pages, fold factor, PE exactness, II and route count. *)
+type launch_summary = (int * int * (int * int * bool * int * int, string) result, string) result
+
+let launch_summary : _ -> launch_summary = function
+  | Error e -> Error e
+  | Ok ((b : Binary.t), fold) ->
+      Ok
+        ( b.base.ii,
+          b.paged.ii,
+          Result.map
+            (fun (sh : Transform.shrunk) ->
+              (sh.m_eff, sh.s, sh.pe_exact, sh.mapping.ii, List.length sh.mapping.routes))
+            fold )
+
+let exact_folds = ref 0
+
+let folds = ref 0
+
+(* Every launch of the sequence, checked in full: a disk hit that
+   compiles nothing, the cold mappings byte for byte, a fold that
+   succeeds, and each pair's PE-exact fold verified the first time the
+   loop meets it (a fold is a function of the mapping it folds).  Returns
+   each launch's summary, for the timed repeats to reproduce. *)
+let checked_launches ~pool ~seed ~cold seq =
+  let verified = Hashtbl.create 16 in
+  without_spans (fun () ->
+      Array.map
+        (fun ((_, _, where) as p) ->
+          let before = Binary.stats () in
+          let r = launch ~pool ~seed p in
+          let after = Binary.stats () in
+          check
+            (after.disk_hits = before.disk_hits + 1 && after.compiles = before.compiles)
+            (where ^ ": launch did not load from the warm store");
+          (match r with
+          | Error e -> check false (where ^ ": " ^ e)
+          | Ok (b, fold) -> (
               check
-                (Result.is_ok (Cgra_verify.Verify.mapping ~check_mem:false sh.mapping))
-                (where ^ ": PE-exact fold fails Verify.mapping"))
-  done
+                (List.assoc_opt where cold
+                = Some (Codec.mapping_bytes b.base, Codec.mapping_bytes b.paged))
+                (where ^ ": warm-loaded mapping differs from the cold one");
+              check (Result.is_ok fold) (where ^ ": Transform.fold failed");
+              match fold with
+              | Error _ -> ()
+              | Ok sh ->
+                  incr folds;
+                  if sh.pe_exact then incr exact_folds;
+                  if sh.pe_exact && not (Hashtbl.mem verified where) then begin
+                    Hashtbl.replace verified where ();
+                    check
+                      (Result.is_ok (Cgra_verify.Verify.mapping ~check_mem:false sh.mapping))
+                      (where ^ ": PE-exact fold fails Verify.mapping")
+                  end));
+          launch_summary r)
+        seq)
+
+(* The launches of the sequence back to back, each timed on the CPU
+   clock; each must be a disk hit and reproduce its checked summary.
+   Returns the times, in order. *)
+let timed_launches ~pool ~seed seq expected =
+  Gc.full_major ();
+  Array.to_list
+    (Array.mapi
+       (fun i ((_, _, where) as p) ->
+         let before = Binary.stats () in
+         let t0 = Clock.cpu () in
+         let r = launch ~pool ~seed p in
+         let t = Clock.cpu () -. t0 in
+         let after = Binary.stats () in
+         check
+           (after.disk_hits = before.disk_hits + 1
+           && after.compiles = before.compiles
+           && launch_summary r = expected.(i))
+           (where ^ ": a repeated launch differs from the checked one");
+         t)
+       seq)
 
 (* ----- capacity ----- *)
 
@@ -466,12 +585,11 @@ type virt = {
   throughput : float;
   lat : float array;
   cold : (string * (string * string)) list;  (** the cold-compiled mappings *)
+  seq : ((int * int) * Kernels.t * string) array;  (** the launch sequence *)
+  expected : launch_summary array;  (** the checked summary of each launch *)
   farm_digest : string;
   digest : string;  (** every virtual-time output of the scenario *)
 }
-
-(* Host-time samples of scenario [i] in round [round]. *)
-let key name i round = Printf.sprintf "%s.%d.%d" name i round
 
 (* A scenario's whole cycle, in an empty store.  It also warms the
    process up (heap growth, first-touch pages), so its host times are not
@@ -484,7 +602,8 @@ let cycle w ~pool ~pairs ~seed =
   let report = serve ~pool { w.farm with seed } in
   check_report report;
   let cold = suite_bytes suites in
-  launches ~pool ~seed ~pairs ~cold ~metric:"warm-up";
+  let seq = launch_sequence ~seed ~pairs ~n:launches_per_step in
+  let expected = checked_launches ~pool ~seed ~cold seq in
   let farm_digest = report_digest report in
   {
     ratios = List.concat_map (fun (_, suite) -> List.map ratio suite) suites;
@@ -492,105 +611,101 @@ let cycle w ~pool ~pairs ~seed =
     throughput = report.throughput;
     lat = latencies report;
     cold;
+    seq;
+    expected;
     farm_digest;
     digest =
       Digest.to_hex (Digest.string (Marshal.to_string (cold, figs) [] ^ farm_digest));
   }
 
-(* Round [round] of the host-time measurements, in the round's own empty
-   store: the cold compile, the fixed-load Farm.run and the launch loop,
-   each reproducing the first cycle. *)
-let repeat w ~pool ~pairs ~round ~i ~seed v =
+(* One measured step, in its own empty store: a scenario's cold compile,
+   fixed-load Farm.run and launch loop, each reproducing its first cycle
+   and each between two calibrations. *)
+let step w ~pool ~seed v =
   Binary.clear_cache ();
+  let c0 = calibrate () in
   let suites, t = timed (fun () -> compile_plain ~pool ~seed w.configs) in
-  add (key "compile_s" i round) t;
+  let c1 = calibrate () in
+  add "compile_s" (scaled ~before:c0 ~after:c1 t);
+  add "raw.compile_s" t;
   check (suite_bytes suites = v.cold)
     (Printf.sprintf "seed %d: a repeated compile differs from the first" seed);
   let report, t = timed (fun () -> serve ~pool { w.farm with seed }) in
-  add (key "sim_rate" i round) (float_of_int report.offered /. t);
+  let c2 = calibrate () in
+  add "sim_rate" (float_of_int report.offered /. scaled ~before:c1 ~after:c2 t);
+  add "raw.sim_rate" (float_of_int report.offered /. t);
   check (report_digest report = v.farm_digest)
     (Printf.sprintf "seed %d: a repeated Farm.run differs from the first" seed);
-  launches ~pool ~seed ~pairs ~cold:v.cold ~metric:(key "launch_s" i round)
+  let ts = timed_launches ~pool ~seed v.seq v.expected in
+  let c3 = calibrate () in
+  List.iter
+    (fun t ->
+      add "launch_s" (scaled ~before:c2 ~after:c3 t);
+      add "raw.launch_s" t)
+    ts
 
-(* The repeated host-time statistics: (name, samples, statistic, whether
-   higher is better). *)
-let round_stats =
+(* The host-time metrics: (name, unit, samples, statistic).  Each is a
+   median over the whole measured phase: compile and sim rate over its
+   steps, the launch percentiles over every launch. *)
+let host_metrics =
   [
-    ("compile_s", "compile_s", median, false);
-    ("sim_rate_req_per_s", "sim_rate", median, true);
-    ("launch_us_p50", "launch_s", (fun xs -> 1e6 *. median xs), false);
-    ("launch_us_p95", "launch_s", (fun xs -> 1e6 *. Cgra_util.Stats.percentile 95.0 xs), false);
+    ("compile_cpu_s", "s", "compile_s", median);
+    ("sim_rate_req_per_cpu_s", "req/s", "sim_rate", median);
+    ("launch_cpu_us_p50", "us", "launch_s", fun xs -> 1e6 *. median xs);
+    ("launch_cpu_us_p95", "us", "launch_s", fun xs -> 1e6 *. Cgra_util.Stats.percentile 95.0 xs);
   ]
 
-(* A statistic's [k]-th best value over the rounds, per scenario, then
-   the median over the scenarios.  Contention on a shared host only ever
-   slows a scenario down, and its bursts come and go within a round, so
-   each scenario keeps its best round.  The statistic is steady when its
-   best and second-best values agree within a tenth. *)
-let kth_best ~scenarios ~rounds (_, samples, stat, higher) k =
-  median
-    (List.init scenarios (fun i ->
-         List.nth
-           (List.sort
-              (fun a b -> if higher then compare b a else compare a b)
-              (List.init rounds (fun r -> stat (get (key samples i r)))))
-           k))
-
-let steady ~scenarios ~rounds stat =
-  rounds >= 2
-  &&
-  let a = kth_best ~scenarios ~rounds stat 0 and b = kth_best ~scenarios ~rounds stat 1 in
-  Float.abs (a -. b) <= 0.1 *. Float.min a b
-
-let run_untraced w ~pool ~seed ~seconds =
+let run_untraced w ~width ~seed ~seconds =
   let seeds = scenario_seeds w seed in
   let pairs = launch_pairs w in
   let start = now () in
-  let (first, last_round), cap =
-    with_fresh_store (fun st ->
-        Cgra_store.install st;
-        let first = timed (fun () -> List.map (fun s -> cycle w ~pool ~pairs ~seed:s) seeds) in
-        (first, capacity ~pool w seed))
+  let first, cap =
+    Pool.with_pool ~domains:width (fun pool ->
+        with_fresh_store (fun st ->
+            Cgra_store.install st;
+            let first = List.map (fun s -> cycle w ~pool ~pairs ~seed:s) seeds in
+            (first, capacity ~pool w seed)))
   in
-  let last_round = ref last_round in
-  (* There is always one measured round.  Past --seconds, another starts
-   only if it can end within twice that: until there are two rounds to
-   compare, or while a statistic is not steady. *)
-  let rounds = ref 0 in
-  let more () =
-    let elapsed = now () -. start in
-    !rounds = 0
-    || elapsed < float_of_int seconds
-    || elapsed +. !last_round <= 2.0 *. float_of_int seconds
-       && (!rounds < 2
-          || not (List.for_all (steady ~scenarios:w.scenarios ~rounds:!rounds) round_stats))
-  in
-  while more () do
-    let (), t =
-      timed (fun () ->
-          with_fresh_store (fun st ->
-              Cgra_store.install st;
-              List.iteri
-                (fun i (s, v) -> repeat w ~pool ~pairs ~round:!rounds ~i ~seed:s v)
-                (List.combine seeds first)))
-    in
-    last_round := t;
-    incr rounds
-  done;
-  Printf.printf "%d rounds over %d scenarios in %.1f s\n" !rounds w.scenarios
+  Printf.printf "first cycles and capacity search in %.1f s\n" (now () -. start);
+  (* Steps go round the scenarios, every one at least once, until
+     --seconds have passed.  The pool of the run has been shut down, so
+     the measuring thread is the only domain. *)
+  let scenarios = Array.of_list (List.combine seeds first) in
+  let start = now () in
+  let steps = ref 0 in
+  Pool.with_pool ~domains:1 (fun pool ->
+      while !steps < Array.length scenarios || now () -. start < float_of_int seconds do
+        let s, v = scenarios.(!steps mod Array.length scenarios) in
+        with_fresh_store (fun st ->
+            Cgra_store.install st;
+            step w ~pool ~seed:s v);
+        incr steps
+      done);
+  Printf.printf "%d measured steps over %d scenarios in %.1f s\n" !steps w.scenarios
     (now () -. start);
-  let scenarios = w.scenarios and rounds = !rounds in
+  (* The statistic over the first and the second half of the steps: how
+     far apart they are says how steady the run was. *)
+  let halves samples =
+    let xs = get samples in
+    let h = List.length xs / 2 in
+    (List.filteri (fun i _ -> i < h) xs, List.filteri (fun i _ -> i >= h) xs)
+  in
   List.iter
-    (fun ((name, _, _, _) as stat) ->
-      Printf.printf "  %s, each scenario's best round%s: %.4g%s\n" name
-        (if rounds >= 2 then " (second best)" else "")
-        (kth_best ~scenarios ~rounds stat 0)
-        (if rounds >= 2 then
-           Printf.sprintf " (%.4g)%s"
-             (kth_best ~scenarios ~rounds stat 1)
-             (if steady ~scenarios ~rounds stat then "" else ", not steady")
-         else ", not steady"))
-    round_stats;
+    (fun (name, _, samples, stat) ->
+      let a, b = halves samples in
+      Printf.printf
+        "  %s: %.4g over the whole phase (%d samples), %.4g and %.4g over its halves; %.4g \
+         unscaled\n"
+        name (stat (get samples))
+        (List.length (get samples))
+        (stat a) (stat b)
+        (stat (get ("raw." ^ samples))))
+    host_metrics;
+  let cal = get "calibration_s" in
+  Printf.printf "  calibration: median %.4g s (reference %.4g s), range %.4g-%.4g s\n"
+    (median cal) calibration_ref
+    (List.fold_left Float.min infinity cal)
+    (List.fold_left Float.max 0.0 cal);
   Printf.printf "virtual-time digest %s\n"
     (Digest.to_hex
        (Digest.string (String.concat "" (List.map (fun v -> v.digest) first))));
@@ -612,18 +727,19 @@ let run_untraced w ~pool ~seed ~seconds =
      compile leaves the fleet short of capacity must not set the
      run's tail *)
   let scenario_median f = median (List.map f first) in
-  let best name =
-    kth_best ~scenarios ~rounds (List.find (fun (n, _, _, _) -> n = name) round_stats) 0
+  let host name =
+    let _, unit, samples, stat = List.find (fun (n, _, _, _) -> n = name) host_metrics in
+    (name, unit, stat (get samples))
   in
   [
-    ("compile_s", "s", best "compile_s");
-    ("launch_us_p50", "us", best "launch_us_p50");
-    ("launch_us_p95", "us", best "launch_us_p95");
+    host "compile_cpu_s";
+    host "launch_cpu_us_p50";
+    host "launch_cpu_us_p95";
     ( "fig8_geomean_pct",
       "%",
       Cgra_util.Stats.geomean (List.concat_map (fun v -> v.ratios) first) );
     ("fig9_gain_pct", "%", mean (List.concat_map (fun v -> v.gains) first));
-    ("sim_rate_req_per_s", "req/s", best "sim_rate_req_per_s");
+    host "sim_rate_req_per_cpu_s";
     ("throughput_req_per_kcycle", "req/kcycle", scenario_median (fun v -> v.throughput));
     ("latency_p50_cycles", "cycles", scenario_median (fun v -> nearest_rank v.lat 500));
     ("latency_p99_cycles", "cycles", scenario_median (fun v -> nearest_rank v.lat 990));
@@ -734,23 +850,22 @@ let farm_layers (r : Farm.report) =
   add "os.queueing_cycles" (stall_sum (fun s -> s.queueing));
   add "os.execution_cycles" (stall_sum (fun s -> s.execution))
 
-(* Pool width 1 must reproduce every virtual-time output of width 2. *)
-let width_one_check w ~seed ~suites ~figs ~report =
-  without_spans (fun () ->
-      Pool.with_pool ~domains:1 (fun p1 ->
-          Cgra_store.uninstall ();
-          Binary.clear_cache ();
-          let s1 = compile_plain ~pool:p1 ~seed w.configs in
-          check (suite_bytes s1 = suite_bytes suites)
-            "pool widths 1 and 2 compile different mappings";
-          check
-            (compare (fig9_stage ~pool:p1 ~seed) figs = 0)
-            "pool widths 1 and 2 give different Fig. 9 results";
-          check
-            (report_digest (serve ~pool:p1 { w.farm with seed }) = report_digest report)
-            "pool widths 1 and 2 give different farm reports"))
+(* Pool width 1 must reproduce every virtual-time output of the run's
+   width: the cold compile, the Fig. 9 batch and the farm. *)
+let width_check w ~width ~seed =
+  let outputs domains =
+    Pool.with_pool ~domains (fun pool ->
+        Binary.clear_cache ();
+        let suites = compile_plain ~pool ~seed w.configs in
+        (suite_bytes suites, fig9_stage ~pool ~seed, report_digest (serve ~pool { w.farm with seed })))
+  in
+  let b1, f1, r1 = outputs 1 and b2, f2, r2 = outputs width in
+  check (b1 = b2) (Printf.sprintf "pool widths 1 and %d compile different mappings" width);
+  check (compare f1 f2 = 0)
+    (Printf.sprintf "pool widths 1 and %d give different Fig. 9 results" width);
+  check (r1 = r2) (Printf.sprintf "pool widths 1 and %d give different farm reports" width)
 
-let traced_cycle w ~pool ~pairs ~pass ~seed ~width_check =
+let traced_cycle w ~pool ~pairs ~pass ~seed =
   (* the plain cold compile the decomposed one must add up to *)
   let plain, t =
     without_spans (fun () ->
@@ -808,26 +923,34 @@ let traced_cycle w ~pool ~pairs ~pass ~seed ~width_check =
       replay_engines ~seed p traced;
       farm_layers traced;
       let cold = suite_bytes suites in
-      launches ~pool ~seed ~pairs ~cold ~metric:"traced.launch_s";
+      let seq = launch_sequence ~seed ~pairs ~n:launches_per_scenario in
+      let expected = checked_launches ~pool ~seed ~cold seq in
+      List.iter (add "traced.launch_s") (timed_launches ~pool ~seed seq expected);
       Cgra_store.install st;
-      without_spans (fun () -> launches ~pool ~seed ~pairs ~cold ~metric:"plain.launch_s");
-      if width_check then width_one_check w ~seed ~suites ~figs ~report:untraced)
+      without_spans (fun () ->
+          List.iter (add "plain.launch_s") (timed_launches ~pool ~seed seq expected)))
 
-let run_traced w ~pool ~seed ~seconds =
+(* The width check, then traced passes over every scenario on one
+   domain: at least one, and another only while it would end within
+   --seconds. *)
+let run_traced w ~width ~seed ~seconds =
   let seeds = scenario_seeds w seed in
   let pairs = launch_pairs w in
-  let start = now () in
+  width_check w ~width ~seed:(List.hd seeds);
+  let start = now () and origin = Clock.cpu () in
   Binary.reset_stats ();
   Spans.enabled := true;
   let passes = ref 0 in
-  while !passes = 0 || now () -. start < float_of_int seconds do
-    List.iteri
-      (fun i s ->
-        traced_cycle w ~pool ~pairs ~pass:!passes ~seed:s
-          ~width_check:(!passes = 0 && i = 0))
-      seeds;
-    incr passes
-  done;
+  Pool.with_pool ~domains:1 (fun pool ->
+      let more () =
+        let elapsed = now () -. start in
+        !passes = 0
+        || elapsed +. (elapsed /. float_of_int !passes) <= float_of_int seconds
+      in
+      while more () do
+        List.iter (fun s -> traced_cycle w ~pool ~pairs ~pass:!passes ~seed:s) seeds;
+        incr passes
+      done);
   Spans.enabled := false;
   let cycles = float_of_int (!passes * w.scenarios) in
   let spans = Spans.all () in
@@ -889,7 +1012,7 @@ let run_traced w ~pool ~seed ~seconds =
   let per_cycle name = sum (get name) /. cycles in
   (try Sys.mkdir ".bench_run" 0o755 with Sys_error _ -> ());
   let spans_file = Printf.sprintf ".bench_run/spans-%s-s%d.jsonl" w.name seed in
-  Spans.write spans_file ~origin:start spans;
+  Spans.write spans_file ~origin spans;
   Printf.printf "spans written to %s\n" spans_file;
   [
     ("mapper.unconstrained_s", "s", median (per_group unconstrained));
@@ -921,7 +1044,7 @@ let run_traced w ~pool ~seed ~seconds =
       ("binary.disk_hits", "count", float_of_int stats.disk_hits /. cycles);
       ("binary.compiles", "count", float_of_int stats.compiles /. cycles);
       ("pagemaster.fold_us_p50", "us", p50_us (under "launch" "pagemaster.fold"));
-      ("pagemaster.pe_exact_ratio", "ratio", mean (get "fold.exact"));
+      ("pagemaster.pe_exact_ratio", "ratio", float_of_int !exact_folds /. float_of_int !folds);
       ("os.fig9_s", "s", median (per_group (under "fig9" "experiments.fig9")));
       ("os.fig9_transformations", "count", per_cycle "fig9.transformations");
       ("os.fig9_stalls", "count", per_cycle "fig9.stalls");
@@ -960,26 +1083,24 @@ let run_traced w ~pool ~seed ~seconds =
 
 (* ----- set-up, output, command line ----- *)
 
-(* Set-up is what a deployment does before its first request: create the
-   domain pool, open and install a fresh store, and cold-compile its
-   fabric configs (at the first scenario seed).  It is repeated and the
-   median reported; the first repetition also pays the process's heap
-   growth.  The last pool is the one the run uses. *)
-let setup w ~width ~seed =
-  let once () =
-    let (pool, _), t =
-      timed (fun () ->
-          let pool = Pool.create ~domains:width () in
-          with_fresh_store (fun st ->
-              Cgra_store.install st;
-              Binary.clear_cache ();
-              (pool, compile_plain ~pool ~seed w.configs)))
-    in
-    (pool, t)
-  in
-  let runs = List.init 3 (fun _ -> once ()) in
-  List.iteri (fun i (p, _) -> if i < 2 then Pool.shutdown p) runs;
-  (fst (List.nth runs 2), median (List.map snd runs))
+(* Set-up is what a deployment does before its first request: install
+   a fresh store and cold-compile its fabric configs into it (at the
+   first scenario seed), on one domain, before the run's pool exists.  It
+   is timed between two calibrations, repeated 3 times and the median
+   reported; the first repetition also pays the process's heap growth. *)
+let setup w ~seed =
+  Pool.with_pool ~domains:1 (fun pool ->
+      median
+        (List.init 3 (fun _ ->
+             with_fresh_store (fun st ->
+                 let before = calibrate () in
+                 let _, t =
+                   timed (fun () ->
+                       Cgra_store.install st;
+                       Binary.clear_cache ();
+                       compile_plain ~pool ~seed w.configs)
+                 in
+                 scaled ~before ~after:(calibrate ()) t))))
 
 let peak_rss_mb () =
   let ic = open_in "/proc/self/status" in
@@ -1035,16 +1156,15 @@ let () =
       run_dir :=
         Printf.sprintf ".bench_run/%s-s%d-t%d-%d" w.name !seed !trace (Unix.getpid ());
       try
-        let pool, setup_s =
-          setup w ~width:(min 2 (Domain.recommended_domain_count ())) ~seed:(!seed * seed_stride)
-        in
+        let width = min 2 (Domain.recommended_domain_count ()) in
         Printf.printf "workload %s, seed %d (scenario seeds %d..%d), pool width %d\n%!"
           w.name !seed (!seed * seed_stride) ((!seed * seed_stride) + w.scenarios - 1)
-          (Pool.width pool);
+          width;
         let metrics =
-          if !trace = 1 then run_traced w ~pool ~seed:!seed ~seconds:!seconds
+          if !trace = 1 then run_traced w ~width ~seed:!seed ~seconds:!seconds
           else
-            let e2e = run_untraced w ~pool ~seed:!seed ~seconds:!seconds in
+            let setup_s = setup w ~seed:(!seed * seed_stride) in
+            let e2e = run_untraced w ~width ~seed:!seed ~seconds:!seconds in
             [
               ("setup_s", "s", setup_s);
               ("peak_rss_mb", "MB", peak_rss_mb ());
@@ -1054,7 +1174,6 @@ let () =
             ]
             @ e2e
         in
-        Pool.shutdown pool;
         rm_rf !run_dir;
         Printf.printf "checks: %d attempted, %d failed\n" !attempted !failed;
         List.iter (fun f -> prerr_endline ("check failed: " ^ f)) (List.rev !failures);

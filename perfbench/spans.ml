@@ -1,5 +1,6 @@
-(* Wall-clock spans recorded from outside the program, around the calls
-   into each layer's public functions.  A span has a name, a detail
+(* Spans recorded from outside the program, around the calls into each
+   layer's public functions, on the calling thread's CPU clock (the
+   benchmark times one domain; see main.ml).  A span has a name, a detail
    (which config/kernel/shard it covered), start and end times, and the
    span that enclosed it; every span under one root (one compile pass,
    one launch, one Farm.run) shares the root's group id.  Spans are kept
@@ -36,10 +37,10 @@ let with_span ?(root = false) ?(detail = "") name f =
     in
     let saved = !stack in
     stack := (id, group) :: saved;
-    let start = Clock.now () in
+    let start = Clock.cpu () in
     Fun.protect
       ~finally:(fun () ->
-        let stop = Clock.now () in
+        let stop = Clock.cpu () in
         stack := saved;
         recorded := { id; group; parent; name; detail; start; stop } :: !recorded)
       f
