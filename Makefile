@@ -54,10 +54,10 @@ farm:
 	dune exec bench/main.exe -- gate --check
 
 # The at-scale harness: 24 mixed shards, 8 tenants, 10^4 requests
-# through the epoch-stepped coordinator.  Rewrites BENCH_farm_big.json:
-# quality rows at nominal load, the least-loaded/cost-aware overload
-# pair, and the -j1/-j4 front-end simulation rate with the speedup row
-# the gate holds to its machine-aware floor.
+# through the sequential event-loop coordinator.  Rewrites
+# BENCH_farm_big.json: quality rows at nominal load, the
+# least-loaded/cost-aware overload pair, and the front-end simulation
+# rate (requests per wall-second).
 farm-big:
 	dune build bench/main.exe
 	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- farm-big --json

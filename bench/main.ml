@@ -507,9 +507,7 @@ let run_farm ~pool ~json () =
    the overload pair (load 2.0, reconfig cost 100) that pins the
    cost-aware dispatch win — least-loaded and cost-aware side by side,
    so the p99 improvement is in the baseline itself, not a claim — and
-   the wall-clock simulation rate of the epoch coordinator at -j1 vs
-   -j4 with the speedup row Bench_gate holds to its machine-aware
-   floor. *)
+   the wall-clock simulation rate of the sequential event loop. *)
 
 let farm_big_quality_rows ~pool ~quiet () =
   let p = Cgra_farm.Farm.big_params in
@@ -544,14 +542,12 @@ let farm_big_quality_rows ~pool ~quiet () =
 
 (* Requests per wall-second through the coordinator, min-of-N (best
    rate), with the suite compile pre-warmed so the clock sees the
-   discrete-event front end and not the mapper.  Each width gets its own
-   pool; the row records the pool's effective width, which is what the
-   gate's speedup floor keys on. *)
+   discrete-event loop and not the mapper.  The loop is sequential, so
+   there is one row, measured on a one-domain pool. *)
 let farm_big_rate_rows ~quiet () =
   let p = Cgra_farm.Farm.big_params in
-  let rate j =
-    Cgra_util.Pool.with_pool ~domains:j (fun pool ->
-        let w = Cgra_util.Pool.width pool in
+  let row =
+    Cgra_util.Pool.with_pool ~domains:1 (fun pool ->
         ignore (farm_run ~pool p);
         let samples =
           List.init farm_samples (fun _ ->
@@ -562,41 +558,20 @@ let farm_big_rate_rows ~quiet () =
         in
         let mn = List.fold_left Float.min infinity samples in
         let mx = List.fold_left Float.max neg_infinity samples in
-        let spread = if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0 in
-        (w, mx, spread))
+        { m_name = "farm-big sim-rate"; ns = mx; runs = farm_samples;
+          spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
+          domains = Cgra_util.Pool.width pool })
   in
-  let w1, r1, s1 = rate 1 in
-  let w4, r4, s4 = rate 4 in
-  let rows =
-    [
-      { m_name = "farm-big sim-rate -j1"; ns = r1; runs = farm_samples;
-        spread = s1; domains = w1 };
-      { m_name = "farm-big sim-rate -j4"; ns = r4; runs = farm_samples;
-        spread = s4; domains = w4 };
-      { m_name = "farm-big sim-rate speedup -j4/-j1"; ns = r4 /. r1;
-        runs = farm_samples; spread = 0.0; domains = w4 };
-    ]
-  in
-  if not quiet then begin
-    print_endline "\nFront-end simulation rate (requests/wall-second):";
-    List.iter
-      (fun r ->
-        let value =
-          if Cgra_prof.Bench_gate.speedup r.m_name then
-            Printf.sprintf "%12.2fx" r.ns
-          else Printf.sprintf "%7.0f req/s" r.ns
-        in
-        Printf.printf "  %-36s %s  (best of %d, spread %.1f%%, %d domain%s)\n"
-          r.m_name value r.runs r.spread r.domains
-          (if r.domains = 1 then "" else "s"))
-      rows
-  end;
-  rows
+  if not quiet then
+    Printf.printf
+      "\nFront-end simulation rate: %.0f req/wall-s (best of %d, spread \
+       %.1f%%, %d domain)\n"
+      row.ns row.runs row.spread row.domains;
+  [ row ]
 
 let run_farm_big ~pool ~json () =
   section
-    "Farm at scale - 24 mixed shards, 8 tenants, 10000 requests (epoch \
-     coordinator)";
+    "Farm at scale - 24 mixed shards, 8 tenants, 10000 requests";
   let quality = farm_big_quality_rows ~pool ~quiet:false () in
   let rates = farm_big_rate_rows ~quiet:false () in
   if json then

@@ -339,8 +339,10 @@ let cmd_trace =
       domains =
     let arch = or_die (arch_of ~size ~page_pes) in
     if threads < 1 then or_die (Error "--threads must be positive");
-    if need <= 0.0 || need >= 1.0 then or_die (Error "--need must be in (0, 1)");
-    if reconfig_cost < 0.0 then or_die (Error "--reconfig-cost must be >= 0");
+    if not (need > 0.0 && need < 1.0) then
+      or_die (Error "--need must be in (0, 1)");
+    if not (Float.is_finite reconfig_cost && reconfig_cost >= 0.0) then
+      or_die (Error "--reconfig-cost must be a finite number >= 0");
     let suite =
       Cgra_util.Pool.with_pool ?domains (fun pool ->
           or_die (Binary.compile_suite ~seed ~pool arch))
@@ -446,10 +448,10 @@ let cmd_profile =
           (* live: one traced OS run, same knobs as the trace command *)
           let arch = or_die (arch_of ~size ~page_pes) in
           if threads < 1 then or_die (Error "--threads must be positive");
-          if need <= 0.0 || need >= 1.0 then
+          if not (need > 0.0 && need < 1.0) then
             or_die (Error "--need must be in (0, 1)");
-          if reconfig_cost < 0.0 then
-            or_die (Error "--reconfig-cost must be >= 0");
+          if not (Float.is_finite reconfig_cost && reconfig_cost >= 0.0) then
+            or_die (Error "--reconfig-cost must be a finite number >= 0");
           let suite =
             Cgra_util.Pool.with_pool ?domains (fun pool ->
                 or_die (Binary.compile_suite ~seed ~pool arch))
@@ -892,7 +894,7 @@ let cmd_dot =
 
 let cmd_farm =
   let run shards page_pes tenants requests load queue_bound max_resident seed
-      policy reconfig_cost epoch stats fuzz trace_out format show_log domains =
+      policy reconfig_cost stats fuzz trace_out format show_log domains =
     let policy, dispatch = policy in
     Cgra_util.Pool.with_pool ?domains (fun pool ->
         match fuzz with
@@ -918,7 +920,6 @@ let cmd_farm =
                 policy;
                 reconfig_cost;
                 dispatch;
-                epoch;
               }
             in
             let r = or_die (Cgra_farm.Farm.run ~pool ~traced:true p) in
@@ -1026,23 +1027,14 @@ let cmd_farm =
           (Allocator.Halving, Cgra_farm.Farm.Least_loaded)
       & info [ "policy" ] ~docv:"POLICY" ~doc)
   in
-  let epoch_arg =
-    Arg.(
-      value
-      & opt float Cgra_farm.Farm.default_params.Cgra_farm.Farm.epoch
-      & info [ "epoch" ] ~docv:"CYCLES"
-          ~doc:
-            "Sync-epoch length of the parallel coordinator, in virtual \
-             cycles.  Part of the simulated semantics (dispatch is \
-             quantized to epoch boundaries), not just a tuning knob.")
-  in
   let stats =
     Arg.(
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Also print front-end statistics: per-shard active epoch counts, \
-             busy fractions, and the steal-free load imbalance.")
+            "Also print front-end statistics: the coordinator's step count, \
+             per-shard steps, busy fractions and served counts, and the \
+             steal-free load imbalance.")
   in
   Cmd.v
     (Cmd.info "farm"
@@ -1054,8 +1046,7 @@ let cmd_farm =
     Term.(
       const run $ shards $ page_arg $ tenants $ requests $ load $ queue_bound
       $ max_resident $ seed_arg $ farm_policy_arg $ reconfig_cost_arg
-      $ epoch_arg $ stats $ fuzz $ trace_out $ format_arg $ show_log
-      $ domains_arg)
+      $ stats $ fuzz $ trace_out $ format_arg $ show_log $ domains_arg)
 
 (* ----- fig8 / fig9 ----- *)
 

@@ -77,7 +77,8 @@ module Engine = struct
 
   let create ?(policy = Allocator.Halving) ?(reconfig_cost = 0.0)
       ?(trace = T.null) ?(n_threads = 0) ~suite ~total_pages ~mode () =
-    if reconfig_cost < 0.0 then invalid_arg "Os_sim.run: negative reconfig cost";
+    if not (Float.is_finite reconfig_cost && reconfig_cost >= 0.0) then
+      invalid_arg "Os_sim.run: reconfig cost must be a finite number >= 0";
     let tracing = T.enabled trace in
     let alloc = Allocator.create ~policy ~trace ~total_pages () in
     if tracing then begin

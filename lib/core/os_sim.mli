@@ -49,8 +49,8 @@ module Engine : sig
       valid when every queued internal event at a strictly earlier time
       has already been stepped (use {!next_event}/{!run_until}).  The
       contract is enforced: an out-of-order submit raises rather than
-      silently simulating a run that never happened — the epoch-stepped
-      farm coordinator leans on this to catch boundary bugs. *)
+      silently simulating a run that never happened — the farm's
+      event loop leans on this to catch ordering bugs. *)
 
   type t
 
@@ -65,7 +65,8 @@ module Engine : sig
     unit ->
     t
   (** [n_threads] (default 0) only stamps the [Run_begin] trace header —
-      an open system does not know its population up front. *)
+      an open system does not know its population up front.  Raises
+      [Invalid_argument] when [reconfig_cost] is negative or not finite. *)
 
   val submit : t -> at:float -> Thread_model.t -> unit
   (** Admit a thread at time [at]: emits its [Thread_arrival] and starts
@@ -122,8 +123,8 @@ val run :
   ?trace:Cgra_trace.Trace.t ->
   params ->
   result_t
-(** Raises [Invalid_argument] on unknown kernels or an empty thread
-    list.
+(** Raises [Invalid_argument] on unknown kernels, an empty thread list,
+    or a negative or non-finite [reconfig_cost].
 
     [policy] (default [Halving]) selects the allocator's contention
     policy.  [reconfig_cost] (default 0) charges that many cycles of

@@ -1,5 +1,5 @@
 let generate ~seed ~n_threads ~cgra_need ~suite ?(segments_per_thread = 6) () =
-  if cgra_need <= 0.0 || cgra_need >= 1.0 then
+  if not (cgra_need > 0.0 && cgra_need < 1.0) then
     invalid_arg "Workload.generate: cgra_need must be in (0, 1)";
   if suite = [] then invalid_arg "Workload.generate: empty suite";
   let root = Cgra_util.Rng.create ~seed in

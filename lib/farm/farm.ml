@@ -21,7 +21,6 @@ type params = {
   policy : Allocator.policy;
   reconfig_cost : float;
   dispatch : dispatch;
-  epoch : float;
 }
 
 let default_params =
@@ -36,13 +35,11 @@ let default_params =
     policy = Allocator.Cost_halving;
     reconfig_cost = 0.0;
     dispatch = Least_loaded;
-    epoch = 64.0;
   }
 
 (* The at-scale configuration (ROADMAP: tens of shards, 10^4+ requests).
    Eight of each fabric size keeps the compile cost at three unique
-   architectures while giving the coordinator 24 engines to settle per
-   epoch — the shape the parallel settle phase is built for. *)
+   architectures while giving the coordinator 24 engines to interleave. *)
 let big_fleet =
   List.concat_map
     (fun size -> List.init 8 (fun _ -> { size; page_pes = 4 }))
@@ -78,7 +75,7 @@ type shard_report = {
   s_pages : int;
   s_served : int;
   s_busy_cycles : float;  (* sum of (retired - dispatched) over its requests *)
-  s_epochs : int;  (* epochs in which the shard stepped at least one event *)
+  s_steps : int;  (* coordinator steps that advanced this shard's engine *)
   s_os : Os_sim.result_t;
 }
 
@@ -88,7 +85,7 @@ type report = {
   retired : int;
   rejected : int;
   makespan : float;
-  epochs : int;  (* coordinator sync boundaries processed *)
+  epochs : int;  (* coordinator loop steps (shard advances + arrivals) *)
   throughput : float;  (* retired requests per 1000 cycles *)
   latency : Hist.summary;  (* arrival -> retire, cycles *)
   queue_wait : Hist.summary;  (* arrival -> dispatch, cycles *)
@@ -99,11 +96,6 @@ type report = {
   shard_events : T.event list list;
 }
 
-(* Engine callbacks fire while a shard is being stepped — possibly on a
-   worker domain — so they only append to the shard's private buffer;
-   the coordinator drains every buffer at the next sync boundary. *)
-type cb = Cb_grant of int * float | Cb_finish of int * float
-
 type shard = {
   index : int;
   spec : shard_spec;
@@ -112,8 +104,7 @@ type shard = {
   pages_by_kernel : (string * int) list;
   engine : Os_sim.Engine.t;
   strace : T.t;
-  cbs : cb Queue.t;
-  mutable active_epochs : int;
+  mutable steps : int;
   mutable served : int;
   mutable busy_cycles : float;
 }
@@ -124,12 +115,12 @@ let validate p =
   if p.fleet = [] then Error "farm: empty fleet"
   else if p.n_tenants < 1 then Error "farm: need at least one tenant"
   else if p.n_requests < 0 then Error "farm: negative request count"
-  else if p.offered_load <= 0.0 then Error "farm: offered load must be positive"
+  else if not (Float.is_finite p.offered_load && p.offered_load > 0.0) then
+    Error "farm: offered load must be a positive finite number"
   else if p.queue_bound < 1 then Error "farm: queue bound must be >= 1"
   else if p.max_resident < 1 then Error "farm: max resident must be >= 1"
-  else if p.reconfig_cost < 0.0 then Error "farm: negative reconfig cost"
-  else if not (p.epoch > 0.0 && Float.is_finite p.epoch) then
-    Error "farm: epoch must be a positive number of cycles"
+  else if not (Float.is_finite p.reconfig_cost && p.reconfig_cost >= 0.0) then
+    Error "farm: reconfig cost must be a finite number >= 0"
   else Ok ()
 
 (* Nominal per-shard service rate: the mean full-allocation service time
@@ -180,8 +171,7 @@ let run ?pool ?(traced = false) p =
                      List.map
                        (fun (b : Binary.t) -> (b.name, Binary.pages_used b))
                        suite;
-                   engine; strace; cbs = Queue.create (); active_epochs = 0;
-                   served = 0; busy_cycles = 0.0 }
+                   engine; strace; steps = 0; served = 0; busy_cycles = 0.0 }
                 :: acc)
                 rest)
     in
@@ -219,20 +209,13 @@ let run ?pool ?(traced = false) p =
          queue_bound = p.queue_bound; max_resident = p.max_resident;
          requests = p.n_requests });
   let shard_arr = Array.of_list shards in
-  List.iter
-    (fun s ->
-      Os_sim.Engine.set_on_grant s.engine (fun rid time ->
-          Queue.add (Cb_grant (rid, time)) s.cbs);
-      Os_sim.Engine.set_on_finish s.engine (fun rid time ->
-          Queue.add (Cb_finish (rid, time)) s.cbs))
-    shards;
   let queues = Array.init p.n_tenants (fun _ -> Queue.create ()) in
   let latency_h = Hist.create () in
   let queue_wait_h = Hist.create () in
   let retired = ref 0 in
   let rejected = ref 0 in
   let rev_log = ref [] in
-  let n_epochs = ref 0 in
+  let n_steps = ref 0 in
   let process_grant shard_idx rid time =
     let r = requests.(rid) in
     if Float.is_nan r.resident_at then begin
@@ -256,14 +239,23 @@ let run ?pool ?(traced = false) p =
          { req = rid; tenant = r.tenant; shard = r.shard;
            latency = time -. r.arrival })
   in
-  let process_cb shard_idx = function
-    | Cb_grant (rid, time) -> process_grant shard_idx rid time
-    | Cb_finish (rid, time) -> process_finish rid time
+  (* Engine callbacks fire while the coordinator steps or submits to a
+     shard; they only touch front-end accounting, never an engine. *)
+  List.iter
+    (fun s ->
+      Os_sim.Engine.set_on_grant s.engine (process_grant s.index);
+      Os_sim.Engine.set_on_finish s.engine process_finish)
+    shards;
+  (* Each shard's next internal event (infinity when idle).  Only a step
+     or a submit changes a shard's event queue, so only those refresh
+     its entry. *)
+  let next_at = Array.make (Array.length shard_arr) infinity in
+  let refresh s =
+    next_at.(s.index) <-
+      Option.value ~default:infinity (Os_sim.Engine.next_event s.engine)
   in
-  let drain_cbs s = Queue.iter (process_cb s.index) s.cbs; Queue.clear s.cbs in
   (* load-aware shard candidates: fewest in-flight requests, then least
-     allocated fabric, then lowest index — all deterministic signals,
-     all read at a sync boundary where every shard is settled *)
+     allocated fabric, then lowest index — all deterministic signals *)
   let candidates () =
     List.filter
       (fun s -> Os_sim.Engine.in_flight s.engine < p.max_resident)
@@ -283,8 +275,8 @@ let run ?pool ?(traced = false) p =
      [reconfig_cost].  When that price exceeds the time until the shard
      next wakes up (its events are finishes and regrants, i.e. chances
      for pages to free up), queueing is the cheaper move and the grant is
-     deferred to a later boundary.  At [reconfig_cost = 0] the estimate
-     is always 0, so the policy degenerates to [Least_loaded] exactly. *)
+     deferred to a later step.  At [reconfig_cost = 0] the estimate is
+     always 0, so the policy degenerates to [Least_loaded] exactly. *)
   let affordable s (r : request) now =
     match p.dispatch with
     | Least_loaded -> true
@@ -310,15 +302,15 @@ let run ?pool ?(traced = false) p =
     r.dispatched <- now;
     T.emit_at ftrace ~time:now
       (T.Farm_admit { req = r.rid; tenant = r.tenant; shard = s.index });
+    (* a submit can grant pages synchronously: the grant callback then
+       surfaces the residency now, in admission order *)
     Os_sim.Engine.submit s.engine ~at:now
       {
         Thread_model.id = r.rid;
         segments =
           [ Thread_model.Kernel { kernel = r.kernel; iterations = r.iterations } ];
       };
-    (* a submit can grant pages synchronously: surface the residency now,
-       in admission order, rather than at the next boundary *)
-    drain_cbs s
+    refresh s
   in
   (* drain tenant queues (tenant order, FIFO within a tenant) while some
      shard has admission capacity; a tenant whose head request is
@@ -357,101 +349,37 @@ let run ?pool ?(traced = false) p =
     end
     else Queue.add r q
   in
-  (* The epoch-stepped coordinator.  Per epoch (t, t']:
-       1. settle — every shard runs its own events up to t', in parallel
-          across the pool (shards are share-nothing between boundaries;
-          callbacks buffer into per-shard logs);
-       2. merge — buffered grants/finishes and the window's arrivals are
-          replayed on the coordinator in one total order: (event time,
-          shard events before arrivals, shard index, buffer order);
-       3. dispatch — admission control runs at the boundary, submitting
-          new work at exactly t' (the settled engines' horizon).
-     Every decision reads settled, boundary-time state, so the run is a
-     pure function of the seed and the epoch length — byte-identical at
-     any pool width.  t' stretches beyond t + epoch when nothing (no
-     event, no arrival) lands earlier, so idle stretches cost one epoch,
-     and an arrival into an idle fleet is dispatched at its exact
-     arrival time. *)
-  let ai = ref 0 in
-  let settle t' =
-    let one s =
-      (match Os_sim.Engine.next_event s.engine with
-      | Some te when te <= t' -> s.active_epochs <- s.active_epochs + 1
-      | Some _ | None -> ());
-      Os_sim.Engine.run_until s.engine t'
-    in
-    match pool with
-    | Some pool -> ignore (Cgra_util.Pool.map pool one shards)
-    | None -> List.iter one shards
-  in
-  let boundary t' =
-    incr n_epochs;
-    (* one totally ordered replay of the window: stable sort keeps each
-       shard's buffer order and the arrival order within equal keys *)
-    let items =
-      List.concat_map
-        (fun s ->
-          let l =
-            Queue.fold
-              (fun acc c ->
-                let time =
-                  match c with Cb_grant (_, t) | Cb_finish (_, t) -> t
-                in
-                (time, 0, s.index, `Cb c) :: acc)
-              [] s.cbs
-          in
-          Queue.clear s.cbs;
-          List.rev l)
-        shards
-    in
-    let arrivals = ref [] in
-    while
-      !ai < Array.length requests && requests.(!ai).arrival <= t'
-    do
-      arrivals := (requests.(!ai).arrival, 1, 0, `Arrival requests.(!ai)) :: !arrivals;
-      incr ai
+  (* The coordinator (see farm.mli): step the earliest shard event —
+     before an arrival at the same time, lowest index among shards — or
+     admit the next arrival, then dispatch at that exact time, so a
+     queued request starts the moment capacity frees up, as the paper's
+     runtime reshapes kernels the moment a thread arrives or leaves. *)
+  let rec loop ai =
+    let si = ref (-1) and next = ref infinity in
+    for i = 0 to Array.length next_at - 1 do
+      if next_at.(i) < !next then begin
+        si := i;
+        next := next_at.(i)
+      end
     done;
-    let merged =
-      List.stable_sort
-        (fun (t1, k1, s1, _) (t2, k2, s2, _) -> compare (t1, k1, s1) (t2, k2, s2))
-        (items @ List.rev !arrivals)
-    in
-    List.iter
-      (fun (_, _, shard_idx, item) ->
-        match item with
-        | `Cb c -> process_cb shard_idx c
-        | `Arrival r -> admit r)
-      merged;
-    try_dispatch t'
+    if ai < Array.length requests && requests.(ai).arrival < !next then begin
+      let r = requests.(ai) in
+      incr n_steps;
+      admit r;
+      try_dispatch r.arrival;
+      loop (ai + 1)
+    end
+    else if !si >= 0 then begin
+      let s = shard_arr.(!si) and now = !next in
+      incr n_steps;
+      s.steps <- s.steps + 1;
+      Os_sim.Engine.run_until s.engine now;
+      refresh s;
+      try_dispatch now;
+      loop ai
+    end
   in
-  let next_candidate () =
-    let ev =
-      List.fold_left
-        (fun acc s ->
-          match (Os_sim.Engine.next_event s.engine, acc) with
-          | None, a -> a
-          | Some t, None -> Some t
-          | Some t, Some a -> Some (Float.min t a))
-        None shards
-    in
-    let ar =
-      if !ai < Array.length requests then Some requests.(!ai).arrival else None
-    in
-    match (ev, ar) with
-    | None, None -> None
-    | (Some _ as x), None | None, (Some _ as x) -> x
-    | Some x, Some y -> Some (Float.min x y)
-  in
-  let rec loop t =
-    match next_candidate () with
-    | None -> ()
-    | Some c ->
-        let t' = Float.max (t +. p.epoch) c in
-        settle t';
-        boundary t';
-        loop t'
-  in
-  loop 0.0;
+  loop 0;
   let makespan =
     Array.fold_left
       (fun acc r ->
@@ -470,7 +398,7 @@ let run ?pool ?(traced = false) p =
           s_pages = s.total_pages;
           s_served = s.served;
           s_busy_cycles = s.busy_cycles;
-          s_epochs = s.active_epochs;
+          s_steps = s.steps;
           s_os = Os_sim.Engine.result s.engine;
         })
       shards
@@ -482,7 +410,7 @@ let run ?pool ?(traced = false) p =
       retired = !retired;
       rejected = !rejected;
       makespan;
-      epochs = !n_epochs;
+      epochs = !n_steps;
       throughput =
         (if makespan > 0.0 then float_of_int !retired /. makespan *. 1000.0
          else 0.0);
@@ -510,15 +438,14 @@ let render ?(log = false) (r : report) =
     p.n_tenants p.n_requests p.offered_load p.seed;
   pf
     "  policy %s, dispatch %s, reconfig cost %.0f, queue bound %d, max \
-     resident %d, epoch %.0f\n"
+     resident %d\n"
     (match p.policy with
     | Allocator.Halving -> "halving"
     | Allocator.Repack_equal -> "repack"
     | Allocator.Cost_halving -> "cost")
-    (dispatch_name p.dispatch) p.reconfig_cost p.queue_bound p.max_resident
-    p.epoch;
-  pf "  retired %d, rejected %d, makespan %.0f cycles, %d epochs\n" r.retired
-    r.rejected r.makespan r.epochs;
+    (dispatch_name p.dispatch) p.reconfig_cost p.queue_bound p.max_resident;
+  pf "  retired %d, rejected %d, makespan %.0f cycles\n" r.retired r.rejected
+    r.makespan;
   pf "  throughput %.3f req/kcycle\n" r.throughput;
   pf "  latency    p50 %.0f  p90 %.0f  p99 %.0f  max %.0f cycles\n"
     r.latency.Hist.p50 r.latency.Hist.p90 r.latency.Hist.p99 r.latency.Hist.max;
@@ -540,15 +467,15 @@ let render ?(log = false) (r : report) =
   end;
   Buffer.contents b
 
-(* The front-end observability report: where coordinator epochs landed,
-   how busy each shard was, and how uneven the (steal-free) load ended
-   up — dispatch is final, work never migrates, so max/mean busy is the
-   true imbalance, not a sampling artifact. *)
+(* The front-end observability report: how many loop steps the
+   coordinator took and which shards they advanced, how busy each shard
+   was, and how uneven the (steal-free) load ended up — dispatch is
+   final, work never migrates, so max/mean busy is the true imbalance,
+   not a sampling artifact. *)
 let render_stats (r : report) =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "epochs: %d boundaries (epoch %.0f cycles, makespan %.0f)\n" r.epochs
-    r.params.epoch r.makespan;
+  pf "steps: %d coordinator steps (makespan %.0f cycles)\n" r.epochs r.makespan;
   let busy = List.map (fun s -> s.s_busy_cycles) r.shard_reports in
   let total_busy = List.fold_left ( +. ) 0.0 busy in
   let mean_busy = total_busy /. float_of_int (List.length busy) in
@@ -556,12 +483,9 @@ let render_stats (r : report) =
   List.iter
     (fun s ->
       pf
-        "  shard %-2d (%dx%d): active epochs %-5d (%.3f of %d)  busy %8.0f \
-         cycles  busy frac %.3f  served %d\n"
-        s.s_index s.s_spec.size s.s_spec.size s.s_epochs
-        (if r.epochs > 0 then float_of_int s.s_epochs /. float_of_int r.epochs
-         else 0.0)
-        r.epochs s.s_busy_cycles
+        "  shard %-2d (%dx%d): steps %-6d busy %8.0f cycles  busy frac %.3f  \
+         served %d\n"
+        s.s_index s.s_spec.size s.s_spec.size s.s_steps s.s_busy_cycles
         (if r.makespan > 0.0 then s.s_busy_cycles /. r.makespan else 0.0)
         s.s_served)
     r.shard_reports;

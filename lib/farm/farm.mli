@@ -8,28 +8,26 @@
     front end is an open-loop arrival process with per-tenant FIFO
     queues and admission control.
 
-    {b The epoch-stepped coordinator.}  The run is quantized into sync
-    epochs of [epoch] virtual cycles.  Per epoch [(t, t']]: every shard
-    first settles its own internal events up to [t'] — shards are
-    share-nothing between boundaries, so this phase fans out across the
-    [pool] worker domains, with grant/finish callbacks buffering into
-    per-shard logs; the coordinator then replays the window in one total
-    order (event time, shard events before arrivals, shard index, buffer
-    order), does admission, and dispatches queued requests at exactly
-    [t'].  A boundary stretches beyond [t + epoch] when nothing lands
-    earlier, so idle stretches cost one epoch and an arrival into an
-    idle fleet is dispatched at its exact arrival time.
+    {b The coordinator} is one sequential discrete-event loop.  Each
+    step takes the earliest pending item — a shard's next internal
+    event or the next arrival; shard events come first at equal times,
+    and the lowest shard index first among shards — and either advances
+    that shard's engine through every event at that instant or admits
+    that arrival.  Grant and finish callbacks update the front end's
+    accounting directly, and admission then dispatches queued requests
+    at that exact time: a request starts the moment a shard frees
+    capacity, as the paper's runtime reshapes kernels the moment a
+    thread arrives or leaves.  Each shard's next-event time is cached
+    and refreshed only after the shard is stepped or receives a submit.
 
     Determinism is the contract.  Everything runs on the virtual clock —
     no wall time anywhere in the simulated path — and all randomness
-    flows from the seeded {!Cgra_util.Rng}, so one seed (plus the epoch
-    length, which is part of {!params}) fixes the whole run: arrivals,
-    admissions, dispatches, retirement log, quantiles.  Every
-    coordinator decision reads settled boundary-time state and the
-    merged replay order is a total order, so results are byte-identical
-    at any [-j] — the pool width changes the wall clock, never a byte
-    of the report, the traces, or the {!Cgra_prof.Metrics.Hist}
-    quantiles.
+    flows from the seeded {!Cgra_util.Rng}, so one seed fixes the whole
+    run: arrivals, admissions, dispatches, retirement log, quantiles.
+    No {!params} field tunes speed alone; every one of them is part of
+    the simulated system.  The [pool] only races suite compiles, which
+    are bit-deterministic at any width, so results are byte-identical
+    at any [-j].
 
     Admission bounds each tenant's queue at [queue_bound] (excess
     requests are rejected at arrival, never dropped later) and each
@@ -74,16 +72,12 @@ type params = {
   policy : Cgra_core.Allocator.policy;
   reconfig_cost : float;
   dispatch : dispatch;
-  epoch : float;
-      (** sync-epoch length in virtual cycles; smaller epochs track
-          arrivals more tightly, larger epochs give the parallel settle
-          phase more work per barrier *)
 }
 
 val default_params : params
 (** The committed-benchmark configuration: the default fleet, 4 tenants,
     200 requests, load 1.0, bound 8, resident 8, seed 0, [Cost_halving],
-    [Least_loaded] dispatch, 64-cycle epochs. *)
+    [Least_loaded] dispatch. *)
 
 val big_fleet : shard_spec list
 (** The at-scale fleet: eight shards each of 4x4, 6x6 and 8x8 (24
@@ -128,9 +122,9 @@ type shard_report = {
           summed per-thread stall-attribution totals
           {!Cgra_prof.Analyze.profile} reconstructs from the shard's
           trace *)
-  s_epochs : int;
-      (** sync epochs in which this shard had at least one internal
-          event to step — its share of the front end's settle work *)
+  s_steps : int;
+      (** coordinator steps that advanced this shard's engine — its
+          share of the loop's work *)
   s_os : Cgra_core.Os_sim.result_t;
 }
 
@@ -140,7 +134,9 @@ type report = {
   retired : int;
   rejected : int;
   makespan : float;
-  epochs : int;  (** coordinator sync boundaries processed *)
+  epochs : int;
+      (** coordinator loop steps: shard advances plus admitted or
+          rejected arrivals *)
   throughput : float;  (** retired requests per 1000 cycles *)
   latency : Hist.summary;  (** arrival -> retire, cycles *)
   queue_wait : Hist.summary;  (** arrival -> dispatch, cycles *)
@@ -159,11 +155,12 @@ val run :
   ?traced:bool ->
   params ->
   (report, string) result
-(** Simulate the farm.  The [pool] parallelizes suite compilation and
-    the per-epoch shard settle phase; both are bit-deterministic at any
-    width.  [traced] (default false) collects the front end's [farm_*]
-    stream and one OS stream per shard; tracing never changes the
-    simulation.  Errors are validation or compile failures. *)
+(** Simulate the farm.  The [pool] parallelizes suite compilation, which
+    is bit-deterministic at any width; the event loop itself is
+    sequential.  [traced] (default false) collects the front end's
+    [farm_*] stream and one OS stream per shard; tracing never changes
+    the simulation.  Errors are validation failures (including a
+    non-finite [offered_load] or [reconfig_cost]) or compile failures. *)
 
 val dispatch_name : dispatch -> string
 (** ["least-loaded"] / ["cost-aware"] — the rendering and CLI spelling. *)
@@ -173,7 +170,7 @@ val render : ?log:bool -> report -> string
     the retirement log — the byte-compare surface of the @smoke rule. *)
 
 val render_stats : report -> string
-(** Front-end observability ([cgra_tool farm --stats]): per-shard active
-    epoch counts, busy fractions, and the steal-free load imbalance
-    (max/mean busy cycles — dispatch is final and work never migrates,
-    so the ratio is the true imbalance). *)
+(** Front-end observability ([cgra_tool farm --stats]): the loop's step
+    count, per-shard steps, busy fractions and served counts, and the
+    steal-free load imbalance (max/mean busy cycles — dispatch is final
+    and work never migrates, so the ratio is the true imbalance). *)

@@ -170,6 +170,28 @@ let check_report (r : Farm.report) =
              Some (q.Farm.dispatched, q.Farm.rid))
            None in_arrival))
     by_tenant;
+  (* exact-time dispatch: where nothing defers a grant (least-loaded, or
+     cost-aware at zero reconfig cost), a queued request can only start
+     when a shard frees a slot, so every dispatch lands at the request's
+     own arrival or at some request's retire time *)
+  let p = r.Farm.params in
+  if p.Farm.dispatch = Farm.Least_loaded || p.Farm.reconfig_cost = 0.0 then begin
+    let retire_times = Hashtbl.create 64 in
+    List.iter
+      (fun (q : Farm.request) ->
+        if not (Float.is_nan q.Farm.retired_at) then
+          Hashtbl.replace retire_times q.Farm.retired_at ())
+      r.Farm.requests;
+    List.iter
+      (fun (q : Farm.request) ->
+        let d = q.Farm.dispatched in
+        if (not (Float.is_nan d)) && d <> q.Farm.arrival
+           && not (Hashtbl.mem retire_times d)
+        then
+          err "r%d dispatched at %g, neither its arrival (%g) nor a retire time"
+            q.Farm.rid d q.Farm.arrival)
+      r.Farm.requests
+  end;
   List.rev !failures
 
 (* ----- the seeded fuzz harness ----- *)
@@ -204,7 +226,6 @@ let params_of_seed seed =
   let dispatch =
     Cgra_util.Rng.choose rng [| Farm.Least_loaded; Farm.Cost_aware |]
   in
-  let epoch = Cgra_util.Rng.choose rng [| 16.0; 64.0; 256.0 |] in
   {
     Farm.fleet;
     n_tenants;
@@ -216,7 +237,6 @@ let params_of_seed seed =
     policy;
     reconfig_cost;
     dispatch;
-    epoch;
   }
 
 let check_case seed =

@@ -11,7 +11,9 @@
       never goes backwards;
     - report-level conservation ({!check_report}): retired + rejected =
       offered, no admitted request is ever dropped, per-tenant dispatch
-      order follows arrival order;
+      order follows arrival order, and — under least-loaded dispatch, or
+      cost-aware at zero reconfig cost — every dispatch happens at the
+      request's own arrival or at some request's retire time;
     - each shard's OS stream through {!Cgra_verify.Os_fuzz.monitor}
       (instant-level page conservation and disjoint grants) and
       {!Cgra_verify.Os_fuzz.replay_check} (the stream reproduces the
@@ -23,7 +25,8 @@ val monitor :
 (** Check the farm-stream invariants above; [[]] means they all hold. *)
 
 val check_report : Farm.report -> string list
-(** Report-level conservation invariants; [[]] means they all hold. *)
+(** Report-level conservation and exact-time dispatch invariants; [[]]
+    means they all hold. *)
 
 type outcome = {
   cases : int;  (** seeds attempted *)

@@ -67,11 +67,8 @@ let contains sub name =
 
 (* Farm sim-rate rows time the coordinator's wall clock (requests per
    wall-second), so despite the "farm" prefix they are measurements,
-   not deterministic outputs.  The speedup row among them is gated
-   against a machine-aware floor, not against its baseline. *)
+   not deterministic outputs. *)
 let sim_rate name = contains "sim-rate" name
-
-let speedup name = sim_rate name && contains "speedup" name
 
 (* All other farm rows are virtual-clock simulation outputs:
    deterministic down to float formatting, so the budget is a flat
@@ -88,14 +85,6 @@ let higher_is_better name =
   || (deterministic name && contains "req/" name)
 
 let epsilon name = if deterministic name then 0.001 else 0.05
-
-(* The -j4/-j1 speedup floor cannot be a constant: a CI box with fewer
-   than four cores clamps the pool to what it has, and demanding 2x
-   there would gate on hardware, not code.  The row records the
-   effective pool width; a machine that really ran four domains owes
-   the 2x scaling contract, anything narrower just must not have made
-   the parallel path slower than sequential. *)
-let speedup_floor ~domains = if domains >= 4 then 2.0 else 0.85
 
 (* Per-row slowdown budgets.  Everything here is a shared-machine wall
    measurement, so the budgets are about catching algorithmic
@@ -123,22 +112,16 @@ let check ~baseline ~current =
       | None -> { o_name = b.name; baseline = b.value; current = None; tol;
                   ok = false }
       | Some c ->
-          if speedup b.name then
-            (* absolute machine-aware floor on the fresh measurement *)
-            let floor = speedup_floor ~domains:c.domains in
-            { o_name = b.name; baseline = b.value; current = Some c.value;
-              tol = floor; ok = c.value >= floor }
-          else
-            let ok =
-              if sim_rate b.name then c.value >= b.value /. tol
-              else if higher_is_better b.name then
-                c.value >= b.value -. epsilon b.name
-              else if deterministic b.name then
-                c.value <= b.value +. epsilon b.name
-              else c.value <= b.value *. tol
-            in
-            { o_name = b.name; baseline = b.value; current = Some c.value; tol;
-              ok })
+          let ok =
+            if sim_rate b.name then c.value >= b.value /. tol
+            else if higher_is_better b.name then
+              c.value >= b.value -. epsilon b.name
+            else if deterministic b.name then
+              c.value <= b.value +. epsilon b.name
+            else c.value <= b.value *. tol
+          in
+          { o_name = b.name; baseline = b.value; current = Some c.value; tol;
+            ok })
     baseline.rows
 
 let failures outcomes =
@@ -147,8 +130,7 @@ let failures outcomes =
 let render ~unit_ outcomes =
   let fmt v = Table.fmt_float ~decimals:1 v in
   let tol_label o =
-    if speedup o.o_name then Printf.sprintf ">=%.2fx" o.tol
-    else if sim_rate o.o_name then Printf.sprintf ">=base/%.1f" o.tol
+    if sim_rate o.o_name then Printf.sprintf ">=base/%.1f" o.tol
     else if higher_is_better o.o_name then ">=base"
     else if deterministic o.o_name then "<=base"
     else Printf.sprintf "%.1fx" o.tol

@@ -44,19 +44,6 @@ val sim_rate : string -> bool
     they gate upward with the 2.0x jitter ratio rather than an
     epsilon. *)
 
-val speedup : string -> bool
-(** The "sim-rate speedup" row (parallel over sequential rate) is gated
-    against {!speedup_floor} of its own recorded pool width — an
-    absolute floor on the fresh measurement, not a baseline
-    comparison. *)
-
-val speedup_floor : domains:int -> float
-(** The parallel coordinator's scaling contract, machine-aware: a pool
-    that really ran [>= 4] domains owes a 2.0x speedup over sequential;
-    a machine too narrow to widen the pool (the row records the
-    effective width) just must not run the parallel path slower than
-    sequential (0.85). *)
-
 val higher_is_better : string -> bool
 (** Rows named with the "fig8" prefix are deterministic quality scores
     (geomean percent of baseline II, epsilon 0.05), and farm rows

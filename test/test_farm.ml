@@ -25,10 +25,10 @@ let run_ok ?pool ?traced p =
 
 (* ---------- seeded determinism at any -j ---------- *)
 
-(* [clamp:false] keeps the requested width even on single-core machines,
-   so the epoch coordinator's settle phase genuinely fans out across
-   domains — the byte-compare then proves the parallel path, not the
-   sequential fallback. *)
+(* The pool only races suite compiles; the event loop is sequential.
+   [clamp:false] keeps the requested width even on single-core machines,
+   so the compiles genuinely race across domains — the byte-compare then
+   proves the race never leaks into a report or a trace. *)
 let test_determinism_across_widths () =
   let surface width =
     Cgra_util.Pool.with_pool ~clamp:false ~domains:width (fun pool ->
@@ -74,6 +74,41 @@ let test_admission_properties () =
   Alcotest.(check int) "cases" 10 o.Farm_fuzz.cases;
   Alcotest.(check (list string)) "all invariants hold" [] o.Farm_fuzz.failures
 
+(* The exact-time dispatch rule is not vacuous: a dispatch moved off
+   every arrival and retire time (what quantizing dispatch to a sync
+   boundary would do) is reported. *)
+let test_exact_time_rule_catches_deferral () =
+  let r = run_ok small_params in
+  Alcotest.(check (list string)) "clean run passes" [] (Farm_fuzz.check_report r);
+  let q =
+    List.find (fun (q : Farm.request) -> not (Float.is_nan q.Farm.dispatched))
+      r.Farm.requests
+  in
+  q.Farm.dispatched <- q.Farm.dispatched +. 0.5;
+  Alcotest.(check bool) "deferred dispatch reported" true
+    (List.exists
+       (fun m ->
+         String.starts_with ~prefix:(Printf.sprintf "r%d dispatched at" q.Farm.rid) m)
+       (Farm_fuzz.check_report r))
+
+(* Non-finite numbers are validation errors, not crashes or hangs: a NaN
+   or infinite load would trip an assertion in the arrival generator,
+   and a NaN reconfig cost would post events at NaN times that the loop
+   never drains. *)
+let test_non_finite_params_rejected () =
+  List.iter
+    (fun (what, p) ->
+      match Farm.run p with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error _ -> ())
+    [
+      ("nan load", { small_params with offered_load = Float.nan });
+      ("infinite load", { small_params with offered_load = Float.infinity });
+      ("nan reconfig cost", { small_params with reconfig_cost = Float.nan });
+      ( "infinite reconfig cost",
+        { small_params with reconfig_cost = Float.infinity } );
+    ]
+
 let test_rejections_respect_bound () =
   (* a tight bound under heavy load must reject, and still conserve *)
   let p =
@@ -94,7 +129,7 @@ let test_rejections_respect_bound () =
    change to arrival generation, admission order, dispatch policy, the
    shard engines, or the export encoding moves it.  If the change is
    intentional, print the stream and update. *)
-let golden_stream_digest = "a7db4b97fef8df832ffa6e3d3dcc3e83"
+let golden_stream_digest = "39c19f2dc8251781d9787968e9ef1aef"
 
 let test_golden_stream () =
   let r = run_ok ~traced:true small_params in
@@ -157,30 +192,43 @@ let test_shard_streams_verify () =
 
 (* The committed-benchmark claim, as a test: at 2x load with a real
    reconfiguration cost, pricing reshape cycles against the shard's next
-   wake-up must cut the p99 latency without giving back throughput.
-   Deterministic (fixed seed, virtual clock), so exact comparison is
-   safe. *)
+   wake-up must cut the p99 latency without giving back throughput.  On
+   the small default fleet the makespan — hence the throughput — is set
+   by a single request that lands on the 4x4 shard, so only the p99
+   clause is checked there; both clauses are checked on the fleet the
+   claim stands for, [Farm.big_params] at the same load and cost, over
+   three seeds.  Deterministic (fixed seeds, virtual clock), so exact
+   comparison is safe. *)
 let test_cost_aware_improves_overload_tail () =
-  let base =
-    {
-      Farm.default_params with
-      offered_load = 2.0;
-      reconfig_cost = 100.0;
-      policy = Cgra_core.Allocator.Cost_halving;
-    }
+  let pair (p : Farm.params) =
+    let p =
+      { p with
+        offered_load = 2.0;
+        reconfig_cost = 100.0;
+        policy = Cgra_core.Allocator.Cost_halving }
+    in
+    ( run_ok { p with dispatch = Farm.Least_loaded },
+      run_ok { p with dispatch = Farm.Cost_aware } )
   in
-  let r_ll = run_ok { base with dispatch = Farm.Least_loaded } in
-  let r_ca = run_ok { base with dispatch = Farm.Cost_aware } in
-  Alcotest.(check bool)
-    (Printf.sprintf "p99 improves (%.0f < %.0f)" r_ca.Farm.latency.Hist.p99
-       r_ll.Farm.latency.Hist.p99)
-    true
-    (r_ca.Farm.latency.Hist.p99 < r_ll.Farm.latency.Hist.p99);
-  Alcotest.(check bool)
-    (Printf.sprintf "throughput holds (%.3f >= %.3f)" r_ca.Farm.throughput
-       r_ll.Farm.throughput)
-    true
-    (r_ca.Farm.throughput >= r_ll.Farm.throughput)
+  let p99_improves what (r_ll, r_ca) =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: p99 improves (%.0f < %.0f)" what
+         r_ca.Farm.latency.Hist.p99 r_ll.Farm.latency.Hist.p99)
+      true
+      (r_ca.Farm.latency.Hist.p99 < r_ll.Farm.latency.Hist.p99)
+  in
+  p99_improves "default fleet" (pair Farm.default_params);
+  List.iter
+    (fun seed ->
+      let ((r_ll, r_ca) as rs) = pair { Farm.big_params with seed } in
+      let what = Printf.sprintf "big fleet, seed %d" seed in
+      p99_improves what rs;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: throughput holds (%.3f >= %.3f)" what
+           r_ca.Farm.throughput r_ll.Farm.throughput)
+        true
+        (r_ca.Farm.throughput >= r_ll.Farm.throughput))
+    [ 0; 1; 2 ]
 
 let test_cost_aware_zero_cost_degenerates () =
   (* at reconfig_cost = 0 the deferral predicate is always affordable,
@@ -222,6 +270,10 @@ let () =
             test_admission_properties;
           Alcotest.test_case "tight bound rejects, conserves" `Quick
             test_rejections_respect_bound;
+          Alcotest.test_case "exact-time rule catches deferral" `Quick
+            test_exact_time_rule_catches_deferral;
+          Alcotest.test_case "non-finite params rejected" `Quick
+            test_non_finite_params_rejected;
         ] );
       ( "golden",
         [ Alcotest.test_case "pinned farm_* stream" `Quick test_golden_stream ] );

@@ -374,11 +374,14 @@ let test_workload_need_fraction () =
 
 let test_workload_invalid_need () =
   let suite = Lazy.force suite_4x4_p4 in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Workload.generate ~seed:0 ~n_threads:1 ~cgra_need:1.0 ~suite ());
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun need ->
+      Alcotest.(check bool) (Printf.sprintf "need %g raises" need) true
+        (try
+           ignore (Workload.generate ~seed:0 ~n_threads:1 ~cgra_need:need ~suite ());
+           false
+         with Invalid_argument _ -> true))
+    [ 1.0; 0.0; Float.nan ]
 
 (* ---------- Os_sim ---------- *)
 
@@ -629,6 +632,19 @@ let test_engine_rejects_out_of_order_submit () =
   Alcotest.(check int) "only the valid thread ran" 1
     (List.length (Os_sim.Engine.result e).Os_sim.finishes)
 
+(* A NaN or infinite reshape cost would post events at non-finite times
+   and never drain: the engine refuses it up front, like a negative one. *)
+let test_engine_rejects_non_finite_cost () =
+  List.iter
+    (fun cost ->
+      match
+        Os_sim.Engine.create ~reconfig_cost:cost ~suite:(Lazy.force suite_4x4_p4)
+          ~total_pages:4 ~mode:Os_sim.Multi ()
+      with
+      | _ -> Alcotest.failf "reconfig cost %g accepted" cost
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0 ]
+
 let test_engine_drain_empty () =
   let e = fresh_engine () in
   (* draining an engine with nothing submitted is a no-op, not an error *)
@@ -640,9 +656,9 @@ let test_engine_drain_empty () =
   Alcotest.check (Alcotest.float 0.0) "zero makespan" 0.0 r.Os_sim.makespan
 
 let test_engine_run_until_inclusive () =
-  (* [run_until t] steps events at exactly [t] — the epoch-boundary case
-     the parallel farm coordinator depends on: a shard settled to the
-     sync point must have consumed every event landing on it *)
+  (* [run_until t] steps events at exactly [t] — the case the farm's
+     event loop depends on: a shard advanced to its next event time must
+     have consumed every event landing on that instant *)
   let e = fresh_engine () in
   Os_sim.Engine.submit e ~at:0.0 (kernel_thread 1);
   match Os_sim.Engine.next_event e with
@@ -724,6 +740,8 @@ let () =
         [
           Alcotest.test_case "rejects out-of-order submit" `Quick
             test_engine_rejects_out_of_order_submit;
+          Alcotest.test_case "rejects non-finite reconfig cost" `Quick
+            test_engine_rejects_non_finite_cost;
           Alcotest.test_case "drain on empty engine" `Quick test_engine_drain_empty;
           Alcotest.test_case "run_until inclusive at event time" `Quick
             test_engine_run_until_inclusive;
