@@ -84,8 +84,10 @@ profile:
 # indexing bugs, two orders of magnitude deeper than the @smoke run.
 fuzz-deep:
 	dune build bin/cgra_tool.exe
-	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- verify --fuzz 10000 --meld-fuzz 10000
-	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- farm --fuzz 500
+	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- fuzz pipeline 10000
+	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- fuzz os 10000
+	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- fuzz meld 10000
+	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- fuzz farm 500
 
 # Drop stale/corrupt artifacts from the binary store, then report what
 # survives.  `rm -rf $(CGRA_CACHE)` is the nuclear version.

@@ -748,98 +748,55 @@ let cmd_cache =
 (* ----- verify ----- *)
 
 let cmd_verify =
-  let run kernel size page_pes seed paged fold_sweep fuzz meld_fuzz iterations
-      domains =
-    match (fuzz, meld_fuzz) with
-    | Some _, _ | _, Some _ ->
-        Cgra_util.Pool.with_pool ?domains (fun pool ->
-            if Cgra_util.Pool.width pool > 1 then
-              Printf.printf "fuzzing across %d domains\n"
-                (Cgra_util.Pool.width pool);
-            let failed = ref false in
-            (match fuzz with
-            | None -> ()
-            | Some n ->
-                if n < 0 then
-                  or_die (Error "--fuzz needs a non-negative seed count");
-                let seeds = List.init n (fun i -> seed + i) in
-                let o = Cgra_verify.Fuzz.run ~iterations ~pool ~seeds () in
-                Format.printf "%a@." Cgra_verify.Fuzz.pp_outcome o;
-                let os = Cgra_verify.Os_fuzz.run ~pool ~seeds () in
-                Format.printf "%a@." Cgra_verify.Os_fuzz.pp_outcome os;
-                if
-                  o.Cgra_verify.Fuzz.failures <> []
-                  || os.Cgra_verify.Os_fuzz.failures <> []
-                then failed := true);
-            (match meld_fuzz with
-            | None -> ()
-            | Some n ->
-                if n < 0 then
-                  or_die (Error "--meld-fuzz needs a non-negative seed count");
-                let seeds = List.init n (fun i -> seed + i) in
-                let o = Cgra_verify.Meld_fuzz.run ~pool ~seeds () in
-                Format.printf "%a@." Cgra_verify.Meld_fuzz.pp_outcome o;
-                if o.Cgra_verify.Meld_fuzz.failures <> [] then failed := true);
-            if !failed then exit 1)
-    | None, None ->
-        let kernel =
-          match kernel with
-          | Some k -> k
-          | None ->
-              or_die (Error "verify needs --kernel (or --fuzz N / --meld-fuzz N)")
-        in
-        let arch = or_die (arch_of ~size ~page_pes) in
-        let k = or_die (kernel_of kernel) in
-        let kind = if paged then Scheduler.Paged else Scheduler.Unconstrained in
-        let m =
-          Cgra_util.Pool.with_pool ?domains (fun pool ->
-              or_die (Scheduler.map ~seed ~pool kind arch k.graph))
-        in
-        Format.printf "%a@." Mapping.pp_stats m;
-        let report what = function
-          | [] -> Printf.printf "%s: ok\n" what
-          | vs ->
-              List.iter
-                (fun v ->
-                  Format.printf "%s VIOLATION %a@." what Cgra_verify.Verify.pp_violation
-                    v)
-                vs;
-              exit 1
-        in
-        report "mapping" (Cgra_verify.Verify.check m);
-        if fold_sweep then begin
-          if not paged then or_die (Error "--fold-sweep needs --paged");
-          let n = Mapping.n_pages_used m in
-          let total = Cgra.n_pages arch in
-          let mem = Cgra_kernels.Kernels.init_memory k in
-          for target = 1 to n do
-            for base = 0 to total - min target n do
-              let what = Printf.sprintf "fold m=%d base=%d" target base in
-              let sh = or_die (Transform.fold ~base_page:base ~target_pages:target m) in
-              if sh.Transform.mapping.ii
-                 <> Transform.ii_q ~ii_p:m.ii ~n_used:n ~target_pages:target
-              then or_die (Error (what ^ ": II_q law violated"));
-              if sh.Transform.pe_exact then begin
-                report what
-                  (Cgra_verify.Verify.check ~check_mem:false sh.Transform.mapping);
-                match
-                  Cgra_sim.Check.against_oracle sh.Transform.mapping mem ~iterations
-                with
-                | Ok () -> ()
-                | Error es -> or_die (Error (what ^ ": " ^ List.hd es))
-              end
-              else Printf.printf "%s: page-level only (no PE-exact mirroring)\n" what
-            done
-          done;
-          Printf.printf
-            "fold sweep: every target in [1, %d] at every base verified, bit-exact \
-             over %d iterations\n"
-            n iterations
-        end
-  in
-  let kernel =
-    let doc = "Kernel to verify (omit when fuzzing)." in
-    Arg.(value & opt (some string) None & info [ "k"; "kernel" ] ~docv:"NAME" ~doc)
+  let run kernel size page_pes seed paged fold_sweep iterations domains =
+    let arch = or_die (arch_of ~size ~page_pes) in
+    let k = or_die (kernel_of kernel) in
+    let kind = if paged then Scheduler.Paged else Scheduler.Unconstrained in
+    let m =
+      Cgra_util.Pool.with_pool ?domains (fun pool ->
+          or_die (Scheduler.map ~seed ~pool kind arch k.graph))
+    in
+    Format.printf "%a@." Mapping.pp_stats m;
+    let report what = function
+      | [] -> Printf.printf "%s: ok\n" what
+      | vs ->
+          List.iter
+            (fun v ->
+              Format.printf "%s VIOLATION %a@." what Cgra_verify.Verify.pp_violation
+                v)
+            vs;
+          exit 1
+    in
+    report "mapping" (Cgra_verify.Verify.check m);
+    if fold_sweep then begin
+      if not paged then or_die (Error "--fold-sweep needs --paged");
+      let n = Mapping.n_pages_used m in
+      let total = Cgra.n_pages arch in
+      let mem = Cgra_kernels.Kernels.init_memory k in
+      for target = 1 to n do
+        for base = 0 to total - min target n do
+          let what = Printf.sprintf "fold m=%d base=%d" target base in
+          let sh = or_die (Transform.fold ~base_page:base ~target_pages:target m) in
+          if sh.Transform.mapping.ii
+             <> Transform.ii_q ~ii_p:m.ii ~n_used:n ~target_pages:target
+          then or_die (Error (what ^ ": II_q law violated"));
+          if sh.Transform.pe_exact then begin
+            report what
+              (Cgra_verify.Verify.check ~check_mem:false sh.Transform.mapping);
+            match
+              Cgra_sim.Check.against_oracle sh.Transform.mapping mem ~iterations
+            with
+            | Ok () -> ()
+            | Error es -> or_die (Error (what ^ ": " ^ List.hd es))
+          end
+          else Printf.printf "%s: page-level only (no PE-exact mirroring)\n" what
+        done
+      done;
+      Printf.printf
+        "fold sweep: every target in [1, %d] at every base verified, bit-exact \
+         over %d iterations\n"
+        n iterations
+    end
   in
   let paged =
     Arg.(value & flag & info [ "paged" ] ~doc:"Use the paging-constrained compiler.")
@@ -850,35 +807,69 @@ let cmd_verify =
       & info [ "fold-sweep" ]
           ~doc:"Fold to every target page count at every base page and verify each.")
   in
-  let fuzz =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Run the property-based fuzz harness over N seeds (starting at --seed) \
-             instead of verifying one kernel.")
-  in
-  let meld_fuzz =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "meld-fuzz" ] ~docv:"N"
-          ~doc:
-            "Run the co-residency fuzz harness over N seeds (starting at --seed): \
-             random melded resident sets checked differentially by the runtime's \
-             Coexec.check and the independent Meld checker.")
-  in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Check the paper's mapping invariants mechanically: one kernel's mapping \
-          (optionally across the whole fold sweep), a randomized \
-          compile-fold-execute fuzz corpus, or a differential co-residency fuzz \
-          corpus over melded resident sets.")
+         "Check the paper's mapping invariants mechanically on one kernel's \
+          mapping, optionally across the whole fold sweep.")
     Term.(
-      const run $ kernel $ size_arg $ page_arg $ seed_arg $ paged $ fold_sweep $ fuzz
-      $ meld_fuzz $ iters_arg $ domains_arg)
+      const run $ kernel_arg $ size_arg $ page_arg $ seed_arg $ paged $ fold_sweep
+      $ iters_arg $ domains_arg)
+
+(* ----- fuzz ----- *)
+
+let cmd_fuzz =
+  let harnesses =
+    [
+      Cgra_verify.Fuzz.harness ~iterations:32;
+      Cgra_verify.Os_fuzz.harness;
+      Cgra_verify.Meld_fuzz.harness;
+      Cgra_farm.Farm_fuzz.harness;
+    ]
+  in
+  let run name n seed domains =
+    if n < 1 then or_die (Error "fuzz needs a positive seed count");
+    let harness =
+      List.find (fun (h : Cgra_util.Corpus.harness) -> h.name = name) harnesses
+    in
+    let seeds = List.init n (fun i -> seed + i) in
+    let o =
+      Cgra_util.Pool.with_pool ?domains (fun pool ->
+          Cgra_util.Corpus.run ~pool harness ~seeds)
+    in
+    Format.printf "%a@." Cgra_util.Corpus.pp o;
+    if o.Cgra_util.Corpus.failures <> [] then exit 1
+  in
+  let harness_name =
+    let doc =
+      "$(b,pipeline) (random kernels mapped, folded to every target at every \
+       base page, verified and run against the oracle), $(b,os) (random \
+       workloads through the OS simulator, every trace monitored and \
+       replayed), $(b,meld) (random melded resident sets checked by the \
+       runtime and the independent checker, plus injected mutants), or \
+       $(b,farm) (random fleets, tenant mixes and loads held to the \
+       conservation invariants)."
+    in
+    let names =
+      List.map
+        (fun (h : Cgra_util.Corpus.harness) -> (h.name, h.name))
+        harnesses
+    in
+    Arg.(required & pos 0 (some (enum names)) None & info [] ~docv:"HARNESS" ~doc)
+  in
+  let n =
+    Arg.(
+      required
+      & pos 1 (some int) None
+      & info [] ~docv:"N" ~doc:"Seeds to run, starting at $(b,--seed).")
+  in
+  Cmd.v
+    (Cmd.info "fuzz"
+       ~doc:
+         "Run a seeded fuzz harness over N consecutive seeds and check every \
+          case; counts and failures are the same at any $(b,-j).  Exits 1 on \
+          any failure.")
+    Term.(const run $ harness_name $ n $ seed_arg $ domains_arg)
 
 (* ----- dot ----- *)
 
@@ -894,60 +885,40 @@ let cmd_dot =
 
 let cmd_farm =
   let run shards page_pes tenants requests load queue_bound max_resident seed
-      policy reconfig_cost stats fuzz trace_out format show_log domains =
+      policy reconfig_cost stats trace_out format show_log domains =
     let policy, dispatch = policy in
-    Cgra_util.Pool.with_pool ?domains (fun pool ->
-        match fuzz with
-        | Some n ->
-            if n < 1 then or_die (Error "--fuzz wants a positive case count");
-            let seeds = List.init n (fun i -> seed + i) in
-            let o = Cgra_farm.Farm_fuzz.run ~pool ~seeds () in
-            Format.printf "%a@." Cgra_farm.Farm_fuzz.pp_outcome o;
-            List.iter (fun f -> print_endline ("  " ^ f)) o.Cgra_farm.Farm_fuzz.failures;
-            if o.Cgra_farm.Farm_fuzz.failures <> [] then exit 1
-        | None ->
-            if shards = [] then or_die (Error "--shards wants at least one size");
-            let p =
-              {
-                Cgra_farm.Farm.fleet =
-                  List.map (fun size -> { Cgra_farm.Farm.size; page_pes }) shards;
-                n_tenants = tenants;
-                n_requests = requests;
-                offered_load = load;
-                queue_bound;
-                max_resident;
-                seed;
-                policy;
-                reconfig_cost;
-                dispatch;
-              }
-            in
-            let r = or_die (Cgra_farm.Farm.run ~pool ~traced:true p) in
-            (* the trace must witness the run before it is worth printing
-               numbers derived from it *)
-            (match
-               Cgra_farm.Farm_fuzz.monitor ~queue_bound ~max_resident
-                 r.Cgra_farm.Farm.farm_events
-               @ Cgra_farm.Farm_fuzz.check_report r
-               @ List.concat
-                   (List.map2
-                      (fun (sr : Cgra_farm.Farm.shard_report) events ->
-                        Cgra_verify.Os_fuzz.monitor events
-                        @ Cgra_verify.Os_fuzz.replay_check
-                            sr.Cgra_farm.Farm.s_os events)
-                      r.Cgra_farm.Farm.shard_reports
-                      r.Cgra_farm.Farm.shard_events)
-             with
-            | [] -> ()
-            | es ->
-                List.iter (fun e -> print_endline ("FARM DEFECT: " ^ e)) es;
-                exit 1);
-            print_string (Cgra_farm.Farm.render ~log:show_log r);
-            if stats then print_string (Cgra_farm.Farm.render_stats r);
-            (match trace_out with
-            | None -> ()
-            | Some path ->
-                export_trace ~format ~path r.Cgra_farm.Farm.farm_events))
+    if shards = [] then or_die (Error "--shards wants at least one size");
+    let p =
+      {
+        Cgra_farm.Farm.fleet =
+          List.map (fun size -> { Cgra_farm.Farm.size; page_pes }) shards;
+        n_tenants = tenants;
+        n_requests = requests;
+        offered_load = load;
+        queue_bound;
+        max_resident;
+        seed;
+        policy;
+        reconfig_cost;
+        dispatch;
+      }
+    in
+    let r =
+      Cgra_util.Pool.with_pool ?domains (fun pool ->
+          or_die (Cgra_farm.Farm.run ~pool ~traced:true p))
+    in
+    (* the trace must witness the run before it is worth printing
+       numbers derived from it *)
+    (match Cgra_farm.Farm_fuzz.check r with
+    | [] -> ()
+    | es ->
+        List.iter (fun e -> print_endline ("FARM DEFECT: " ^ e)) es;
+        exit 1);
+    print_string (Cgra_farm.Farm.render ~log:show_log r);
+    if stats then print_string (Cgra_farm.Farm.render_stats r);
+    match trace_out with
+    | None -> ()
+    | Some path -> export_trace ~format ~path r.Cgra_farm.Farm.farm_events
   in
   let shards =
     Arg.(
@@ -981,17 +952,6 @@ let cmd_farm =
       value & opt int 8
       & info [ "max-resident" ] ~docv:"N"
           ~doc:"Max in-flight requests per shard.")
-  in
-  let fuzz =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Instead of one run: fuzz N seeded random tenant mixes through \
-             random arrival bursts and check the conservation invariants \
-             (exactly one terminal state per request, FIFO admission, \
-             bounded queues, disjoint page grants, bit-exact replay).")
   in
   let trace_out =
     Arg.(
@@ -1046,7 +1006,7 @@ let cmd_farm =
     Term.(
       const run $ shards $ page_arg $ tenants $ requests $ load $ queue_bound
       $ max_resident $ seed_arg $ farm_policy_arg $ reconfig_cost_arg
-      $ stats $ fuzz $ trace_out $ format_arg $ show_log $ domains_arg)
+      $ stats $ trace_out $ format_arg $ show_log $ domains_arg)
 
 (* ----- fig8 / fig9 ----- *)
 
@@ -1120,5 +1080,5 @@ let () =
           [
             cmd_kernels; cmd_map; cmd_shrink; cmd_simulate; cmd_trace;
             cmd_profile; cmd_encode; cmd_compile; cmd_cache; cmd_greedy;
-            cmd_verify; cmd_dot; cmd_farm; cmd_fig8; cmd_fig9;
+            cmd_verify; cmd_fuzz; cmd_dot; cmd_farm; cmd_fig8; cmd_fig9;
           ]))

@@ -194,14 +194,26 @@ let check_report (r : Farm.report) =
   end;
   List.rev !failures
 
-(* ----- the seeded fuzz harness ----- *)
+(* ----- every check a traced run must pass ----- *)
 
-type outcome = {
-  cases : int;
-  requests : int;
-  events : int;
-  failures : string list;
-}
+let check (r : Farm.report) =
+  let p = r.Farm.params in
+  monitor ~queue_bound:p.Farm.queue_bound ~max_resident:p.Farm.max_resident
+    r.Farm.farm_events
+  @ check_report r
+  (* each shard's OS stream must satisfy the instant-level page
+     conservation/disjointness invariants and replay to the engine's
+     own aggregate, bit for bit *)
+  @ List.concat
+      (List.map2
+         (fun (sr : Farm.shard_report) events ->
+           List.map
+             (Printf.sprintf "shard %d: %s" sr.Farm.s_index)
+             (Cgra_verify.Os_fuzz.monitor events
+             @ Cgra_verify.Os_fuzz.replay_check sr.Farm.s_os events))
+         r.Farm.shard_reports r.Farm.shard_events)
+
+(* ----- the seeded fuzz harness ----- *)
 
 let fleets =
   [|
@@ -239,56 +251,29 @@ let params_of_seed seed =
     dispatch;
   }
 
-let check_case seed =
+let one_case seed =
   let p = params_of_seed seed in
+  let tag m = Printf.sprintf "seed %d: %s" seed m in
   match Farm.run ~traced:true p with
-  | Error e -> (p.Farm.n_requests, 0, [ Printf.sprintf "seed %d: %s" seed e ])
+  | Error e ->
+      {
+        Cgra_util.Corpus.counts = [ ("requests", p.Farm.n_requests) ];
+        failures = [ tag e ];
+      }
   | Ok r ->
-      let tag m = Printf.sprintf "seed %d: %s" seed m in
-      let farm_failures =
-        monitor ~queue_bound:p.Farm.queue_bound ~max_resident:p.Farm.max_resident
-          r.Farm.farm_events
-        @ check_report r
-      in
-      (* each shard's OS stream must satisfy the instant-level page
-         conservation/disjointness invariants and replay to the engine's
-         own aggregate, bit for bit *)
-      let shard_failures =
-        List.concat
-          (List.map2
-             (fun (sr : Farm.shard_report) events ->
-               List.map
-                 (Printf.sprintf "shard %d: %s" sr.Farm.s_index)
-                 (Cgra_verify.Os_fuzz.monitor events
-                 @ Cgra_verify.Os_fuzz.replay_check sr.Farm.s_os events))
-             r.Farm.shard_reports r.Farm.shard_events)
-      in
       let events =
         List.length r.Farm.farm_events
         + List.fold_left (fun a es -> a + List.length es) 0 r.Farm.shard_events
       in
-      (p.Farm.n_requests, events, List.map tag (farm_failures @ shard_failures))
-
-let run ?pool ~seeds () =
-  let one seed = check_case seed in
-  let results =
-    match pool with
-    | Some pool -> Cgra_util.Pool.map pool one seeds
-    | None -> List.map one seeds
-  in
-  List.fold_left
-    (fun acc (reqs, events, failures) ->
       {
-        cases = acc.cases + 1;
-        requests = acc.requests + reqs;
-        events = acc.events + events;
-        failures = acc.failures @ failures;
-      })
-    { cases = 0; requests = 0; events = 0; failures = [] }
-    results
+        Cgra_util.Corpus.counts =
+          [ ("requests", p.Farm.n_requests); ("events", events) ];
+        failures = List.map tag (check r);
+      }
 
-let pp_outcome ppf o =
-  Format.fprintf ppf "farm fuzz: %d cases, %d requests, %d events checked: %s"
-    o.cases o.requests o.events
-    (if o.failures = [] then "all invariants hold"
-     else Printf.sprintf "%d FAILURES" (List.length o.failures))
+let harness =
+  {
+    Cgra_util.Corpus.name = "farm";
+    counters = [ "requests"; "events" ];
+    case = one_case;
+  }

@@ -28,19 +28,17 @@ val check_report : Farm.report -> string list
 (** Report-level conservation and exact-time dispatch invariants; [[]]
     means they all hold. *)
 
-type outcome = {
-  cases : int;  (** seeds attempted *)
-  requests : int;  (** requests offered across all cases *)
-  events : int;  (** farm + shard events checked *)
-  failures : string list;  (** with seed context; [] = pass *)
-}
+val check : Farm.report -> string list
+(** Every check a traced run must pass: {!monitor} over the farm
+    stream (with the run's own queue bound and residency limit),
+    {!check_report}, and each shard's OS stream through
+    {!Cgra_verify.Os_fuzz.monitor} and {!Cgra_verify.Os_fuzz.replay_check}
+    (those failures prefixed with the shard index).  [[]] means they all
+    hold. *)
 
-val params_of_seed : int -> Farm.params
-(** The random case a seed denotes: fleet, tenants, load, bounds,
-    policy, reconfiguration cost. *)
-
-val run : ?pool:Cgra_util.Pool.t -> seeds:int list -> unit -> outcome
-(** Run every seed's case with tracing on and aggregate in seed order
-    (with [pool], cases fan out but the outcome is width-independent). *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
+val harness : Cgra_util.Corpus.harness
+(** The ["farm"] harness for {!Cgra_util.Corpus.run}: each seed denotes
+    a random fleet, tenant mix, load, queue bound, residency limit,
+    policy and reconfiguration cost, run with tracing on and held to
+    {!check}.  Counters: [requests] (offered) and [events] (farm and
+    shard events checked). *)

@@ -66,7 +66,8 @@ let r_int r =
 
 let r_str r =
   let n = r_int r in
-  if n < 0 || r.pos + n > String.length r.data then corrupt "truncated string";
+  (* compared without adding, so a huge length cannot wrap past the check *)
+  if n < 0 || n > String.length r.data - r.pos then corrupt "truncated string";
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
@@ -315,7 +316,9 @@ let config_of_bytes s =
       let reg_capacity = r_int r in
       if ii < 1 || rows < 1 || cols < 1 || reg_capacity < 1 then
         corrupt "non-positive image dimensions";
-      if rows * cols > 1 lsl 20 || ii > 1 lsl 20 then corrupt "absurd image dimensions";
+      (* bound each factor before multiplying, so the product cannot wrap *)
+      if rows > 1 lsl 20 || cols > 1 lsl 20 || rows * cols > 1 lsl 20 || ii > 1 lsl 20
+      then corrupt "absurd image dimensions";
       let contexts =
         Array.init (rows * cols) (fun _ -> Array.init ii (fun _ -> r_opt r r_context))
       in

@@ -689,7 +689,10 @@ end
 
 let debug_sink msg = Log.debug (fun m -> m "%s" (msg ()))
 
-let map ?(seed = 0) ?max_ii ?(attempts = 64) ?(bus_aware = true) ?pool
+(* Legacy restart attempts per II. *)
+let attempts = 64
+
+let map ?(seed = 0) ?max_ii ?(bus_aware = true) ?pool
     ?(trace = Cgra_trace.Trace.null) kind arch g =
   let start = mii kind arch g in
   let max_ii = Option.value ~default:(start + 40) max_ii in
@@ -707,7 +710,7 @@ let map ?(seed = 0) ?max_ii ?(attempts = 64) ?(bus_aware = true) ?pool
      construction.  The bandwidth family is capped small: measured
      winners sit in its first few indices, so a deep tail would only
      tax the IIs that fail outright. *)
-  let bus_n = if bus_aware then min attempts 16 else 0 in
+  let bus_n = if bus_aware then 16 else 0 in
   let per_ii = attempts + bus_n in
   let one_attempt ?cancel ?(debug = debug_sink) ~bus ~rng_a ~spread ~ii () =
     let rng =

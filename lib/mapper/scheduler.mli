@@ -23,7 +23,6 @@ type kind = Unconstrained | Paged
 val map :
   ?seed:int ->
   ?max_ii:int ->
-  ?attempts:int ->
   ?bus_aware:bool ->
   ?pool:Cgra_util.Pool.t ->
   ?trace:Cgra_trace.Trace.t ->
@@ -31,8 +30,8 @@ val map :
   Cgra_arch.Cgra.t ->
   Cgra_dfg.Graph.t ->
   (Mapping.t, string) result
-(** [map kind arch g] schedules [g].  Defaults: [seed 0], [attempts 64]
-    restarts per II, [max_ii] = MII + 40.  [Error] only when every II up
+(** [map kind arch g] schedules [g] with 64 restart attempts per II.
+    Defaults: [seed 0], [max_ii] = MII + 40.  [Error] only when every II up
     to [max_ii] fails — which the test-suite treats as a bug for the
     bundled kernels.
 
@@ -48,7 +47,7 @@ val map :
     the attempts on IIs that fail entirely.
 
     [pool] races the (II, attempt) ladder speculatively across the
-    domain pool (see {!Cgra_util.Pool.race}): the winner is always the
+    domain pool (see {!Cgra_util.Pool.race_poll}): the winner is always the
     {e lowest} [(ii, attempt)] pair that succeeds, and a success at II
     [k] abandons in-flight work at II [> k].  The returned mapping — and
     the [Error] text on failure — is bit-identical to the sequential

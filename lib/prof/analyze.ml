@@ -83,6 +83,37 @@ type resident = {
   mutable r_rate : float;  (* cycles per iteration *)
 }
 
+(* No fabric has more pages or row buses than the 2^20 PEs a context
+   image may address; the bound keeps a hostile run_begin from sizing the
+   per-page and per-row arrays below. *)
+let max_extent = 1 lsl 20
+
+(* Every page range an event claims, by field name. *)
+let ranges (p : T.payload) =
+  match p with
+  | T.Kernel_grant r -> [ ("range", r.range) ]
+  | T.Kernel_release r -> [ ("range", r.range) ]
+  | T.Reshape r -> [ ("before", r.before); ("after", r.after) ]
+  | T.Alloc_decision r ->
+      Option.fold ~none:[] ~some:(fun g -> [ ("granted", g) ]) r.granted
+      @ r.considered
+  | _ -> []
+
+(* The first event claiming pages outside [0, total), if any: the fold
+   below indexes per-page arrays by these ranges. *)
+let out_of_bounds ~total events =
+  List.find_map
+    (fun (e : T.event) ->
+      List.find_map
+        (fun (what, (r : T.page_range)) ->
+          if r.base >= 0 && r.len >= 0 && r.base <= total - r.len then None
+          else
+            Some
+              (Printf.sprintf "event %d: %s [%d+%d] outside the %d-page fabric"
+                 e.seq what r.base r.len total))
+        (ranges e.payload))
+    events
+
 let profile events =
   (* Pass 1: the run envelope. *)
   let makespan =
@@ -117,9 +148,21 @@ let profile events =
         | _ -> None)
       events
   in
-  match header with
-  | None -> Error "trace has no run_begin event: nothing to profile"
-  | Some run ->
+  let checked =
+    match header with
+    | None -> Error "trace has no run_begin event: nothing to profile"
+    | Some h when h.total_pages > max_extent || h.rows > max_extent ->
+        Error
+          (Printf.sprintf "run_begin claims %d pages and %d row buses (limit %d)"
+             h.total_pages h.rows max_extent)
+    | Some h -> (
+        match out_of_bounds ~total:h.total_pages events with
+        | Some e -> Error e
+        | None -> Ok h)
+  in
+  match checked with
+  | Error e -> Error e
+  | Ok run ->
       let h = run in
       (* Pass 2: the fold. *)
       let pages = max 1 h.total_pages in

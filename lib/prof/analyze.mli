@@ -84,8 +84,10 @@ type report = {
 }
 
 val profile : Cgra_trace.Trace.event list -> (report, string) result
-(** Fold a full event stream into a report.  [Error] when the stream has
-    no [Run_begin] (nothing to attribute against). *)
+(** Fold a full event stream into a report.  Never raises: [Error] when
+    the stream has no [Run_begin] (nothing to attribute against), when
+    it claims more than 2^20 pages or row buses, or when any event's
+    page range falls outside [\[0, total_pages)]. *)
 
 val pe_heatmap : Cgra_mapper.Mapping.t -> float array array
 (** Static per-PE utilization of one mapping: a [rows x cols] matrix

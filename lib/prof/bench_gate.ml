@@ -30,11 +30,21 @@ let num_member ?default name v =
   | None, Some d -> Ok d
   | None, None -> Error (Printf.sprintf "missing field %S" name)
 
+(* pool widths and sample counts: positive integers *)
+let count_member ~default name v =
+  match Json.member name v with
+  | None -> Ok default
+  | Some n -> (
+      match Json.to_int n with
+      | Some i when i >= 1 -> Ok i
+      | Some _ | None ->
+          Error (Printf.sprintf "field %S is not a positive integer" name))
+
 let parse s =
   let* v = Json.parse s in
   let* bench = str_member "bench" v in
   let* unit_ = str_member "unit" v in
-  let* doc_domains = num_member ~default:1.0 "domains" v in
+  let* doc_domains = count_member ~default:1 "domains" v in
   match Json.member "results" v with
   | Some (Json.Arr entries) ->
       let* rows =
@@ -43,13 +53,10 @@ let parse s =
             let* acc = acc in
             let* name = str_member "name" e in
             let* value = num_member "value" e in
-            let* domains = num_member ~default:doc_domains "domains" e in
-            let* runs = num_member ~default:1.0 "runs" e in
+            let* domains = count_member ~default:doc_domains "domains" e in
+            let* runs = count_member ~default:1 "runs" e in
             let* spread = num_member ~default:0.0 "spread" e in
-            Ok
-              ({ name; value; domains = int_of_float domains;
-                 runs = int_of_float runs; spread }
-              :: acc))
+            Ok ({ name; value; domains; runs; spread } :: acc))
           (Ok []) entries
       in
       Ok { bench; unit_; rows = List.rev rows }

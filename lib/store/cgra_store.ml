@@ -130,36 +130,33 @@ let read_file path =
 
 (* ----- load / save ----- *)
 
-let load t ~seed arch (k : Cgra_kernels.Kernels.t) =
+let decode ~seed arch (k : Cgra_kernels.Kernels.t) content =
   let arch_fp, kernel_digest, seed = key_of ~seed arch k in
-  let path = path_for t ~seed arch k in
-  match read_file path with
+  match parse_artifact content with
+  | Error _ as e -> e
+  | Ok h ->
+      if h.version <> Codec.format_version then
+        Error (Printf.sprintf "format version %d (want %d)" h.version
+                 Codec.format_version)
+      else if h.arch_fp <> arch_fp then Error "arch fingerprint mismatch"
+      else if h.kernel_digest <> kernel_digest then
+        Error "kernel digest mismatch"
+      else if h.seed <> seed then Error "seed mismatch"
+      else (
+        match Codec.binary_of_payload ~arch ~graph:k.graph h.payload with
+        | Error _ as e -> e
+        | Ok (name, _, _) when name <> k.name ->
+            Error (Printf.sprintf "artifact names kernel %s, not %s" name k.name)
+        | Ok (name, base, paged) ->
+            Ok { Binary.name; graph = k.graph; base; paged })
+
+let load t ~seed arch (k : Cgra_kernels.Kernels.t) =
+  match read_file (path_for t ~seed arch k) with
   | None ->
       Atomic.incr t.load_misses;
       None
-  | Some content ->
-      let decoded =
-        match parse_artifact content with
-        | Error _ as e -> e
-        | Ok h ->
-            if h.version <> Codec.format_version then
-              Error (Printf.sprintf "format version %d (want %d)" h.version
-                       Codec.format_version)
-            else if h.arch_fp <> arch_fp then Error "arch fingerprint mismatch"
-            else if h.kernel_digest <> kernel_digest then
-              Error "kernel digest mismatch"
-            else if h.seed <> seed then Error "seed mismatch"
-            else (
-              match
-                Codec.binary_of_payload ~arch ~graph:k.graph h.payload
-              with
-              | Error _ as e -> e
-              | Ok (name, _, _) when name <> k.name ->
-                  Error (Printf.sprintf "artifact names kernel %s, not %s" name k.name)
-              | Ok (name, base, paged) ->
-                  Ok { Binary.name; graph = k.graph; base; paged })
-      in
-      (match decoded with
+  | Some content -> (
+      match decode ~seed arch k content with
       | Ok b ->
           Atomic.incr t.load_hits;
           Some b

@@ -44,6 +44,12 @@ val load :
     Rejections bump {!counters}[.rejects] and are indistinguishable
     from misses to the caller, which recompiles. *)
 
+val decode :
+  seed:int -> Cgra_arch.Cgra.t -> Cgra_kernels.Kernels.t -> string ->
+  (Cgra_core.Binary.t, string) result
+(** The checks {!load} applies to an artifact file's bytes, without the
+    file: [Error] names the first one that fails.  Total on any bytes. *)
+
 val save :
   t -> seed:int -> Cgra_arch.Cgra.t -> Cgra_kernels.Kernels.t ->
   Cgra_core.Binary.t -> unit

@@ -168,12 +168,22 @@ let field name v =
 let float_field name v =
   let* x = field name v in
   match Json.to_float x with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S is not a number" name)
+  | Some f when Float.is_finite f -> Ok f
+  | Some _ | None -> Error (Printf.sprintf "field %S is not a finite number" name)
 
 let int_field name v =
-  let* f = float_field name v in
-  Ok (int_of_float f)
+  let* x = field name v in
+  match Json.to_int x with
+  | Some n -> Ok n
+  | None ->
+      Error
+        (Printf.sprintf "field %S is not an integer within 2^53: %s" name
+           (Json.to_string x))
+
+(* counts, sizes, and page-range bounds *)
+let count_field name v =
+  let* n = int_field name v in
+  if n >= 0 then Ok n else Error (Printf.sprintf "field %S is negative: %d" name n)
 
 let str_field name v =
   let* x = field name v in
@@ -189,8 +199,8 @@ let bool_field name v =
 
 let range_of_json name v =
   let* x = field name v in
-  let* base = int_field "base" x in
-  let* len = int_field "len" x in
+  let* base = count_field "base" x in
+  let* len = count_field "len" x in
   Ok { base; len }
 
 let reshape_kind_of_name = function
@@ -203,12 +213,12 @@ let payload_of_json kind v =
   match kind with
   | "run_begin" ->
       let* mode = str_field "mode" v in
-      let* total_pages = int_field "total_pages" v in
-      let* n_threads = int_field "threads" v in
+      let* total_pages = count_field "total_pages" v in
+      let* n_threads = count_field "threads" v in
       let* policy = str_field "policy" v in
       let* reconfig_cost = float_field "reconfig_cost" v in
-      let* rows = int_field "rows" v in
-      let* mem_ports = int_field "mem_ports" v in
+      let* rows = count_field "rows" v in
+      let* mem_ports = count_field "mem_ports" v in
       Ok (Run_begin { mode; total_pages; n_threads; policy; reconfig_cost;
                       rows; mem_ports })
   | "run_end" ->
@@ -216,7 +226,7 @@ let payload_of_json kind v =
       Ok (Run_end { makespan })
   | "thread_arrival" ->
       let* thread = int_field "thread" v in
-      let* segments = int_field "segments" v in
+      let* segments = count_field "segments" v in
       Ok (Thread_arrival { thread; segments })
   | "thread_finish" ->
       let* thread = int_field "thread" v in
@@ -224,10 +234,10 @@ let payload_of_json kind v =
   | "kernel_request" ->
       let* thread = int_field "thread" v in
       let* kernel = str_field "kernel" v in
-      let* iterations = int_field "iterations" v in
-      let* ops = int_field "ops" v in
-      let* mem = int_field "mem" v in
-      let* desired = int_field "desired" v in
+      let* iterations = count_field "iterations" v in
+      let* ops = count_field "ops" v in
+      let* mem = count_field "mem" v in
+      let* desired = count_field "desired" v in
       Ok (Kernel_request { thread; kernel; iterations; ops; mem; desired })
   | "kernel_grant" ->
       let* thread = int_field "thread" v in
@@ -240,7 +250,7 @@ let payload_of_json kind v =
   | "kernel_stall" ->
       let* thread = int_field "thread" v in
       let* kernel = str_field "kernel" v in
-      let* queue_depth = int_field "queue_depth" v in
+      let* queue_depth = count_field "queue_depth" v in
       Ok (Kernel_stall { thread; kernel; queue_depth })
   | "kernel_release" ->
       let* thread = int_field "thread" v in
@@ -253,18 +263,18 @@ let payload_of_json kind v =
       let* kind = reshape_kind_of_name kind_name in
       let* before = range_of_json "before" v in
       let* after = range_of_json "after" v in
-      let* pages_rewritten = int_field "pages_rewritten" v in
+      let* pages_rewritten = count_field "pages_rewritten" v in
       let* cost = float_field "cost" v in
       let* rate = float_field "rate" v in
       Ok (Reshape { thread; kind; before; after; pages_rewritten; cost; rate })
   | "occupancy" ->
       let* thread = int_field "thread" v in
-      let* pages = int_field "pages" v in
+      let* pages = count_field "pages" v in
       let* elapsed = float_field "elapsed" v in
       Ok (Occupancy { thread; pages; elapsed })
   | "alloc_decision" ->
       let* client = int_field "client" v in
-      let* desired = int_field "desired" v in
+      let* desired = count_field "desired" v in
       let* granted =
         let* g = field "granted" v in
         match g with
@@ -289,22 +299,22 @@ let payload_of_json kind v =
       in
       Ok (Alloc_decision { client; desired; granted; considered })
   | "farm_begin" ->
-      let* shards = int_field "shards" v in
-      let* tenants = int_field "tenants" v in
-      let* queue_bound = int_field "queue_bound" v in
-      let* max_resident = int_field "max_resident" v in
-      let* requests = int_field "requests" v in
+      let* shards = count_field "shards" v in
+      let* tenants = count_field "tenants" v in
+      let* queue_bound = count_field "queue_bound" v in
+      let* max_resident = count_field "max_resident" v in
+      let* requests = count_field "requests" v in
       Ok (Farm_begin { shards; tenants; queue_bound; max_resident; requests })
   | "farm_request" ->
       let* req = int_field "req" v in
       let* tenant = int_field "tenant" v in
       let* kernel = str_field "kernel" v in
-      let* iterations = int_field "iterations" v in
+      let* iterations = count_field "iterations" v in
       Ok (Farm_request { req; tenant; kernel; iterations })
   | "farm_reject" ->
       let* req = int_field "req" v in
       let* tenant = int_field "tenant" v in
-      let* queue_depth = int_field "queue_depth" v in
+      let* queue_depth = count_field "queue_depth" v in
       Ok (Farm_reject { req; tenant; queue_depth })
   | "farm_admit" ->
       let* req = int_field "req" v in
@@ -323,8 +333,8 @@ let payload_of_json kind v =
       Ok (Farm_retire { req; tenant; shard; latency })
   | "farm_end" ->
       let* makespan = float_field "makespan" v in
-      let* retired = int_field "retired" v in
-      let* rejected = int_field "rejected" v in
+      let* retired = count_field "retired" v in
+      let* rejected = count_field "rejected" v in
       Ok (Farm_end { makespan; retired; rejected })
   | "counter" ->
       let* name = str_field "name" v in
@@ -343,7 +353,7 @@ let payload_of_json kind v =
   | other -> Error (Printf.sprintf "unknown event kind %S" other)
 
 let event_of_json v =
-  let* seq = int_field "seq" v in
+  let* seq = count_field "seq" v in
   let* time = float_field "t" v in
   let* kind = str_field "kind" v in
   let* payload = payload_of_json kind v in

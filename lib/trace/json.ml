@@ -230,4 +230,9 @@ let member key = function
 
 let to_float = function Num f -> Some f | _ -> None
 
+(* below 2^53 every integer is exact and [int_of_float] is defined *)
+let to_int = function
+  | Num f when Float.is_integer f && Float.abs f <= 0x1p53 -> Some (int_of_float f)
+  | _ -> None
+
 let to_str = function Str s -> Some s | _ -> None

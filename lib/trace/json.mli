@@ -36,4 +36,8 @@ val member : string -> value -> value option
 
 val to_float : value -> float option
 
+val to_int : value -> int option
+(** [Some n] for an integral [Num] of magnitude at most 2{^53}; [None]
+    for fractions, larger magnitudes, and other constructors. *)
+
 val to_str : value -> string option

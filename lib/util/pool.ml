@@ -9,10 +9,8 @@ type t = {
   mutable live : bool;
 }
 
-let env_var = "CGRA_DOMAINS"
-
 let domains_from_env () =
-  match Sys.getenv_opt env_var with
+  match Sys.getenv_opt "CGRA_DOMAINS" with
   | None -> 1
   | Some s -> (
       match int_of_string_opt (String.trim s) with
@@ -207,11 +205,4 @@ let race_poll t f xs =
       in
       resolve 0
 
-let race t f xs = race_poll t (fun ~doomed:_ x -> f x) xs
-
 let filter_map t f xs = List.filter_map Fun.id (map t f xs)
-
-let parallel_map ?domains f xs = with_pool ?domains (fun t -> map t f xs)
-
-let parallel_filter_map ?domains f xs =
-  with_pool ?domains (fun t -> filter_map t f xs)

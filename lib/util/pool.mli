@@ -25,9 +25,6 @@
 type t
 (** A pool: the calling domain plus [width - 1] parked helper domains. *)
 
-val env_var : string
-(** ["CGRA_DOMAINS"]. *)
-
 val domains_from_env : unit -> int
 (** Width requested by the [CGRA_DOMAINS] environment variable; [1] when
     unset, unparsable, or non-positive. *)
@@ -60,20 +57,23 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val filter_map : t -> ('a -> 'b option) -> 'a list -> 'b list
 (** Like [List.filter_map]; survivors keep their input order. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Array counterpart of [map]. *)
-
-val race : t -> ('a -> 'b option) -> 'a list -> ('a * 'b) option
-(** [race t f xs] evaluates [f] over [xs] speculatively across the pool
-    and returns [Some (x, y)] for the {e earliest} [x] in [xs] with
-    [f x = Some y] — exactly what a sequential first-success scan would
-    return, at any pool width:
+val race_poll :
+  t -> (doomed:(unit -> bool) -> 'a -> 'b option) -> 'a list -> ('a * 'b) option
+(** [race_poll t f xs] evaluates [f] over [xs] speculatively across the
+    pool and returns [Some (x, y)] for the {e earliest} [x] in [xs] with
+    [f ~doomed x = Some y] — exactly what a sequential first-success scan
+    would return, at any pool width:
 
     - {b Deterministic winner}: a shared best-bound records the lowest
       succeeding index; every candidate below it still runs to
       completion (a lower index could still win), while candidates above
       it are abandoned at claim time — they can no longer affect the
       result.
+    - {b Mid-flight cancellation}: [doomed] is a cheap poll that turns
+      [true] once some earlier candidate has succeeded — this candidate
+      can no longer win, so [f] may abandon it and return anything (the
+      value is discarded).  [doomed] never turns [true] for the eventual
+      winner or any candidate before it.
     - {b Exception propagation}: as in {!map}, the earliest failing
       candidate's exception is re-raised — but only if no candidate
       before it succeeded, mirroring a sequential scan that stops at the
@@ -85,17 +85,3 @@ val race : t -> ('a -> 'b option) -> 'a list -> ('a * 'b) option
     [f] runs speculatively on candidates a sequential scan might never
     reach, so it must be effect-free (or idempotent) on losing
     candidates. *)
-
-val race_poll :
-  t -> (doomed:(unit -> bool) -> 'a -> 'b option) -> 'a list -> ('a * 'b) option
-(** {!race}, with mid-flight cancellation: [f] receives a cheap [doomed]
-    poll that turns [true] once some earlier candidate has succeeded —
-    this candidate can no longer win, so [f] may abandon it and return
-    anything (the value is discarded).  [doomed] never turns [true] for
-    the eventual winner or any candidate before it. *)
-
-val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: [with_pool ?domains (fun p -> map p f xs)]. *)
-
-val parallel_filter_map : ?domains:int -> ('a -> 'b option) -> 'a list -> 'b list
-(** One-shot convenience for [filter_map]. *)

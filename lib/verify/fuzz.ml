@@ -2,35 +2,10 @@ open Cgra_arch
 open Cgra_mapper
 open Cgra_core
 
-type outcome = {
-  cases : int;
-  mapped : int;
-  folds : int;
-  nonzero_base_folds : int;
-  refolds : int;
-  oracle_runs : int;
-  failures : string list;
-}
+let fabrics = [| (4, 4); (4, 2); (6, 8) |]
 
-let default_fabrics = [ (4, 4); (4, 2); (6, 8) ]
-
-(* What one seed's case contributes to the outcome.  Cases touch only
-   their own counters, so they can run on any domain; the caller sums
-   the records in seed order, which keeps counts and failure reports
-   identical at any pool width. *)
-type stats = {
-  s_mapped : int;
-  s_folds : int;
-  s_nonzero : int;
-  s_refolds : int;
-  s_oracle_runs : int;
-  s_failures : string list;  (* in discovery order *)
-}
-
-let run ?(fabrics = default_fabrics) ?(iterations = 8) ?pool ~seeds () =
-  if fabrics = [] then invalid_arg "Fuzz.run: no fabrics";
-  if iterations < 1 then invalid_arg "Fuzz.run: iterations < 1";
-  let fabrics = Array.of_list fabrics in
+let harness ~iterations =
+  if iterations < 1 then invalid_arg "Fuzz.harness: iterations < 1";
   let one_case seed =
     let mapped = ref 0 in
     let folds = ref 0 in
@@ -57,7 +32,7 @@ let run ?(fabrics = default_fabrics) ?(iterations = 8) ?pool ~seeds () =
       }
     in
     let g = Cgra_kernels.Synthetic.generate ~seed cfg in
-    (match Scheduler.map ~seed ?pool Scheduler.Paged arch g with
+    (match Scheduler.map ~seed Scheduler.Paged arch g with
     | Error _ -> () (* a capacity miss, not an invariant failure *)
     | Ok m -> (
         incr mapped;
@@ -125,46 +100,20 @@ let run ?(fabrics = default_fabrics) ?(iterations = 8) ?pool ~seeds () =
                       ~check_mem:false sh2.Transform.mapping)
         end));
     {
-      s_mapped = !mapped;
-      s_folds = !folds;
-      s_nonzero = !nonzero;
-      s_refolds = !refolds;
-      s_oracle_runs = !oracle_runs;
-      s_failures = List.rev !failures;
+      Cgra_util.Corpus.counts =
+        [
+          ("mapped", !mapped);
+          ("folds", !folds);
+          ("folds at base > 0", !nonzero);
+          ("refolds", !refolds);
+          ("oracle runs", !oracle_runs);
+        ];
+      failures = List.rev !failures;
     }
   in
-  let cases =
-    match pool with
-    | Some p -> Cgra_util.Pool.map p one_case seeds
-    | None -> List.map one_case seeds
-  in
-  List.fold_left
-    (fun acc c ->
-      {
-        acc with
-        mapped = acc.mapped + c.s_mapped;
-        folds = acc.folds + c.s_folds;
-        nonzero_base_folds = acc.nonzero_base_folds + c.s_nonzero;
-        refolds = acc.refolds + c.s_refolds;
-        oracle_runs = acc.oracle_runs + c.s_oracle_runs;
-        failures = acc.failures @ c.s_failures;
-      })
-    {
-      cases = List.length seeds;
-      mapped = 0;
-      folds = 0;
-      nonzero_base_folds = 0;
-      refolds = 0;
-      oracle_runs = 0;
-      failures = [];
-    }
-    cases
-
-let pp_outcome ppf o =
-  Format.fprintf ppf
-    "@[<v>%d cases (%d mapped), %d folds (%d at base > 0), %d refolds, %d oracle \
-     runs@,%s@]"
-    o.cases o.mapped o.folds o.nonzero_base_folds o.refolds o.oracle_runs
-    (match o.failures with
-    | [] -> "all invariants hold"
-    | fs -> Printf.sprintf "%d FAILURES:\n%s" (List.length fs) (String.concat "\n" fs))
+  {
+    Cgra_util.Corpus.name = "pipeline";
+    counters =
+      [ "mapped"; "folds"; "folds at base > 0"; "refolds"; "oracle runs" ];
+    case = one_case;
+  }

@@ -2,7 +2,8 @@
     pipeline.
 
     Each seed drives one deterministic case through {!Cgra_util.Rng}:
-    pick a fabric, generate a random synthetic kernel, map it with the
+    pick a fabric — square tiles on 4x4, 1x2 tiles on 4x4, or 2x4 tiles
+    on 6x6 — generate a random synthetic kernel, map it with the
     paging-constrained scheduler, then
 
     - check the mapping with {!Verify.mapping} and run it against the
@@ -18,30 +19,10 @@
     Everything is reproducible from the seed list; the test suite pins a
     fixed corpus. *)
 
-type outcome = {
-  cases : int;  (** seeds attempted *)
-  mapped : int;  (** cases the scheduler mapped (the rest are skipped) *)
-  folds : int;  (** fold results checked *)
-  nonzero_base_folds : int;  (** of which [base_page > 0] *)
-  refolds : int;  (** relocate-then-refold exercises *)
-  oracle_runs : int;  (** differential simulations executed *)
-  failures : string list;  (** human-readable, with seed context; [] = pass *)
-}
-
-val default_fabrics : (int * int) list
-(** [(size, page_pes)] choices: [(4, 4); (4, 2); (6, 8)] — square tiles,
-    1x2 tiles, and 2x4 tiles over a bigger mesh. *)
-
-val run :
-  ?fabrics:(int * int) list ->
-  ?iterations:int ->
-  ?pool:Cgra_util.Pool.t ->
-  seeds:int list ->
-  unit ->
-  outcome
-(** Run the corpus.  [iterations] (default 8) is the oracle-comparison
-    depth per simulation.  With [pool], the per-seed cases fan out
-    across its domains; counters and failures are aggregated in seed
-    order, so the outcome is identical at any pool width. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
+val harness : iterations:int -> Cgra_util.Corpus.harness
+(** The ["pipeline"] harness for {!Cgra_util.Corpus.run}.  [iterations]
+    (at least 1) is the oracle-comparison depth per simulation.
+    Counters: [mapped] (cases the scheduler mapped; the rest are
+    capacity misses, not failures), [folds] (fold results checked),
+    [folds at base > 0], [refolds] (relocate-then-refold exercises) and
+    [oracle runs] (differential simulations). *)

@@ -2,28 +2,7 @@ open Cgra_arch
 open Cgra_core
 module T = Cgra_trace.Trace
 
-type outcome = {
-  cases : int;
-  sets : int;
-  residents : int;
-  accepts : int;
-  rejects : int;
-  mutants : int;
-  failures : string list;
-}
-
-let default_fabrics = [ (4, 2); (6, 4); (8, 4) ]
-
-(* What one seed's case contributes; summed in seed order by the caller,
-   so counts and failure reports are identical at any pool width. *)
-type stats = {
-  s_sets : int;
-  s_residents : int;
-  s_accepts : int;
-  s_rejects : int;
-  s_mutants : int;
-  s_failures : string list;
-}
+let fabrics = [ (4, 2); (6, 4); (8, 4) ]
 
 let has_rule rule = function
   | Ok _ -> false
@@ -86,204 +65,167 @@ let trace_cross_check events outcome =
           (if List.length marks = List.length es then " (details differ)" else ""));
   List.rev !errs
 
-let run ?(fabrics = default_fabrics) ?pool ~seeds () =
-  if fabrics = [] then invalid_arg "Meld_fuzz.run: no fabrics";
-  let fabric_arr = Array.of_list fabrics in
-  let suite_for (size, page_pes) =
-    let arch = Option.get (Cgra.standard ~size ~page_pes) in
-    match Binary.compile_suite ~seed:1 arch with
-    | Ok suite -> (arch, Array.of_list suite)
-    | Error e ->
-        failwith
-          (Printf.sprintf "Meld_fuzz: %dx%d p%d suite failed: %s" size size
-             page_pes e)
+let one_case seed =
+  let sets = ref 0 in
+  let residents_n = ref 0 in
+  let accepts = ref 0 in
+  let rejects = ref 0 in
+  let mutants = ref 0 in
+  let failures = ref [] in
+  let rng = Cgra_util.Rng.create ~seed in
+  let ((size, page_pes) as fabric) =
+    Cgra_util.Rng.choose rng (Array.of_list fabrics)
   in
-  let one_case seed =
-    let sets = ref 0 in
-    let residents_n = ref 0 in
-    let accepts = ref 0 in
-    let rejects = ref 0 in
-    let mutants = ref 0 in
-    let failures = ref [] in
-    let rng = Cgra_util.Rng.create ~seed in
-    let ((size, page_pes) as fabric) = Cgra_util.Rng.choose rng fabric_arr in
-    let fail fmt =
-      Printf.ksprintf
-        (fun s ->
-          failures :=
-            Printf.sprintf "seed %d (%dx%d p%d): %s" seed size size page_pes s
-            :: !failures)
-        fmt
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        failures :=
+          Printf.sprintf "seed %d (%dx%d p%d): %s" seed size size page_pes s
+          :: !failures)
+      fmt
+  in
+  let arch, suite = Os_fuzz.suite fabric in
+  let binaries = Array.of_list suite in
+  let total_pages = Cgra.n_pages arch in
+  let policy =
+    if Cgra_util.Rng.bool rng then Allocator.Halving else Allocator.Repack_equal
+  in
+  let al = Allocator.create ~policy ~total_pages () in
+  let placed : (int, Binary.t) Hashtbl.t = Hashtbl.create 8 in
+  let k = Cgra_util.Rng.int_in rng 1 4 in
+  for client = 0 to k - 1 do
+    let b = Cgra_util.Rng.choose rng binaries in
+    match Allocator.request al ~client ~desired:(Binary.pages_used b) with
+    | Some _ -> Hashtbl.replace placed client b
+    | None -> ()
+  done;
+  (* random release / re-request churn, to fragment the page space *)
+  for _ = 1 to Cgra_util.Rng.int_in rng 0 2 do
+    let live =
+      Hashtbl.fold (fun c _ acc -> c :: acc) placed [] |> List.sort compare
     in
-    let arch, binaries = suite_for fabric in
-    let total_pages = Cgra.n_pages arch in
-    let policy =
-      if Cgra_util.Rng.bool rng then Allocator.Halving else Allocator.Repack_equal
-    in
-    let al = Allocator.create ~policy ~total_pages () in
-    let placed : (int, Binary.t) Hashtbl.t = Hashtbl.create 8 in
-    let k = Cgra_util.Rng.int_in rng 1 4 in
-    for client = 0 to k - 1 do
-      let b = Cgra_util.Rng.choose rng binaries in
-      match Allocator.request al ~client ~desired:(Binary.pages_used b) with
-      | Some _ -> Hashtbl.replace placed client b
-      | None -> ()
-    done;
-    (* random release / re-request churn, to fragment the page space *)
-    for _ = 1 to Cgra_util.Rng.int_in rng 0 2 do
-      let live =
-        Hashtbl.fold (fun c _ acc -> c :: acc) placed [] |> List.sort compare
-      in
-      match live with
-      | [] -> ()
-      | _ ->
-          let c = List.nth live (Cgra_util.Rng.int rng (List.length live)) in
-          let b = Hashtbl.find placed c in
-          Allocator.release al ~client:c;
-          if Allocator.request al ~client:c ~desired:(Binary.pages_used b) = None
-          then Hashtbl.remove placed c
-    done;
-    (* fold every survivor into its grant; these are the melded residents *)
-    let residents =
-      List.filter_map
-        (fun (c, (r : Allocator.range)) ->
-          let b = Hashtbl.find placed c in
-          match
-            Transform.fold ~base_page:r.base ~target_pages:r.len b.Binary.paged
-          with
-          | Error e ->
-              fail "fold of %s into [%d+%d] refused: %s" b.Binary.name r.base
-                r.len e;
-              None
-          | Ok sh -> Some (Meld.of_shrunk ~grant:r ~id:c sh))
-        (Allocator.clients al)
-    in
-    let mappings = List.map (fun (r : Meld.resident) -> r.mapping) residents in
-    let check_mem = Cgra_util.Rng.bool rng in
-    let trace = T.make () in
-    let co = Cgra_sim.Coexec.check ~check_mem ~trace mappings in
-    let me = Meld.check ~check_mem residents in
-    incr sets;
-    residents_n := !residents_n + List.length residents;
-    (match (co, me) with
-    | Ok cr, Ok mr ->
-        incr accepts;
-        if cr.Cgra_sim.Coexec.residents <> mr.Meld.residents then
-          fail "reports disagree on residents: %d vs %d"
-            cr.Cgra_sim.Coexec.residents mr.Meld.residents;
-        if cr.Cgra_sim.Coexec.hyperperiod <> mr.Meld.hyperperiod then
-          fail "reports disagree on hyperperiod: %d vs %d"
-            cr.Cgra_sim.Coexec.hyperperiod mr.Meld.hyperperiod;
-        if compare cr.Cgra_sim.Coexec.ipc mr.Meld.ipc <> 0 then
-          fail "reports disagree on ipc: %.17g vs %.17g" cr.Cgra_sim.Coexec.ipc
-            mr.Meld.ipc;
-        if compare cr.Cgra_sim.Coexec.utilization mr.Meld.utilization <> 0 then
-          fail "reports disagree on utilization: %.17g vs %.17g"
-            cr.Cgra_sim.Coexec.utilization mr.Meld.utilization
-    | Error _, Error _ -> incr rejects
-    | Ok _, Error vs ->
-        fail "checker rejects a set the runtime accepts: %s"
-          (Format.asprintf "%a" Meld.pp_violation (List.hd vs))
-    | Error es, Ok _ ->
-        fail "runtime rejects a set the checker accepts: %s" (List.hd es));
-    List.iter (fun e -> fail "trace: %s" e) (trace_cross_check (T.events trace) co);
-    (* ----- mutants: corrupted sets must be rejected ----- *)
-    (match residents with
+    match live with
     | [] -> ()
-    | (first : Meld.resident) :: _ ->
-        (* a duplicated resident occupies every one of its PEs twice *)
-        let next_id =
-          1 + List.fold_left (fun acc (r : Meld.resident) -> max acc r.id) 0 residents
-        in
-        let dup = { first with Meld.id = next_id } in
-        let co' =
-          Cgra_sim.Coexec.check ~check_mem:false
-            (mappings @ [ first.Meld.mapping ])
-        in
-        let me' = Meld.check ~check_mem:false (residents @ [ dup ]) in
-        incr mutants;
-        (match co' with
-        | Ok _ -> fail "runtime accepts a duplicated resident"
-        | Error _ -> ());
-        if not (has_rule Meld.Disjoint me') then
-          fail "checker misses the duplicated resident (no disjoint violation)";
-        (* a resident lying about its grant: shift the claimed range past
-           the pages it actually occupies *)
-        (match first.Meld.grant with
-        | None -> ()
-        | Some g ->
-            let lied =
-              { first with Meld.grant = Some { g with Allocator.base = g.base + 1 } }
-            in
-            incr mutants;
-            if
-              not
-                (has_rule Meld.Page_range
-                   (Meld.check ~check_mem:false
-                      (lied :: List.tl residents)))
-            then fail "checker misses a shifted grant (no page-range violation)");
-        (* a resident compiled for a different fabric *)
-        if List.exists (fun f -> f <> fabric) fabrics && Cgra_util.Rng.bool rng
-        then begin
-          let other = List.find (fun f -> f <> fabric) fabrics in
-          let _, foreign_binaries = suite_for other in
-          let fb = Cgra_util.Rng.choose rng foreign_binaries in
-          let foreign = Meld.resident ~id:(next_id + 1) fb.Binary.paged in
+    | _ ->
+        let c = List.nth live (Cgra_util.Rng.int rng (List.length live)) in
+        let b = Hashtbl.find placed c in
+        Allocator.release al ~client:c;
+        if Allocator.request al ~client:c ~desired:(Binary.pages_used b) = None
+        then Hashtbl.remove placed c
+  done;
+  (* fold every survivor into its grant; these are the melded residents *)
+  let residents =
+    List.filter_map
+      (fun (c, (r : Allocator.range)) ->
+        let b = Hashtbl.find placed c in
+        match
+          Transform.fold ~base_page:r.base ~target_pages:r.len b.Binary.paged
+        with
+        | Error e ->
+            fail "fold of %s into [%d+%d] refused: %s" b.Binary.name r.base
+              r.len e;
+            None
+        | Ok sh -> Some (Meld.of_shrunk ~grant:r ~id:c sh))
+      (Allocator.clients al)
+  in
+  let mappings = List.map (fun (r : Meld.resident) -> r.mapping) residents in
+  let check_mem = Cgra_util.Rng.bool rng in
+  let trace = T.make () in
+  let co = Cgra_sim.Coexec.check ~check_mem ~trace mappings in
+  let me = Meld.check ~check_mem residents in
+  incr sets;
+  residents_n := !residents_n + List.length residents;
+  (match (co, me) with
+  | Ok cr, Ok mr ->
+      incr accepts;
+      if cr.Cgra_sim.Coexec.residents <> mr.Meld.residents then
+        fail "reports disagree on residents: %d vs %d"
+          cr.Cgra_sim.Coexec.residents mr.Meld.residents;
+      if cr.Cgra_sim.Coexec.hyperperiod <> mr.Meld.hyperperiod then
+        fail "reports disagree on hyperperiod: %d vs %d"
+          cr.Cgra_sim.Coexec.hyperperiod mr.Meld.hyperperiod;
+      if compare cr.Cgra_sim.Coexec.ipc mr.Meld.ipc <> 0 then
+        fail "reports disagree on ipc: %.17g vs %.17g" cr.Cgra_sim.Coexec.ipc
+          mr.Meld.ipc;
+      if compare cr.Cgra_sim.Coexec.utilization mr.Meld.utilization <> 0 then
+        fail "reports disagree on utilization: %.17g vs %.17g"
+          cr.Cgra_sim.Coexec.utilization mr.Meld.utilization
+  | Error _, Error _ -> incr rejects
+  | Ok _, Error vs ->
+      fail "checker rejects a set the runtime accepts: %s"
+        (Format.asprintf "%a" Meld.pp_violation (List.hd vs))
+  | Error es, Ok _ ->
+      fail "runtime rejects a set the checker accepts: %s" (List.hd es));
+  List.iter (fun e -> fail "trace: %s" e) (trace_cross_check (T.events trace) co);
+  (* ----- mutants: corrupted sets must be rejected ----- *)
+  (match residents with
+  | [] -> ()
+  | (first : Meld.resident) :: _ ->
+      (* a duplicated resident occupies every one of its PEs twice *)
+      let next_id =
+        1 + List.fold_left (fun acc (r : Meld.resident) -> max acc r.id) 0 residents
+      in
+      let dup = { first with Meld.id = next_id } in
+      let co' =
+        Cgra_sim.Coexec.check ~check_mem:false
+          (mappings @ [ first.Meld.mapping ])
+      in
+      let me' = Meld.check ~check_mem:false (residents @ [ dup ]) in
+      incr mutants;
+      (match co' with
+      | Ok _ -> fail "runtime accepts a duplicated resident"
+      | Error _ -> ());
+      if not (has_rule Meld.Disjoint me') then
+        fail "checker misses the duplicated resident (no disjoint violation)";
+      (* a resident lying about its grant: shift the claimed range past
+         the pages it actually occupies *)
+      (match first.Meld.grant with
+      | None -> ()
+      | Some g ->
+          let lied =
+            { first with Meld.grant = Some { g with Allocator.base = g.base + 1 } }
+          in
           incr mutants;
-          (match
-             Cgra_sim.Coexec.check ~check_mem:false
-               (mappings @ [ fb.Binary.paged ])
-           with
-          | Ok _ -> fail "runtime accepts a resident from another fabric"
-          | Error _ -> ());
           if
             not
-              (has_rule Meld.Residents
-                 (Meld.check ~check_mem:false (residents @ [ foreign ])))
-          then fail "checker misses a foreign-fabric resident"
-        end);
-    {
-      s_sets = !sets;
-      s_residents = !residents_n;
-      s_accepts = !accepts;
-      s_rejects = !rejects;
-      s_mutants = !mutants;
-      s_failures = List.rev !failures;
-    }
-  in
-  let cases =
-    match pool with
-    | Some p -> Cgra_util.Pool.map p one_case seeds
-    | None -> List.map one_case seeds
-  in
-  List.fold_left
-    (fun acc c ->
-      {
-        acc with
-        sets = acc.sets + c.s_sets;
-        residents = acc.residents + c.s_residents;
-        accepts = acc.accepts + c.s_accepts;
-        rejects = acc.rejects + c.s_rejects;
-        mutants = acc.mutants + c.s_mutants;
-        failures = acc.failures @ c.s_failures;
-      })
-    {
-      cases = List.length seeds;
-      sets = 0;
-      residents = 0;
-      accepts = 0;
-      rejects = 0;
-      mutants = 0;
-      failures = [];
-    }
-    cases
+              (has_rule Meld.Page_range
+                 (Meld.check ~check_mem:false
+                    (lied :: List.tl residents)))
+          then fail "checker misses a shifted grant (no page-range violation)");
+      (* a resident compiled for a different fabric *)
+      if Cgra_util.Rng.bool rng then begin
+        let other = List.find (fun f -> f <> fabric) fabrics in
+        let _, foreign_suite = Os_fuzz.suite other in
+        let fb = Cgra_util.Rng.choose rng (Array.of_list foreign_suite) in
+        let foreign = Meld.resident ~id:(next_id + 1) fb.Binary.paged in
+        incr mutants;
+        (match
+           Cgra_sim.Coexec.check ~check_mem:false
+             (mappings @ [ fb.Binary.paged ])
+         with
+        | Ok _ -> fail "runtime accepts a resident from another fabric"
+        | Error _ -> ());
+        if
+          not
+            (has_rule Meld.Residents
+               (Meld.check ~check_mem:false (residents @ [ foreign ])))
+        then fail "checker misses a foreign-fabric resident"
+      end);
+  {
+    Cgra_util.Corpus.counts =
+      [
+        ("sets", !sets);
+        ("residents", !residents_n);
+        ("accepted", !accepts);
+        ("rejected", !rejects);
+        ("mutants", !mutants);
+      ];
+    failures = List.rev !failures;
+  }
 
-let pp_outcome ppf o =
-  Format.fprintf ppf
-    "@[<v>%d meld cases: %d resident sets (%d residents), %d accepted / %d \
-     rejected in agreement, %d mutants rejected@,%s@]"
-    o.cases o.sets o.residents o.accepts o.rejects o.mutants
-    (match o.failures with
-    | [] -> "runtime and independent checker agree on every set"
-    | fs ->
-        Printf.sprintf "%d FAILURES:\n%s" (List.length fs) (String.concat "\n" fs))
+let harness =
+  {
+    Cgra_util.Corpus.name = "meld";
+    counters = [ "sets"; "residents"; "accepted"; "rejected"; "mutants" ];
+    case = one_case;
+  }

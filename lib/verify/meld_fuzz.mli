@@ -3,11 +3,11 @@
     ({!Meld.check}), over randomized melded resident sets.
 
     Each seed drives one deterministic case through {!Cgra_util.Rng}:
-    pick a fabric, draw 1–4 random kernels from the suite (compiled once
-    per fabric through [Binary]'s memoized cache), push them through a
-    random allocator grant/release churn (random policy, random release
-    and re-request orders), fold each survivor into its granted range
-    with the PageMaster transformation, and then
+    pick a fabric (4x4 with 2-PE pages, 6x6 or 8x8 with 4-PE pages),
+    draw 1–4 random kernels from its suite ({!Os_fuzz.suite}), push
+    them through a random allocator grant/release churn (random policy,
+    random release and re-request orders), fold each survivor into its
+    granted range with the PageMaster transformation, and then
 
     - run [Coexec.check] (under a live trace) and {!Meld.check} on the
       same resident set and require accept/reject agreement — and, on
@@ -23,28 +23,11 @@
       compiled for a different fabric (both must reject; {!Meld} must
       name {b Residents}).
 
-    Everything is reproducible from the seed list; with a pool, cases
-    fan out across domains and are aggregated in seed order, so the
-    outcome is identical at any width. *)
+    Everything is reproducible from the seed. *)
 
-type outcome = {
-  cases : int;  (** seeds attempted *)
-  sets : int;  (** resident sets checked differentially *)
-  residents : int;  (** residents across all non-mutant sets *)
-  accepts : int;  (** sets both checkers accepted (reports compared) *)
-  rejects : int;  (** sets both checkers rejected *)
-  mutants : int;  (** corrupted sets injected and rejected *)
-  failures : string list;  (** human-readable, with seed context; [] = pass *)
-}
-
-val default_fabrics : (int * int) list
-(** [(size, page_pes)] choices: [(4, 2); (6, 4); (8, 4)]. *)
-
-val run :
-  ?fabrics:(int * int) list ->
-  ?pool:Cgra_util.Pool.t ->
-  seeds:int list ->
-  unit ->
-  outcome
-
-val pp_outcome : Format.formatter -> outcome -> unit
+val harness : Cgra_util.Corpus.harness
+(** The ["meld"] harness for {!Cgra_util.Corpus.run}.  Counters: [sets]
+    (resident sets checked differentially, one per seed), [residents]
+    (across those sets), [accepted] and [rejected] (sets both checkers
+    accepted, with reports compared, or both rejected), and [mutants]
+    (corrupted sets injected and rejected). *)

@@ -184,94 +184,63 @@ let check_run ?policy ?reconfig_cost (p : Os_sim.params) =
   let events = T.events trace in
   (T.n_events trace, monitor events @ replay_check result events)
 
-type outcome = {
-  cases : int;
-  runs : int;
-  events : int;
-  failures : string list;
-}
+(* suites come from Binary's memoized compile cache (safe to share
+   across domains): each fabric compiles once, whichever case asks
+   first *)
+let suite (size, page_pes) =
+  let arch = Option.get (Cgra_arch.Cgra.standard ~size ~page_pes) in
+  match Binary.compile_suite ~seed:1 arch with
+  | Ok suite -> (arch, suite)
+  | Error e ->
+      failwith
+        (Printf.sprintf "%dx%d p%d suite failed: %s" size size page_pes e)
 
-let default_fabrics = [ (4, 4); (4, 2) ]
+let one_case seed =
+  let runs = ref 0 in
+  let events = ref 0 in
+  let failures = ref [] in
+  let rng = Cgra_util.Rng.create ~seed in
+  let ((size, page_pes) as fabric) =
+    Cgra_util.Rng.choose rng [| (4, 4); (4, 2) |]
+  in
+  let arch, suite = suite fabric in
+  let total_pages = Cgra_arch.Cgra.n_pages arch in
+  let n_threads = Cgra_util.Rng.int_in rng 2 9 in
+  let need = Cgra_util.Rng.choose rng [| 0.5; 0.75; 0.875 |] in
+  let policy =
+    if Cgra_util.Rng.bool rng then Allocator.Halving
+    else Allocator.Repack_equal
+  in
+  let reconfig_cost = Cgra_util.Rng.choose rng [| 0.0; 7.0; 250.0 |] in
+  let threads =
+    Workload.generate ~seed ~n_threads ~cgra_need:need ~suite ()
+  in
+  List.iter
+    (fun mode ->
+      incr runs;
+      let n, errs =
+        check_run ~policy ~reconfig_cost
+          { Os_sim.suite; threads; total_pages; mode }
+      in
+      events := !events + n;
+      List.iter
+        (fun e ->
+          failures :=
+            Printf.sprintf "seed %d (%dx%d p%d, %s, %s, rc %g, %d threads): %s"
+              seed size size page_pes
+              (match mode with Os_sim.Single -> "single" | Os_sim.Multi -> "multi")
+              (match policy with
+              | Allocator.Halving -> "halving"
+              | Allocator.Repack_equal -> "repack"
+              | Allocator.Cost_halving -> "cost")
+              reconfig_cost n_threads e
+            :: !failures)
+        errs)
+    [ Os_sim.Single; Os_sim.Multi ];
+  {
+    Cgra_util.Corpus.counts = [ ("runs", !runs); ("events", !events) ];
+    failures = List.rev !failures;
+  }
 
-let run ?(fabrics = default_fabrics) ?pool ~seeds () =
-  if fabrics = [] then invalid_arg "Os_fuzz.run: no fabrics";
-  (* suites come from Binary's memoized compile cache (safe to share
-     across domains): each fabric compiles once, whichever case asks
-     first *)
-  let suite_for (size, page_pes) =
-    let arch = Option.get (Cgra_arch.Cgra.standard ~size ~page_pes) in
-    match Binary.compile_suite ~seed:1 arch with
-    | Ok suite -> (suite, Cgra_arch.Cgra.n_pages arch)
-    | Error e ->
-        failwith
-          (Printf.sprintf "Os_fuzz: %dx%d p%d suite failed: %s" size size
-             page_pes e)
-  in
-  let one_case seed =
-    let runs = ref 0 in
-    let events = ref 0 in
-    let failures = ref [] in
-    let rng = Cgra_util.Rng.create ~seed in
-    let ((size, page_pes) as fabric) =
-      Cgra_util.Rng.choose rng (Array.of_list fabrics)
-    in
-    let suite, total_pages = suite_for fabric in
-    let n_threads = Cgra_util.Rng.int_in rng 2 9 in
-    let need = Cgra_util.Rng.choose rng [| 0.5; 0.75; 0.875 |] in
-    let policy =
-      if Cgra_util.Rng.bool rng then Allocator.Halving
-      else Allocator.Repack_equal
-    in
-    let reconfig_cost = Cgra_util.Rng.choose rng [| 0.0; 7.0; 250.0 |] in
-    let threads =
-      Workload.generate ~seed ~n_threads ~cgra_need:need ~suite ()
-    in
-    List.iter
-      (fun mode ->
-        incr runs;
-        let n, errs =
-          check_run ~policy ~reconfig_cost
-            { Os_sim.suite; threads; total_pages; mode }
-        in
-        events := !events + n;
-        List.iter
-          (fun e ->
-            failures :=
-              Printf.sprintf "seed %d (%dx%d p%d, %s, %s, rc %g, %d threads): %s"
-                seed size size page_pes
-                (match mode with Os_sim.Single -> "single" | Os_sim.Multi -> "multi")
-                (match policy with
-                | Allocator.Halving -> "halving"
-                | Allocator.Repack_equal -> "repack"
-                | Allocator.Cost_halving -> "cost")
-                reconfig_cost n_threads e
-              :: !failures)
-          errs)
-      [ Os_sim.Single; Os_sim.Multi ];
-    (!runs, !events, List.rev !failures)
-  in
-  let cases =
-    match pool with
-    | Some p -> Cgra_util.Pool.map p one_case seeds
-    | None -> List.map one_case seeds
-  in
-  (* aggregated in seed order: identical at any pool width *)
-  List.fold_left
-    (fun acc (r, e, fs) ->
-      {
-        acc with
-        runs = acc.runs + r;
-        events = acc.events + e;
-        failures = acc.failures @ fs;
-      })
-    { cases = List.length seeds; runs = 0; events = 0; failures = [] }
-    cases
-
-let pp_outcome ppf o =
-  Format.fprintf ppf "@[<v>%d cases, %d traced runs, %d events monitored@,%s@]"
-    o.cases o.runs o.events
-    (match o.failures with
-    | [] -> "all OS invariants hold; replay matches every aggregate"
-    | fs ->
-        Printf.sprintf "%d FAILURES:\n%s" (List.length fs)
-          (String.concat "\n" fs))
+let harness =
+  { Cgra_util.Corpus.name = "os"; counters = [ "runs"; "events" ]; case = one_case }

@@ -36,37 +36,18 @@ val replay_check :
     every field — exactly, floats included — against the simulator's
     result; [[]] means the trace is a complete witness. *)
 
-val check_run :
-  ?policy:Cgra_core.Allocator.policy ->
-  ?reconfig_cost:float ->
-  Cgra_core.Os_sim.params ->
-  int * string list
-(** Run the simulator with a fresh collector, monitor the stream, and
-    cross-check {!Cgra_trace.Replay.aggregates} against the returned
-    [result_t].  Returns (events checked, failures). *)
+val suite : int * int -> Cgra_arch.Cgra.t * Cgra_core.Binary.t list
+(** [suite (size, page_pes)]: the standard fabric and its seed-1 kernel
+    suite, compiled once per fabric through {!Cgra_core.Binary}'s
+    memoized cache (safe to share across domains).  The fabric must be
+    a supported standard configuration; raises [Failure] when the suite
+    fails to compile. *)
 
-type outcome = {
-  cases : int;  (** seeds attempted *)
-  runs : int;  (** traced simulations (two per seed: Single and Multi) *)
-  events : int;  (** events monitored across all runs *)
-  failures : string list;  (** human-readable, with seed context; [] = pass *)
-}
-
-val default_fabrics : (int * int) list
-(** [(size, page_pes)] choices: [(4, 4); (4, 2)] — the contended fabrics
-    where stalls, halving, and repacking actually happen. *)
-
-val run :
-  ?fabrics:(int * int) list ->
-  ?pool:Cgra_util.Pool.t ->
-  seeds:int list ->
-  unit ->
-  outcome
-(** Each seed picks a fabric, a thread count in [2..9], a CGRA-need
-    level, a policy, and a reconfiguration cost, then checks both Single
-    and Multi modes.  Suites are compiled once per fabric (through the
-    {!Cgra_core.Binary} compile cache).  With [pool], cases fan out
-    across its domains; counters and failures aggregate in seed order,
-    so the outcome is identical at any pool width. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
+val harness : Cgra_util.Corpus.harness
+(** The ["os"] harness for {!Cgra_util.Corpus.run}.  Each seed picks a
+    contended fabric (4x4 with 4-PE or 2-PE pages), a thread count in
+    [2..9], a CGRA-need level, a policy, and a reconfiguration cost,
+    then runs the simulator with a live trace in both Single and Multi
+    modes and holds each stream to {!monitor} and {!replay_check}.
+    Counters: [runs] (traced simulations, two per seed) and [events]
+    (events monitored). *)

@@ -70,9 +70,9 @@ let test_different_seed_different_run () =
    tenant's FIFO head, no admitted request is dropped, in-flight stays
    under max_resident, retired + rejected = offered. *)
 let test_admission_properties () =
-  let o = Farm_fuzz.run ~seeds:(List.init 10 Fun.id) () in
-  Alcotest.(check int) "cases" 10 o.Farm_fuzz.cases;
-  Alcotest.(check (list string)) "all invariants hold" [] o.Farm_fuzz.failures
+  let o = Cgra_util.Corpus.run Farm_fuzz.harness ~seeds:(List.init 10 Fun.id) in
+  Alcotest.(check int) "cases" 10 o.cases;
+  Alcotest.(check (list string)) "all invariants hold" [] o.failures
 
 (* The exact-time dispatch rule is not vacuous: a dispatch moved off
    every arrival and retire time (what quantizing dispatch to a sync

@@ -165,6 +165,12 @@ let test_config_codec_rejects_garbage () =
   let k = Cgra_kernels.Kernels.find_exn "sor" in
   let m = map_ok Paged (arch 4 4) k.graph in
   let good = Codec.config_bytes (Result.get_ok (Config.encode m)) in
+  (* a header whose rows * cols wraps: to 0 (2^32 x 2^32), or negative *)
+  let header ~rows ~cols =
+    let b = Buffer.create 16 in
+    List.iter (Codec.Wire.w_int b) [ 1; rows; cols; 1 ];
+    Buffer.contents b
+  in
   List.iter
     (fun bytes ->
       match Codec.config_of_bytes bytes with
@@ -176,6 +182,8 @@ let test_config_codec_rejects_garbage () =
       String.sub good 0 (String.length good / 3);
       String.sub good 0 (String.length good - 1);
       good ^ "\000";
+      header ~rows:(1 lsl 32) ~cols:(1 lsl 32);
+      header ~rows:(1 lsl 31) ~cols:((1 lsl 31) + 1);
     ]
 
 (* ---------- Exec_image: the decoder machine vs the oracle ---------- *)

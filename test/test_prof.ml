@@ -263,6 +263,80 @@ let test_profile_requires_header () =
       Alcotest.(check bool) "mentions run_begin" true
         (String.length e > 0)
 
+(* One-field edits of a valid JSONL trace: each used to crash the
+   profiler (or, for a fractional thread id, be silently truncated); each
+   must now be a typed error naming the edited line. *)
+let test_hostile_fields_are_typed_errors () =
+  let lines = String.split_on_char '\n' (Export.jsonl (traced_events ())) in
+  let first_line kind =
+    let rec go i = function
+      | [] -> Alcotest.failf "no %s line" kind
+      | l :: rest ->
+          if contains ~sub:(Printf.sprintf "\"kind\":%S" kind) l then i
+          else go (i + 1) rest
+    in
+    go 0 lines
+  in
+  (* replace the number right after the first occurrence of [key] *)
+  let set_number ~key ~value l =
+    let n = String.length key in
+    let rec find i =
+      if i + n > String.length l then Alcotest.failf "%S not in %s" key l
+      else if String.sub l i n = key then i + n
+      else find (i + 1)
+    in
+    let start = find 0 in
+    let stop = ref start in
+    while !stop < String.length l && String.contains "-0123456789.e" l.[!stop] do
+      incr stop
+    done;
+    String.sub l 0 start ^ value ^ String.sub l !stop (String.length l - !stop)
+  in
+  let grant = first_line "kernel_grant" in
+  List.iter
+    (fun (line, key, value) ->
+      let doc =
+        String.concat "\n"
+          (List.mapi (fun i l -> if i = line then set_number ~key ~value l else l) lines)
+      in
+      match Export.of_jsonl doc with
+      | Ok _ -> Alcotest.failf "%s %s accepted" key value
+      | Error e ->
+          let tag = Printf.sprintf "line %d:" (line + 1) in
+          if not (contains ~sub:tag e) then
+            Alcotest.failf "%s %s: error %S does not name %s" key value e tag)
+    [
+      (first_line "run_begin", "\"total_pages\":", "-3");
+      (grant, "\"range\":{\"base\":", "-1");
+      (grant, "\"range\":{\"base\":", "4611686018427387904");
+      (grant, "\"thread\":", "1.7");
+    ]
+
+(* The profiler never raises on a well-typed stream: page ranges outside
+   the fabric and absurd fabric extents are errors. *)
+let test_profile_rejects_out_of_bounds () =
+  let events = traced_events () in
+  let with_payload f =
+    List.map (fun (e : T.event) -> { e with payload = f e.payload }) events
+  in
+  let rejects what evs =
+    match Analyze.profile evs with
+    | Ok _ -> Alcotest.failf "%s: profiled" what
+    | Error _ -> ()
+  in
+  rejects "grant past the last page"
+    (with_payload (function
+      | T.Kernel_grant r -> T.Kernel_grant { r with range = { base = 3; len = 2 } }
+      | p -> p));
+  rejects "negative reshape base"
+    (with_payload (function
+      | T.Reshape r -> T.Reshape { r with after = { r.after with base = -1 } }
+      | p -> p));
+  rejects "2^40 pages"
+    (with_payload (function
+      | T.Run_begin r -> T.Run_begin { r with total_pages = 1 lsl 40 }
+      | p -> p))
+
 (* Differential against the farm front end: each shard's busy cycles
    are accounted twice, independently — the front end sums
    (retire - dispatch) per request it routed to the shard, and the
@@ -537,6 +611,10 @@ let () =
             test_profile_posthoc_equals_live;
           Alcotest.test_case "stall attribution vs replay" `Quick
             test_stall_attribution_vs_replay;
+          Alcotest.test_case "hostile JSONL fields are typed errors" `Quick
+            test_hostile_fields_are_typed_errors;
+          Alcotest.test_case "out-of-bounds ranges rejected" `Quick
+            test_profile_rejects_out_of_bounds;
           Alcotest.test_case "empty stream rejected" `Quick
             test_profile_requires_header;
           Alcotest.test_case "bus pressure exact counts" `Quick

@@ -299,7 +299,19 @@ let test_empty_and_garbage_files () =
           Alcotest.(check bool)
             "junk rejected" true
             (Cgra_store.load store ~seed:0 a k = None))
-        [ ""; "CG"; "CGRB"; "NOTB" ^ String.make 64 '\255'; String.make 3 '\002' ])
+        [
+          "";
+          "CG";
+          "CGRB";
+          "NOTB" ^ String.make 64 '\255';
+          String.make 3 '\002';
+          (* a string length so large that position + length wraps *)
+          (let b = Buffer.create 16 in
+           Buffer.add_string b "CGRB";
+           List.iter (Codec.Wire.w_int b) [ Codec.format_version; max_int ];
+           Buffer.add_string b "arch";
+           Buffer.contents b);
+        ])
 
 let test_hostile_codec_bytes () =
   (* decoders are total: no byte string may raise *)

@@ -329,10 +329,14 @@ let test_wait_statistics () =
     (ws.Replay.mean <= ws.Replay.max && ws.Replay.p95 <= ws.Replay.max)
 
 let test_os_fuzz_corpus () =
-  let o = Cgra_verify.Os_fuzz.run ~seeds:(List.init 10 (fun i -> i)) () in
+  let o =
+    Cgra_util.Corpus.run Cgra_verify.Os_fuzz.harness
+      ~seeds:(List.init 10 (fun i -> i))
+  in
   Alcotest.(check (list string)) "fixed 10-seed corpus is clean" [] o.failures;
-  Alcotest.(check int) "two modes per seed" 20 o.runs;
-  Alcotest.(check bool) "events were monitored" true (o.events > 1000)
+  Alcotest.(check int) "two modes per seed" 20 (Cgra_util.Corpus.count o "runs");
+  Alcotest.(check bool) "events were monitored" true
+    (Cgra_util.Corpus.count o "events" > 1000)
 
 let () =
   Alcotest.run "trace"

@@ -195,7 +195,7 @@ let test_pool_order_preserved () =
   let f x = (x * x) + 7 in
   Alcotest.(check (list int))
     "parallel = sequential, in order" (List.map f xs)
-    (Pool.parallel_map ~domains:4 f xs)
+    (Pool.with_pool ~domains:4 (fun p -> Pool.map p f xs))
 
 let test_pool_domains1_is_sequential () =
   let xs = List.init 50 Fun.id in
@@ -204,7 +204,7 @@ let test_pool_domains1_is_sequential () =
     calls := x :: !calls;
     x * 2
   in
-  let out = Pool.parallel_map ~domains:1 f xs in
+  let out = Pool.with_pool ~domains:1 (fun p -> Pool.map p f xs) in
   Alcotest.(check (list int)) "results" (List.map (fun x -> x * 2) xs) out;
   Alcotest.(check (list int)) "called in input order, on this domain" xs
     (List.rev !calls)
@@ -213,7 +213,9 @@ let test_pool_exception_propagates () =
   let f x = if x >= 50 then failwith (string_of_int x) else x in
   List.iter
     (fun domains ->
-      match Pool.parallel_map ~domains f (List.init 100 Fun.id) with
+      match
+        Pool.with_pool ~domains (fun p -> Pool.map p f (List.init 100 Fun.id))
+      with
       | _ -> Alcotest.failf "no exception at %d domains" domains
       | exception Failure msg ->
           Alcotest.(check string)
@@ -226,7 +228,7 @@ let test_pool_filter_map () =
   let f x = if x mod 3 = 0 then Some (x * 10) else None in
   Alcotest.(check (list int))
     "survivors keep input order" (List.filter_map f xs)
-    (Pool.parallel_filter_map ~domains:4 f xs)
+    (Pool.with_pool ~domains:4 (fun p -> Pool.filter_map p f xs))
 
 let test_pool_reusable () =
   Pool.with_pool ~domains:3 (fun p ->
@@ -270,14 +272,14 @@ let test_race_deterministic_winner () =
      is, so higher-index successes finish first — the lowest succeeding
      index must still win *)
   let xs = List.init 16 Fun.id in
-  let f x =
+  let f ~doomed:_ x =
     spin (16 - x);
     if x >= 3 then Some (x * 100) else None
   in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun p ->
-          match Pool.race p f xs with
+          match Pool.race_poll p f xs with
           | Some (3, 300) -> ()
           | Some (x, y) ->
               Alcotest.failf "winner (%d, %d) at %d domains, wanted (3, 300)" x y
@@ -290,12 +292,12 @@ let test_race_cancellation_skips () =
      the candidates already in flight ever run *)
   let n = 200 in
   let evaluated = Atomic.make 0 in
-  let f x =
+  let f ~doomed:_ x =
     Atomic.incr evaluated;
     if x = 0 then Some () else (spin 5; None)
   in
   Pool.with_pool ~domains:4 (fun p ->
-      match Pool.race p f (List.init n Fun.id) with
+      match Pool.race_poll p f (List.init n Fun.id) with
       | Some (0, ()) ->
           let e = Atomic.get evaluated in
           Alcotest.(check bool)
@@ -336,7 +338,9 @@ let test_race_exception_semantics () =
           (* failure before any success: the earliest failure propagates,
              as in Pool.map *)
           (match
-             Pool.race p (fun x -> if x = 10 then failwith "boom" else None) xs
+             Pool.race_poll p
+               (fun ~doomed:_ x -> if x = 10 then failwith "boom" else None)
+               xs
            with
           | _ -> Alcotest.failf "no exception at %d domains" domains
           | exception Failure msg ->
@@ -346,8 +350,8 @@ let test_race_exception_semantics () =
           (* success before the failure: the winner is returned and the
              speculative failure is discarded *)
           match
-            Pool.race p
-              (fun x ->
+            Pool.race_poll p
+              (fun ~doomed:_ x ->
                 if x = 50 then failwith "late"
                 else if x = 10 then Some x
                 else None)
@@ -363,12 +367,12 @@ let test_race_exception_semantics () =
 let test_race_width1_lazy () =
   (* sequential fallback: evaluation stops at the winner *)
   let evaluated = ref 0 in
-  let f x =
+  let f ~doomed:_ x =
     incr evaluated;
     if x = 5 then Some x else None
   in
   Pool.with_pool ~domains:1 (fun p ->
-      match Pool.race p f (List.init 100 Fun.id) with
+      match Pool.race_poll p f (List.init 100 Fun.id) with
       | Some (5, 5) -> check_int "nothing past the winner runs" 6 !evaluated
       | _ -> Alcotest.fail "wrong outcome")
 
@@ -378,11 +382,69 @@ let test_race_no_winner () =
       Pool.with_pool ~domains (fun p ->
           Alcotest.(check bool)
             "all-fail race is None" true
-            (Pool.race p (fun _ -> None) (List.init 40 Fun.id) = None);
+            (Pool.race_poll p (fun ~doomed:_ _ -> None) (List.init 40 Fun.id)
+            = None);
           Alcotest.(check bool)
             "empty race is None" true
-            (Pool.race p (fun x -> Some x) [] = None)))
+            (Pool.race_poll p (fun ~doomed:_ x -> Some x) [] = None)))
     [ 1; 4 ]
+
+(* ---------- Corpus ---------- *)
+
+(* a synthetic harness: seed s counts s items; an odd seed also counts
+   one [odd] and reports one failure; seed 7 raises *)
+let synthetic =
+  {
+    Corpus.name = "synthetic";
+    counters = [ "items"; "odd" ];
+    case =
+      (fun seed ->
+        if seed = 7 then failwith "seven";
+        (* burn a seed-dependent amount of CPU so completion order under
+           a pool differs from seed order *)
+        spin ((20 - seed) * 2);
+        {
+          Corpus.counts = [ ("items", seed); ("odd", seed land 1) ];
+          failures =
+            (if seed land 1 = 1 then [ Printf.sprintf "seed %d: odd" seed ] else []);
+        });
+  }
+
+let test_corpus_aggregates_in_seed_order () =
+  let seeds = List.init 12 Fun.id in
+  let expected =
+    {
+      Corpus.harness = "synthetic";
+      cases = 12;
+      counts = [ ("items", 66 - 7); ("odd", 5) ];
+      failures =
+        [ "seed 1: odd"; "seed 3: odd"; "seed 5: odd";
+          "seed 7: raised Failure(\"seven\")"; "seed 9: odd"; "seed 11: odd" ];
+    }
+  in
+  Alcotest.(check bool) "sequential" true
+    (Corpus.run synthetic ~seeds = expected);
+  Alcotest.(check bool) "width 4" true
+    (Pool.with_pool ~clamp:false ~domains:4 (fun pool ->
+         Corpus.run ~pool synthetic ~seeds)
+    = expected);
+  check_int "count" 59 (Corpus.count expected "items");
+  Alcotest.(check string) "rendering"
+    "synthetic: 12 cases, 59 items, 5 odd\n6 FAILURES:\nseed 1: odd"
+    (String.concat "\n"
+       (List.filteri (fun i _ -> i < 3)
+          (String.split_on_char '\n' (Format.asprintf "%a" Corpus.pp expected))))
+
+let test_corpus_rejects_undeclared_counter () =
+  let h =
+    {
+      synthetic with
+      Corpus.case = (fun _ -> { Corpus.counts = [ ("itmes", 1) ]; failures = [] });
+    }
+  in
+  match Corpus.run h ~seeds:[ 0 ] with
+  | _ -> Alcotest.fail "undeclared counter accepted"
+  | exception Invalid_argument _ -> ()
 
 (* ---------- Table ---------- *)
 
@@ -463,6 +525,13 @@ let () =
           Alcotest.test_case "race: width-1 lazy fallback" `Quick
             test_race_width1_lazy;
           Alcotest.test_case "race: no winner" `Quick test_race_no_winner;
+        ] );
+      ( "corpus",
+        [
+          Alcotest.test_case "aggregates in seed order" `Quick
+            test_corpus_aggregates_in_seed_order;
+          Alcotest.test_case "rejects an undeclared counter" `Quick
+            test_corpus_rejects_undeclared_counter;
         ] );
       ( "table",
         [

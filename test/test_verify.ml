@@ -255,7 +255,7 @@ let test_fuzzed_agreement () =
     v
   in
   let mapped = ref 0 and mutants = ref 0 and mutant_rejects = ref 0 in
-  let fabrics = Array.of_list Fuzz.default_fabrics in
+  let fabrics = [| (4, 4); (4, 2); (6, 8) |] (* the pipeline harness's *) in
   List.iter
     (fun seed ->
       let rng = Cgra_util.Rng.create ~seed in
@@ -319,23 +319,22 @@ let test_fuzzed_agreement () =
 (* ---------- the fuzz corpus ---------- *)
 
 let test_fuzz_corpus () =
-  let seeds = List.init 50 Fun.id in
-  let o = Fuzz.run ~seeds () in
+  let o =
+    Cgra_util.Corpus.run (Fuzz.harness ~iterations:8) ~seeds:(List.init 50 Fun.id)
+  in
+  let count = Cgra_util.Corpus.count o in
   (match o.failures with
   | [] -> ()
   | fs -> Alcotest.failf "fuzz failures:\n%s" (String.concat "\n" fs));
   Alcotest.(check int) "all cases attempted" 50 o.cases;
-  Alcotest.(check bool) "most cases mapped" true (o.mapped >= 40);
-  Alcotest.(check bool) "folds exercised" true (o.folds >= 100);
-  Alcotest.(check bool) "non-zero bases exercised" true (o.nonzero_base_folds > 0);
-  Alcotest.(check bool) "refolds from non-zero bases exercised" true (o.refolds > 0);
-  Alcotest.(check bool) "oracle exercised" true (o.oracle_runs > o.folds / 2)
-
-let test_fuzz_deterministic () =
-  let seeds = List.init 5 (fun i -> 100 + i) in
-  let a = Fuzz.run ~seeds () in
-  let b = Fuzz.run ~seeds () in
-  Alcotest.(check bool) "identical outcomes" true (a = b)
+  Alcotest.(check bool) "most cases mapped" true (count "mapped" >= 40);
+  Alcotest.(check bool) "folds exercised" true (count "folds" >= 100);
+  Alcotest.(check bool) "non-zero bases exercised" true
+    (count "folds at base > 0" > 0);
+  Alcotest.(check bool) "refolds from non-zero bases exercised" true
+    (count "refolds" > 0);
+  Alcotest.(check bool) "oracle exercised" true
+    (count "oracle runs" > count "folds" / 2)
 
 let () =
   Alcotest.run "verify"
@@ -377,6 +376,5 @@ let () =
           Alcotest.test_case "validator and checker agree on fuzzed mappings"
             `Quick test_fuzzed_agreement;
           Alcotest.test_case "fixed 50-seed corpus is clean" `Quick test_fuzz_corpus;
-          Alcotest.test_case "deterministic" `Quick test_fuzz_deterministic;
         ] );
     ]
