@@ -18,9 +18,20 @@ type result_t = {
   stalls : int;
 }
 
+(* What the engine reads of a binary at every kernel request, grant and
+   reshape, computed once per engine: each is otherwise a search of the
+   suite, a filter over the kernel's graph or a rebuild of its mapping's
+   occupant set. *)
+type kernel = {
+  bin : Binary.t;
+  ops : int;  (* micro-ops per iteration: the non-constant nodes *)
+  mem : int;  (* memory nodes *)
+  pages_used : int;  (* pages of the paged schedule: the desired allocation *)
+}
+
 type tstate =
   | On_cpu of Thread_model.segment list  (* rest after the running cpu phase *)
-  | Waiting of string * int * Thread_model.segment list  (* kernel, iters, rest *)
+  | Waiting of kernel * int * Thread_model.segment list  (* kernel, iters, rest *)
   | On_cgra of {
       mutable iters_left : float;
       mutable rate : float;  (* cycles per iteration *)
@@ -37,12 +48,18 @@ type thread_rec = {
   mutable gen : int;  (* event generation; stale events are ignored *)
 }
 
-let ops_of (b : Binary.t) =
-  List.length
-    (List.filter
-       (fun (n : Cgra_dfg.Graph.node) ->
-         match n.op with Cgra_dfg.Op.Const _ -> false | _ -> true)
-       (Cgra_dfg.Graph.nodes b.graph))
+let kernel_of (b : Binary.t) =
+  {
+    bin = b;
+    ops =
+      List.length
+        (List.filter
+           (fun (n : Cgra_dfg.Graph.node) ->
+             match n.op with Cgra_dfg.Op.Const _ -> false | _ -> true)
+           (Cgra_dfg.Graph.nodes b.graph));
+    mem = Cgra_dfg.Graph.mem_node_count b.graph;
+    pages_used = Binary.pages_used b;
+  }
 
 let improvement_percent ~single ~multi =
   Cgra_util.Stats.improvement_percent ~baseline:single.makespan
@@ -52,17 +69,18 @@ module T = Cgra_trace.Trace
 
 module Engine = struct
   type t = {
-    suite : Binary.t list;
+    kernels : (string, kernel) Hashtbl.t;  (* by name; the first in suite order *)
     total_pages : int;
     mode : mode;
     reconfig_cost : float;
     trace : T.t;
     tracing : bool;
     alloc : Allocator.t;
-    threads : thread_rec Queue.t;  (* submission order — resync iterates it *)
+    threads : thread_rec Queue.t;  (* submission order — result reports it *)
+    mutable live : thread_rec list;  (* unfinished, submission order — resync walks it *)
     by_id : (int, thread_rec) Hashtbl.t;
     waiters : int Queue.t;
-    running_kernel : (int, Binary.t) Hashtbl.t;
+    running_kernel : (int, kernel) Hashtbl.t;
     mutable cgra_busy_single : bool;
     mutable transformations : int;
     mutable stalls : int;
@@ -108,8 +126,14 @@ module Engine = struct
              mem_ports;
            })
     end;
-    {
+    let kernels = Hashtbl.create 16 in
+    List.iter
+      (fun (b : Binary.t) ->
+        if not (Hashtbl.mem kernels b.name) then
+          Hashtbl.add kernels b.name (kernel_of b))
       suite;
+    {
+      kernels;
       total_pages;
       mode;
       reconfig_cost;
@@ -117,6 +141,7 @@ module Engine = struct
       tracing;
       alloc;
       threads = Queue.create ();
+      live = [];
       by_id = Hashtbl.create 16;
       waiters = Queue.create ();
       running_kernel = Hashtbl.create 16;
@@ -135,9 +160,9 @@ module Engine = struct
   let set_on_finish e f = e.on_finish <- f
   let set_on_grant e f = e.on_grant <- f
 
-  let binary e name =
-    match List.find_opt (fun (b : Binary.t) -> b.name = name) e.suite with
-    | Some b -> b
+  let kernel e name =
+    match Hashtbl.find_opt e.kernels name with
+    | Some k -> k
     | None -> invalid_arg ("Os_sim.run: unknown kernel " ^ name)
 
   let post e time tid gen = e.queue <- Cgra_util.Pqueue.push e.queue time (tid, gen)
@@ -166,14 +191,19 @@ module Engine = struct
         post e (now +. (Float.max 0.0 k.iters_left *. k.rate)) t.id t.gen
     | On_cpu _ | Waiting _ | Done _ -> ()
 
+  (* [Binary.iteration_cycles], on the page count computed once *)
   let rate_for e tid pages =
+    let k = Hashtbl.find e.running_kernel tid in
     float_of_int
-      (Binary.iteration_cycles (Hashtbl.find e.running_kernel tid) ~pages)
+      (Transform.ii_q ~ii_p:(Binary.ii_paged k.bin) ~n_used:k.pages_used
+         ~target_pages:pages)
 
   (* Multi mode: after any allocator change, refresh every running
-     kernel whose allocation moved (a PageMaster shrink or expand). *)
+     kernel whose allocation moved (a PageMaster shrink or expand).  The
+     walk keeps submission order: it posts events, and equal-time events
+     pop in posting order. *)
   let resync e now =
-    Queue.iter
+    List.iter
       (fun t ->
         match t.state with
         | On_cgra k -> (
@@ -215,13 +245,14 @@ module Engine = struct
                   t.id t.gen
             | Some _ | None -> ())
         | On_cpu _ | Waiting _ | Done _ -> ())
-      e.threads
+      e.live
 
   let rec advance e now t segments =
     match segments with
     | [] ->
         t.state <- Done now;
         e.unfinished <- e.unfinished - 1;
+        e.live <- List.filter (fun u -> u != t) e.live;
         if e.tracing then
           T.emit_at e.trace ~time:now (T.Thread_finish { thread = t.id });
         e.on_finish t.id now
@@ -229,21 +260,22 @@ module Engine = struct
         t.state <- On_cpu rest;
         t.gen <- t.gen + 1;
         post e (now +. float_of_int c) t.id t.gen
-    | Thread_model.Kernel { kernel; iterations } :: rest ->
-        let segment_ops = ops_of (binary e kernel) * iterations in
+    | Thread_model.Kernel { kernel = name; iterations } :: rest ->
+        let k = kernel e name in
+        let segment_ops = k.ops * iterations in
         e.total_ops <- e.total_ops +. float_of_int segment_ops;
         if e.tracing then
           T.emit_at e.trace ~time:now
             (T.Kernel_request
                {
                  thread = t.id;
-                 kernel;
+                 kernel = name;
                  iterations;
                  ops = segment_ops;
-                 mem = Cgra_dfg.Graph.mem_node_count (binary e kernel).graph;
-                 desired = Binary.pages_used (binary e kernel);
+                 mem = k.mem;
+                 desired = k.pages_used;
                });
-        start_kernel e now t ~kernel ~iterations ~rest
+        start_kernel e now t k ~iterations ~rest
 
   (* [enqueue] is false when the thread is already the front entry of
      [waiters] (a retry from [serve]): it must neither be re-enqueued —
@@ -269,18 +301,18 @@ module Engine = struct
     end;
     e.on_grant t.id now
 
-  and start_kernel ?(enqueue = true) e now t ~kernel ~iterations ~rest =
-    let b = binary e kernel in
+  and start_kernel ?(enqueue = true) e now t k ~iterations ~rest =
+    let kernel = k.bin.Binary.name in
     match e.mode with
     | Single ->
         if e.cgra_busy_single then begin
           if enqueue then record_stall e now t ~kernel;
-          t.state <- Waiting (kernel, iterations, rest)
+          t.state <- Waiting (k, iterations, rest)
         end
         else begin
           e.cgra_busy_single <- true;
-          Hashtbl.replace e.running_kernel t.id b;
-          let rate = float_of_int (Binary.ii_base b) in
+          Hashtbl.replace e.running_kernel t.id k;
+          let rate = float_of_int (Binary.ii_base k.bin) in
           record_grant e now t ~kernel ~base:0 ~pages:e.total_pages ~shrunk:false
             ~cost:0.0 ~rate;
           t.state <-
@@ -291,14 +323,14 @@ module Engine = struct
           post e (now +. (float_of_int iterations *. rate)) t.id t.gen
         end
     | Multi -> (
-        let desired = max 1 (min (Binary.pages_used b) e.total_pages) in
-        Hashtbl.replace e.running_kernel t.id b;
+        let desired = max 1 (min k.pages_used e.total_pages) in
+        Hashtbl.replace e.running_kernel t.id k;
         T.set_clock e.trace now;
         match Allocator.request e.alloc ~client:t.id ~desired with
         | None ->
             Hashtbl.remove e.running_kernel t.id;
             if enqueue then record_stall e now t ~kernel;
-            t.state <- Waiting (kernel, iterations, rest)
+            t.state <- Waiting (k, iterations, rest)
         | Some r ->
             let shrunk_entry = r.Allocator.len < desired in
             if shrunk_entry then e.transformations <- e.transformations + 1;
@@ -324,8 +356,8 @@ module Engine = struct
   and try_start_waiter e now wid =
     let w = Hashtbl.find e.by_id wid in
     match w.state with
-    | Waiting (kernel, iterations, rest) -> (
-        start_kernel ~enqueue:false e now w ~kernel ~iterations ~rest;
+    | Waiting (k, iterations, rest) -> (
+        start_kernel ~enqueue:false e now w k ~iterations ~rest;
         match w.state with Waiting _ -> false | _ -> true)
     | On_cpu _ | On_cgra _ | Done _ -> true (* stale entry; drop it *)
 
@@ -333,7 +365,7 @@ module Engine = struct
     if e.tracing then
       let kernel =
         match Hashtbl.find_opt e.running_kernel t.id with
-        | Some (b : Binary.t) -> b.name
+        | Some k -> k.bin.Binary.name
         | None -> "?"
       in
       T.emit_at e.trace ~time:now
@@ -372,6 +404,10 @@ module Engine = struct
     advance e now t rest
 
   let submit e ~at (spec : Thread_model.t) =
+    (* a NaN or infinite time would make every later ordering check
+       vacuous and the kernel's remaining time NaN: drain would spin *)
+    if not (Float.is_finite at) then
+      invalid_arg "Os_sim.Engine.submit: non-finite arrival time";
     if Hashtbl.mem e.by_id spec.id then
       invalid_arg "Os_sim.Engine.submit: duplicate thread id";
     (* Enforce the monotonic-submission contract instead of silently
@@ -388,6 +424,7 @@ module Engine = struct
     e.horizon <- at;
     let t = { id = spec.id; state = Done at; gen = 0 } in
     Queue.add t e.threads;
+    e.live <- e.live @ [ t ];
     Hashtbl.replace e.by_id t.id t;
     e.unfinished <- e.unfinished + 1;
     if e.tracing then

@@ -71,10 +71,11 @@ module Engine : sig
   val submit : t -> at:float -> Thread_model.t -> unit
   (** Admit a thread at time [at]: emits its [Thread_arrival] and starts
       its first segment immediately (so a kernel-first thread requests
-      pages at [at]).  Raises [Invalid_argument] on duplicate ids,
-      unknown kernels, or an out-of-order arrival — [at] earlier than an
-      already stepped event, an earlier pending internal event, or a
-      previous submit. *)
+      pages at [at]).  Raises [Invalid_argument] on a NaN or infinite
+      [at] (before touching any state, so the engine stays usable),
+      duplicate ids, unknown kernels, or an out-of-order arrival — [at]
+      earlier than an already stepped event, an earlier pending internal
+      event, or a previous submit. *)
 
   val next_event : t -> float option
   (** Time of the earliest pending internal event, or [None] when idle.

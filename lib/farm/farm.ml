@@ -109,6 +109,9 @@ type shard = {
   mutable busy_cycles : float;
 }
 
+(* where the coordinator sends a tenant's head request *)
+type pick = Full | Deferred | Shard of shard
+
 let ( let* ) = Result.bind
 
 let validate p =
@@ -143,6 +146,39 @@ let shard_service_cycles suite =
       0.0 mix
   in
   total /. float_of_int (Array.length mix)
+
+(* Virtual time is a float: past 2^53 cycles it no longer resolves one
+   cycle, a kernel's remaining time rounds to nothing, and its engine
+   posts the same event forever. *)
+let max_virtual_time = 0x1p53
+
+(* An upper bound on the run's last event.  After the last arrival some
+   shard always holds a kernel (an empty shard takes any queued
+   request), and that kernel either progresses, no slower than one page
+   of the slowest shard allows, or stalls [reconfig_cost] cycles in a
+   reshape.  A request causes at most [2 * max_pages + 1] such stalls:
+   one if it enters shrunk, and one per resident of its shard (at most
+   one per page) at each of the resyncs after its grant and its
+   release.  So each request adds at most its one-page service time
+   plus those stalls. *)
+let time_bound p shards requests =
+  let one_page =
+    List.fold_left
+      (fun acc s ->
+        List.fold_left
+          (fun acc (b : Binary.t) ->
+            if Array.mem b.name mix then
+              max acc (Binary.iteration_cycles b ~pages:1)
+            else acc)
+          acc s.suite)
+      0 shards
+  in
+  let max_pages = List.fold_left (fun acc s -> max acc s.total_pages) 0 shards in
+  let stalls = p.reconfig_cost *. float_of_int ((2 * max_pages) + 1) in
+  Array.fold_left
+    (fun acc r -> acc +. float_of_int (r.iterations * one_page) +. stalls)
+    (Array.fold_left (fun acc r -> Float.max acc r.arrival) 0.0 requests)
+    requests
 
 let run ?pool ?(traced = false) p =
   let* () = validate p in
@@ -203,6 +239,15 @@ let run ?pool ?(traced = false) p =
     in
     gen 0 0.0 []
   in
+  let* () =
+    if time_bound p shards requests < max_virtual_time then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "farm: at load %g and reconfig cost %g the run could reach 2^53 \
+            virtual cycles, past which a float no longer resolves one cycle"
+           p.offered_load p.reconfig_cost)
+  in
   T.emit_at ftrace ~time:0.0
     (T.Farm_begin
        { shards = List.length shards; tenants = p.n_tenants;
@@ -254,21 +299,6 @@ let run ?pool ?(traced = false) p =
     next_at.(s.index) <-
       Option.value ~default:infinity (Os_sim.Engine.next_event s.engine)
   in
-  (* load-aware shard candidates: fewest in-flight requests, then least
-     allocated fabric, then lowest index — all deterministic signals *)
-  let candidates () =
-    List.filter
-      (fun s -> Os_sim.Engine.in_flight s.engine < p.max_resident)
-      shards
-    |> List.sort (fun a b ->
-           compare
-             ( Os_sim.Engine.in_flight a.engine,
-               Os_sim.Engine.used_page_fraction a.engine,
-               a.index )
-             ( Os_sim.Engine.in_flight b.engine,
-               Os_sim.Engine.used_page_fraction b.engine,
-               b.index ))
-  in
   (* Cost-aware deferral: dispatching a request whose binary does not fit
      in the shard's free pages forces the allocator to shrink residents —
      each squeezed page is a PageMaster reshape priced at
@@ -297,6 +327,32 @@ let run ?pool ?(traced = false) p =
               in
               reshape <= wake)
   in
+  (* One pass over the fleet: among the shards below [max_resident] that
+     can afford [r], the one with the fewest in-flight requests, then the
+     least allocated fabric, then the lowest index — all deterministic
+     signals.  [affordable] only reads engine state, so it is asked only
+     of a shard that would beat the best so far.  [Full] when no shard
+     is below [max_resident]: that capacity is fleet-wide. *)
+  let pick (r : request) now =
+    let full = ref true and best = ref (-1) in
+    let best_n = ref max_int and best_used = ref infinity in
+    for i = 0 to Array.length shard_arr - 1 do
+      let s = shard_arr.(i) in
+      let n = Os_sim.Engine.in_flight s.engine in
+      if n < p.max_resident then begin
+        full := false;
+        let used = Os_sim.Engine.used_page_fraction s.engine in
+        if (n < !best_n || (n = !best_n && Float.compare used !best_used < 0))
+           && affordable s r now
+        then begin
+          best := i;
+          best_n := n;
+          best_used := used
+        end
+      end
+    done;
+    if !full then Full else if !best < 0 then Deferred else Shard shard_arr.(!best)
+  in
   let dispatch r (s : shard) now =
     r.shard <- s.index;
     r.dispatched <- now;
@@ -318,21 +374,17 @@ let run ?pool ?(traced = false) p =
      FIFO order is preserved *)
   let rec try_dispatch now =
     let rec scan tid =
-      if tid >= p.n_tenants then false
-      else if Queue.is_empty queues.(tid) then scan (tid + 1)
-      else
-        match candidates () with
-        | [] -> false (* capacity is fleet-wide: nobody can dispatch *)
-        | cands -> (
-            let r = Queue.peek queues.(tid) in
-            match List.find_opt (fun s -> affordable s r now) cands with
-            | None -> scan (tid + 1)
-            | Some s ->
-                ignore (Queue.take queues.(tid));
-                dispatch r s now;
-                true)
+      if tid < p.n_tenants then
+        if Queue.is_empty queues.(tid) then scan (tid + 1)
+        else
+          match pick (Queue.peek queues.(tid)) now with
+          | Full -> ()
+          | Deferred -> scan (tid + 1)
+          | Shard s ->
+              dispatch (Queue.take queues.(tid)) s now;
+              try_dispatch now
     in
-    if scan 0 then try_dispatch now
+    scan 0
   in
   let admit (r : request) =
     T.emit_at ftrace ~time:r.arrival

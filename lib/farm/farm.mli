@@ -160,7 +160,10 @@ val run :
     sequential.  [traced] (default false) collects the front end's
     [farm_*] stream and one OS stream per shard; tracing never changes
     the simulation.  Errors are validation failures (including a
-    non-finite [offered_load] or [reconfig_cost]) or compile failures. *)
+    non-finite [offered_load] or [reconfig_cost]), compile failures, or
+    a run whose virtual time could reach 2^53 cycles, where a float no
+    longer resolves one cycle (a load so low that arrivals are that far
+    apart). *)
 
 val dispatch_name : dispatch -> string
 (** ["least-loaded"] / ["cost-aware"] — the rendering and CLI spelling. *)

@@ -109,6 +109,23 @@ let test_non_finite_params_rejected () =
         { small_params with reconfig_cost = Float.infinity } );
     ]
 
+(* Past 2^53 cycles a float no longer resolves one cycle and a kernel's
+   remaining time rounds to nothing, so an engine would post the same
+   event forever.  A run that could get there is refused before its loop
+   starts — at a tiny load, or one whose arrivals overflow to infinity —
+   while a load whose run ends just short of 2^53 still runs. *)
+let test_virtual_time_bound () =
+  let at offered_load = { Farm.default_params with n_requests = 40; offered_load } in
+  List.iter
+    (fun load ->
+      match Farm.run (at load) with
+      | Ok _ -> Alcotest.failf "load %g accepted" load
+      | Error _ -> ())
+    [ 1e-14; 1e-310 ];
+  let r = run_ok (at 3.3e-13) in
+  Alcotest.(check int) "every request retires" 40 r.Farm.retired;
+  Alcotest.(check bool) "within 2^53 cycles" true (r.Farm.makespan < 0x1p53)
+
 let test_rejections_respect_bound () =
   (* a tight bound under heavy load must reject, and still conserve *)
   let p =
@@ -142,6 +159,95 @@ let test_golden_stream () =
   | Ok events ->
       Alcotest.(check string) "round-trip re-encodes identically" jsonl
         (Export.jsonl events)
+
+(* ---------- pinned outputs: every byte a run produces ---------- *)
+
+(* The differential oracle for speed work on the coordinator and the
+   shard engines: each case's digest covers the report with its
+   retirement log, the stats report, the farm_* stream and every
+   shard's OS stream, and the digests were recorded before any of that
+   code was rewritten.  A faster loop must reproduce them exactly. *)
+let output_digest (r : Farm.report) =
+  let hex s = Digest.to_hex (Digest.string s) in
+  hex
+    (String.concat " "
+       (hex (Farm.render ~log:true r)
+       :: hex (Farm.render_stats r)
+       :: hex (Export.jsonl r.Farm.farm_events)
+       :: List.map (fun evs -> hex (Export.jsonl evs)) r.Farm.shard_events))
+
+(* Small fleets over every policy pair, reconfig costs 0-100, queue
+   bounds and max_resident from 1 to 6 and loads up to 4, so requests
+   queue, get rejected and get deferred — which the benchmark's
+   unbounded open loops never do.  Suite compiles dominate a case's
+   cost, so the compile seed takes two values (the cost-aware tests
+   compile the same suites) and every other field varies. *)
+let oracle_corpus n =
+  let module R = Cgra_util.Rng in
+  let rng = R.create ~seed:15 in
+  (* one [let] per draw: record fields evaluate in no fixed order *)
+  List.init n (fun _ ->
+      let fleet =
+        List.init (R.int_in rng 1 3) (fun _ ->
+            { Farm.size = R.choose rng [| 4; 6; 8 |]; page_pes = 4 })
+      in
+      let n_tenants = R.int_in rng 1 4 in
+      let n_requests = R.int_in rng 10 60 in
+      let offered_load = 0.25 +. R.float rng 3.75 in
+      let queue_bound = R.int_in rng 1 6 in
+      let max_resident = R.int_in rng 1 6 in
+      let seed = R.int rng 2 in
+      let policy =
+        R.choose rng Cgra_core.Allocator.[| Halving; Repack_equal; Cost_halving |]
+      in
+      let reconfig_cost = float_of_int (R.int_in rng 0 100) in
+      let dispatch = R.choose rng [| Farm.Least_loaded; Farm.Cost_aware |] in
+      { Farm.fleet; n_tenants; n_requests; offered_load; queue_bound;
+        max_resident; seed; policy; reconfig_cost; dispatch })
+
+let corpus_digest = "18bcb90c4f69118bc4ad592887caa78f"
+
+let test_pinned_corpus () =
+  let cases =
+    List.map
+      (fun p ->
+        let r = run_ok ~traced:true p in
+        let queued =
+          List.length
+            (List.filter
+               (fun (q : Farm.request) -> q.Farm.dispatched > q.Farm.arrival)
+               r.Farm.requests)
+        in
+        (output_digest r, queued, r.Farm.rejected))
+      (oracle_corpus 300)
+  in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 cases in
+  Alcotest.(check (pair int int)) "queued dispatches, rejections" (2703, 1108)
+    (sum (fun (_, q, _) -> q), sum (fun (_, _, j) -> j));
+  Alcotest.(check string) "corpus digest" corpus_digest
+    (Digest.to_hex
+       (Digest.string (String.concat " " (List.map (fun (d, _, _) -> d) cases))))
+
+let big_digests =
+  [
+    ((1.0, Farm.Least_loaded, 0.0), "f1a889c747ea2c0f38222bc47b260a03");
+    ((1.25, Farm.Cost_aware, 100.0), "8375917fa0195861aa6bb78784d5b8ce");
+    ((2.0, Farm.Cost_aware, 100.0), "aa2da933edde3c309207118d82f9e55b");
+    ((3.0, Farm.Cost_aware, 100.0), "757a8991e8418dd10d77d0b6e1cebdde");
+  ]
+
+let test_pinned_big_fleet () =
+  List.iter
+    (fun ((offered_load, dispatch, reconfig_cost), digest) ->
+      let r =
+        run_ok ~traced:true
+          { Farm.big_params with offered_load; dispatch; reconfig_cost }
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "big fleet, load %g, %s, reconfig cost %g" offered_load
+           (Farm.dispatch_name dispatch) reconfig_cost)
+        digest (output_digest r))
+    big_digests
 
 (* ---------- differential: spans vs front-end accounting ---------- *)
 
@@ -274,9 +380,17 @@ let () =
             test_exact_time_rule_catches_deferral;
           Alcotest.test_case "non-finite params rejected" `Quick
             test_non_finite_params_rejected;
+          Alcotest.test_case "runs that could pass 2^53 cycles refused" `Quick
+            test_virtual_time_bound;
         ] );
       ( "golden",
-        [ Alcotest.test_case "pinned farm_* stream" `Quick test_golden_stream ] );
+        [
+          Alcotest.test_case "pinned farm_* stream" `Quick test_golden_stream;
+          Alcotest.test_case "pinned outputs, small-fleet corpus" `Quick
+            test_pinned_corpus;
+          Alcotest.test_case "pinned outputs, big fleet" `Quick
+            test_pinned_big_fleet;
+        ] );
       ( "cost-aware",
         [
           Alcotest.test_case "improves overload tail, holds throughput" `Quick

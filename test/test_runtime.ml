@@ -645,6 +645,28 @@ let test_engine_rejects_non_finite_cost () =
       | exception Invalid_argument _ -> ())
     [ Float.nan; Float.infinity; Float.neg_infinity; -1.0 ]
 
+(* A non-finite arrival makes the kernel's remaining time NaN, so drain
+   would re-post its event at the same time forever, and a NaN would also
+   switch off every later ordering check.  The engine refuses it before
+   touching any state: the same thread id is then accepted at a finite
+   time and drains. *)
+let test_engine_rejects_non_finite_arrival () =
+  let e = fresh_engine () in
+  List.iteri
+    (fun i at ->
+      (match Os_sim.Engine.submit e ~at (kernel_thread ~iterations:10 i) with
+      | () -> Alcotest.failf "arrival at %g accepted" at
+      | exception Invalid_argument _ -> ());
+      Os_sim.Engine.submit e ~at:(float_of_int (1000 * i))
+        (kernel_thread ~iterations:10 i);
+      Os_sim.Engine.drain e;
+      Alcotest.(check int)
+        (Printf.sprintf "nothing in flight after refusing %g" at)
+        0 (Os_sim.Engine.in_flight e))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check int) "every finite submit finished" 3
+    (List.length (Os_sim.Engine.result e).Os_sim.finishes)
+
 let test_engine_drain_empty () =
   let e = fresh_engine () in
   (* draining an engine with nothing submitted is a no-op, not an error *)
@@ -742,6 +764,8 @@ let () =
             test_engine_rejects_out_of_order_submit;
           Alcotest.test_case "rejects non-finite reconfig cost" `Quick
             test_engine_rejects_non_finite_cost;
+          Alcotest.test_case "rejects non-finite arrival" `Quick
+            test_engine_rejects_non_finite_arrival;
           Alcotest.test_case "drain on empty engine" `Quick test_engine_drain_empty;
           Alcotest.test_case "run_until inclusive at event time" `Quick
             test_engine_run_until_inclusive;
