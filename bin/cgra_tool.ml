@@ -39,10 +39,15 @@ let domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
+let check_size size =
+  if size >= 1 && size <= Cgra.max_size then Ok ()
+  else Error (Printf.sprintf "CGRA size %d is outside 1..%d" size Cgra.max_size)
+
 let arch_of ~size ~page_pes =
-  match Cgra.standard ~size ~page_pes with
-  | Some a -> Ok a
-  | None ->
+  match (check_size size, Cgra.standard ~size ~page_pes) with
+  | (Error _ as e), _ -> e
+  | Ok (), Some a -> Ok a
+  | Ok (), None ->
       Error
         (Printf.sprintf
            "%dx%d with %d-PE pages is not a supported configuration (fewer than four \
@@ -537,6 +542,10 @@ let cmd_profile =
 
 let cmd_greedy =
   let run n m ii iterations =
+    if m < 1 || m > n then
+      or_die (Error (Printf.sprintf "greedy wants 1 <= m <= n, got n=%d m=%d" n m));
+    if ii < 1 then or_die (Error "--ii wants at least 1");
+    if iterations < 2 then or_die (Error "--iterations wants at least 2");
     let r = Greedy.run ~n ~m ~ii_p:ii ~iterations in
     Printf.printf
       "N=%d M=%d II_p=%d over %d kernel iterations:\n\
@@ -888,6 +897,7 @@ let cmd_farm =
       policy reconfig_cost stats trace_out format show_log domains =
     let policy, dispatch = policy in
     if shards = [] then or_die (Error "--shards wants at least one size");
+    List.iter (fun size -> or_die (check_size size)) shards;
     let p =
       {
         Cgra_farm.Farm.fleet =
@@ -1012,6 +1022,7 @@ let cmd_farm =
 
 let cmd_fig8 =
   let run size seed domains =
+    or_die (check_size size);
     Cgra_util.Pool.with_pool ?domains (fun pool ->
         List.iter
           (fun f ->
@@ -1025,6 +1036,7 @@ let cmd_fig8 =
 
 let cmd_fig9 =
   let run size seed replicates trace_out format domains =
+    or_die (check_size size);
     Cgra_util.Pool.with_pool ?domains (fun pool ->
         List.iter
           (fun f ->

@@ -14,9 +14,11 @@ let make ?rf_capacity ?(mem_ports_per_row = 2) pages =
     invalid_arg "Cgra.make: mem_ports_per_row must be positive";
   { grid = pages.Page.grid; pages; rf_capacity; mem_ports_per_row }
 
+let max_size = 16
+
 let standard ~size ~page_pes =
-  let grid = Grid.square size in
-  Option.map make (Page.for_size grid page_pes)
+  if size < 1 || size > max_size then None
+  else Option.map make (Page.for_size (Grid.square size) page_pes)
 
 let n_pages t = Page.n_pages t.pages
 

@@ -18,11 +18,16 @@ val make : ?rf_capacity:int -> ?mem_ports_per_row:int -> Page.t -> t
     and folded lifetimes can stretch up to one extra II per page crossing,
     so 3N provisions the worst case; [mem_ports_per_row = 2]. *)
 
+val max_size : int
+(** [16]: the largest [size] {!standard} accepts.  The paper's largest
+    fabric, and every experiment here, is 8x8; a 16x16 fabric already
+    has four times its PEs. *)
+
 val standard : size:int -> page_pes:int -> t option
 (** [standard ~size ~page_pes] is the configuration used in the paper's
     experiments: a [size x size] grid with [page_pes]-PE pages.  [None]
-    when the page size leaves fewer than two pages (e.g. 8-PE pages on a
-    4x4 CGRA). *)
+    when [size] is outside [1..max_size], or when the page size leaves
+    fewer than two pages (e.g. 8-PE pages on a 4x4 CGRA). *)
 
 val n_pages : t -> int
 

@@ -275,13 +275,13 @@ let ablation_policy ?(seed = 0) ?pool ~size ~page_pes () =
                policies))
 
 let ablation_mem_ports ?(seed = 0) ?pool ~size ~page_pes ~ports () =
-  match Cgra_arch.Page.for_size (Cgra_arch.Grid.square size) page_pes with
+  match Cgra_arch.Cgra.standard ~size ~page_pes with
   | None -> Error "unsupported configuration"
-  | Some pages ->
+  | Some standard ->
       let rows =
         pfilter_map pool
           (fun p ->
-            let arch = Cgra_arch.Cgra.make ~mem_ports_per_row:p pages in
+            let arch = Cgra_arch.Cgra.make ~mem_ports_per_row:p standard.pages in
             match Binary.compile_suite ~seed arch with
             | Error _ -> None
             | Ok suite ->

@@ -9,40 +9,89 @@
 
     The search is a best-first (fewest hops, then earliest arrival)
     expansion over PEs, assigning each hop the earliest free modulo slot
-    after its predecessor. *)
+    after its predecessor.  PEs are row-major indices ({!Cgra_arch.Grid.index})
+    throughout; only the returned chain is in coordinates. *)
+
+type fabric = private {
+  coords : Cgra_arch.Coord.t array;  (** PE index -> coordinate *)
+  row : int array;
+  col : int array;
+  serp : int array;  (** PE index -> serpentine position *)
+  page : int array;  (** PE index -> page, or [-1] when in no page *)
+  nbr_start : int array;
+  nbr : int array;
+      (** The expansion list of PE [i] is [nbr.(nbr_start.(i))] up to
+          [nbr.(nbr_start.(i + 1) - 1)]: its mesh neighbours in N/E/S/W
+          order, then [i] itself.  This order fixes the push order. *)
+  band : bool;  (** band-shaped pages: same-page reads are path-consecutive *)
+  cols : int;
+}
+(** Per-PE tables of one architecture, read-only once built. *)
+
+val fabric : Cgra_arch.Cgra.t -> fabric
+
+(** The reach relation a search runs under. *)
+type reach =
+  | Mesh
+      (** Unconstrained: any PE may relay, and a hop reads its own
+          register file or a mesh neighbour's. *)
+  | Pages of { first : int; last : int }
+      (** Paged, for an edge from page [first] to page [last]: relays stay
+          on those pages, and each step stays on its page or crosses one
+          boundary forward.  On band pages a step is path-consecutive
+          (adjacent serpentine positions).  A PE in no page reads
+          nothing. *)
+
+type strand = {
+  mem_use : int array;  (** row * ii + slot -> memory ops issued *)
+  row_occ : int array;  (** row * ii + slot -> PEs taken *)
+  budget : int array;  (** row -> memory ports *)
+}
+(** The row-bus state that prices a hop, see {!create}. *)
+
+type t
+(** Search scratch for one scheduling attempt: the best (hops, cost,
+    time) per PE and an array binary heap, reused by every {!find}.
+    Not safe to share between domains. *)
+
+val create :
+  fabric ->
+  ii:int ->
+  occupied:Bytes.t ->
+  overlay:int array ->
+  ?strand:strand ->
+  unit ->
+  t
+(** [create fabric ~ii ~occupied ~overlay ?strand ()] searches the
+    attempt's own tables, read live on every {!find}: slot
+    [(pe, time mod ii)] is taken when [occupied] holds a non-zero byte at
+    [pe * ii + time mod ii], or when [overlay] holds the [gen] passed to
+    {!find} there.  With [strand], each hop slot whose row still has
+    unspent memory ports but runs short of free PEs to issue them from
+    costs 1; the bandwidth-aware scheduler uses it to steer routing
+    chains off port-saturated (row, slot) pairs. *)
+
+val strand_price : t -> int -> int -> int
+(** [strand_price t pe time] is the price of taking slot [(pe, time)]: 1 when
+    its row still has unspent memory ports at that slot but no more free
+    PEs than ports left to issue them from, else 0.  Always 0 without
+    [strand]. *)
 
 val find :
-  grid:Cgra_arch.Grid.t ->
-  ii:int ->
-  free:(Cgra_arch.Coord.t -> int -> bool) ->
-  allowed:(Cgra_arch.Coord.t -> bool) ->
-  read_adjacent:(Cgra_arch.Coord.t -> Cgra_arch.Coord.t -> bool) ->
-  ?goal_adjacent:(Cgra_arch.Coord.t -> Cgra_arch.Coord.t -> bool) ->
-  ?neighbors:(Cgra_arch.Coord.t -> Cgra_arch.Coord.t list) ->
-  ?hop_cost:(Cgra_arch.Coord.t -> int -> int) ->
-  src:Mapping.placement ->
-  dst_pe:Cgra_arch.Coord.t ->
+  t ->
+  gen:int ->
+  reach ->
+  src:int ->
+  src_time:int ->
+  dst:int ->
   deadline:int ->
   max_hops:int ->
-  unit ->
   Mapping.placement list option
-(** [find ... ~src ~dst_pe ~deadline ()] returns a hop chain (possibly
-    empty when the consumer can read the producer directly) such that the
-    consumer can read the final value at time [deadline].
-
-    [free pe t] must say whether slot [(pe, t mod ii)] is unoccupied;
-    [allowed] restricts the hop region (a page under paging constraints);
-    [read_adjacent a b] is the reach relation between hops (who can read
-    whose RF); [goal_adjacent] (default [read_adjacent]) is the relation
-    for the final read by the consumer — it differs for cross-page edges,
-    where the last producer-side PE must sit on the page boundary.
-    [neighbors pe] must return the mesh neighbours of [pe] followed by
-    [pe] itself (the default computes exactly that); callers on a hot
-    path pass a precomputed table.  [hop_cost pe t] (default 0) is a
-    secondary routing price charged per hop slot: the search minimizes
-    (hops, total cost, arrival time) lexicographically, so with the
-    default the original fewest-hops/earliest-arrival behaviour is
-    preserved exactly — the bandwidth-aware scheduler uses it to steer
-    routing chains away from (row, slot) pairs whose memory-port budget
-    is nearly spent.  [None] when no chain of at most [max_hops] hops
-    exists. *)
+(** [find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops] returns a
+    hop chain (empty when [dst] can read [src] directly) whose value PE
+    [dst] can read at time [deadline], from a producer at PE [src] that
+    finishes at [src_time].  Times are non-negative.  The search
+    minimizes (hops, total strand cost, arrival time) lexicographically
+    and breaks the remaining ties by push order, so without [strand] it
+    is the fewest-hops, earliest-arrival search.  [None] when no chain of
+    at most [max_hops] hops exists. *)

@@ -35,24 +35,26 @@ let mii kind arch g =
 (* Everything here is a pure function of (kind, arch, graph): the same
    for all (ii, attempt) candidates of one [map] call, so it is computed
    once and shared — read-only — by every attempt, including attempts
-   racing on other domains. *)
+   racing on other domains.  All mutable scratch lives in [Attempt]. *)
 module Prep = struct
   type t = {
     kind : kind;
     arch : Cgra.t;
     graph : Graph.t;
-    ordering : Memdep.t list;
-        (* memory ordering constraints: timing-only edges *)
+    ord_in : Memdep.t list array;
+    ord_out : Memdep.t list array;
+        (* node -> memory ordering constraints (timing-only edges) into
+           and out of it *)
     order : int list;  (* node placement order (rank, height, asap, id) *)
-    all_pes : Coord.t array;  (* row-major *)
-    nbrs_self : Coord.t list array;
-        (* pe index -> mesh neighbours (N/E/S/W) followed by the PE
-           itself: the exact expansion list the router uses *)
-    page_idx : int array;  (* pe index -> page, or -1 when unpaged *)
+    fabric : Router.fabric;  (* per-PE tables, PEs by row-major index *)
+    candidates : int array array;
+        (* [max_page_used + 1] -> the row-major PEs a node may take:
+           pages [0, max_page_used + 1] when paged (a contiguous prefix
+           plus one fresh page).  Unconstrained has the one entry, every
+           PE. *)
     boundary : bool array;
         (* pe index -> boundary-adjacent to the next page (ops with
            unplaced consumers prefer these under the spread personality) *)
-    is_band : bool;  (* band-shaped pages: serpentine adjacency applies *)
     mem_ports : int;
     port_budget : int array;
         (* row -> memory-port budget: the per-(row, slot) allowance the
@@ -65,21 +67,27 @@ module Prep = struct
     let grid = arch.Cgra.grid in
     let pages = arch.Cgra.pages in
     let n = Grid.pe_count grid in
-    let all_pes = Array.of_list (Grid.all_pes grid) in
-    let nbrs_self =
-      Array.map (fun pe -> Grid.neighbors grid pe @ [ pe ]) all_pes
-    in
-    let page_idx =
-      Array.map
-        (fun pe -> Option.value ~default:(-1) (Page.page_of_pe pages pe))
-        all_pes
-    in
+    let fabric = Router.fabric arch in
     let boundary = Array.make n false in
     for p = 0 to Page.n_pages pages - 2 do
       List.iter
         (fun (a, _) -> boundary.(Grid.index grid a) <- true)
         (Page.boundary_pairs pages p)
     done;
+    let candidates =
+      let pes keep = Array.of_list (List.filter keep (List.init n Fun.id)) in
+      match kind with
+      | Unconstrained -> [| pes (fun _ -> true) |]
+      | Paged ->
+          Array.init
+            (Page.n_pages pages + 1)
+            (fun k -> pes (fun i -> fabric.page.(i) >= 0 && fabric.page.(i) <= k))
+    in
+    let ordering = Memdep.ordering graph in
+    let ord_by key =
+      Array.init (Graph.n_nodes graph) (fun v ->
+          List.filter (fun (o : Memdep.t) -> key o = v) ordering)
+    in
     let order =
       let rank = Analysis.scc_topo_rank graph in
       let h = Analysis.height graph in
@@ -100,13 +108,12 @@ module Prep = struct
       kind;
       arch;
       graph;
-      ordering = Memdep.ordering graph;
+      ord_in = ord_by (fun o -> o.dst);
+      ord_out = ord_by (fun o -> o.src);
       order;
-      all_pes;
-      nbrs_self;
-      page_idx;
+      fabric;
+      candidates;
       boundary;
-      is_band = not (Page.is_rect pages);
       mem_ports = arch.Cgra.mem_ports_per_row;
       port_budget = Array.make grid.Grid.rows arch.Cgra.mem_ports_per_row;
     }
@@ -144,6 +151,11 @@ module Attempt = struct
            much of the row is left to host its remaining port budget *)
     overlay : int array;  (* generation stamps, pe_index * ii + slot *)
     mutable overlay_gen : int;
+    router : Router.t;
+        (* search scratch over [occupied] and [overlay].  Bus-aware
+           routing prices hops from [mem_use] and [row_occ]: among
+           equally short chains it prefers hops that do not strand port
+           budget, while legacy attempts keep the (hops, time) search. *)
     mutable routes : Mapping.route list;
     mutable max_page_used : int;  (* -1 when none *)
     mutable spills_left : int;
@@ -151,7 +163,17 @@ module Attempt = struct
 
   let create ?(spread = false) ?(bus = false) ?(cancel = fun () -> false)
       ~debug prep ii rng =
-    let n_pes = Array.length prep.Prep.all_pes in
+    let fabric = prep.Prep.fabric in
+    let n_pes = Array.length fabric.Router.coords in
+    let rows = prep.Prep.arch.Cgra.grid.Grid.rows in
+    let occupied = Bytes.make (n_pes * ii) '\000' in
+    let mem_use = Array.make (rows * ii) 0 in
+    let row_occ = Array.make (rows * ii) 0 in
+    let overlay = Array.make (n_pes * ii) 0 in
+    let strand =
+      if bus then Some { Router.mem_use; row_occ; budget = prep.Prep.port_budget }
+      else None
+    in
     {
       prep;
       ii;
@@ -161,201 +183,145 @@ module Attempt = struct
       cancel;
       debug;
       placements = Array.make (Graph.n_nodes prep.Prep.graph) None;
-      occupied = Bytes.make (n_pes * ii) '\000';
-      mem_use = Array.make (prep.Prep.arch.Cgra.grid.Grid.rows * ii) 0;
-      row_occ = Array.make (prep.Prep.arch.Cgra.grid.Grid.rows * ii) 0;
-      overlay = Array.make (n_pes * ii) 0;
+      occupied;
+      mem_use;
+      row_occ;
+      overlay;
       overlay_gen = 0;
+      router = Router.create fabric ~ii ~occupied ~overlay ?strand ();
       routes = [];
       max_page_used = -1;
       spills_left = (if bus then 8 else 0);
     }
 
-  let grid t = t.prep.Prep.arch.Cgra.grid
-
   let graph t = t.prep.Prep.graph
 
   let kind t = t.prep.Prep.kind
 
+  let fabric t = t.prep.Prep.fabric
+
   let slot t time = time mod t.ii
+
+  (* Row-major index of a placed PE: the attempt works on indices and
+     meets coordinates only in placements and route hops. *)
+  let index t (pe : Coord.t) = (pe.row * (fabric t).Router.cols) + pe.col
 
   (* Packed single-int keys: with [slot < ii] the pair (pe index, slot)
      packs bijectively into [pe_index * ii + slot], and (row, slot) into
      [row * ii + slot] — a dense array index, no hashing in the
      placement inner loop. *)
-  let occ_key t pe time = (Grid.index (grid t) pe * t.ii) + slot t time
+  let occ_key t pe time = (pe * t.ii) + slot t time
 
-  let mem_key t pe time = (pe.Coord.row * t.ii) + slot t time
-
-  let base_free t pe time = Bytes.get t.occupied (occ_key t pe time) = '\000'
+  let mem_key t row time = (row * t.ii) + slot t time
 
   let is_const t v =
     match (Graph.node (graph t) v).op with Op.Const _ -> true | _ -> false
 
-  let page_of_idx t pe = t.prep.Prep.page_idx.(Grid.index (grid t) pe)
-
-  (* ----- bandwidth pricing ------------------------------------------- *)
-
-  (* Occupying (pe, time) "strands" row-bus budget when the row still has
-     unspent memory ports at that slot but is running out of free PEs to
-     issue them from: each such placement makes the residual bandwidth
-     harder to spend later.  Only the bandwidth-aware personality pays
-     this price. *)
-  let port_strand t pe time =
-    let k = mem_key t pe time in
-    let slack = t.prep.Prep.port_budget.(pe.Coord.row) - t.mem_use.(k) in
-    if slack > 0 && (grid t).Grid.cols - t.row_occ.(k) <= slack then 1 else 0
-
-  (* Reach relation for reads: same PE or mesh neighbour; for band pages
-     under paging constraints, same-page reads must additionally be
-     path-consecutive so that page reversal stays legal. *)
-  let read_adjacent t ~same_page a b =
-    Coord.equal a b
-    || Coord.adjacent a b
-       &&
-       if same_page && kind t = Paged && t.prep.Prep.is_band then
-         abs (Grid.serp_index (grid t) a - Grid.serp_index (grid t) b) = 1
-       else true
-
-  (* Adjacency for the boundary crossing of a cross-page read. *)
-  let cross_adjacent t a b =
-    Coord.adjacent a b
-    && ((not t.prep.Prep.is_band)
-       || abs (Grid.serp_index (grid t) a - Grid.serp_index (grid t) b) = 1)
-
-  (* Feasibility of one edge given both endpoints, with an overlay of
-     tentatively routed hops.  [producer]/[consumer] are the edge's
-     endpoint placements; returns the hops needed (possibly []). *)
-  let edge_feasible t (e : Graph.edge) ~(producer : Mapping.placement)
-      ~(consumer : Mapping.placement) =
-    let read_time = consumer.time + (e.distance * t.ii) in
+  (* The hops of one edge from PE [src] (value ready at [src_time]) to PE
+     [dst] (issuing at [dst_time]), around the committed schedule and the
+     candidate's tentatively routed hops; [Some []] when [dst] reads
+     [src] directly. *)
+  let edge_route t (e : Graph.edge) ~src ~src_time ~dst ~dst_time =
+    let deadline = dst_time + (e.distance * t.ii) in
     let gen = t.overlay_gen in
-    let free pe time =
-      let k = occ_key t pe time in
-      Bytes.get t.occupied k = '\000' && t.overlay.(k) <> gen
-    in
-    let neighbors pe = t.prep.Prep.nbrs_self.(Grid.index (grid t) pe) in
-    (* Bus-aware routing: among equally short chains, prefer hops that do
-       not strand port budget.  Legacy attempts pass no cost and keep the
-       original (hops, time) search exactly. *)
-    let hop_cost = if t.bus then Some (port_strand t) else None in
     match kind t with
     | Unconstrained ->
-        Router.find ~grid:(grid t) ~ii:t.ii ~free ~allowed:(fun _ -> true)
-          ~read_adjacent:(read_adjacent t ~same_page:false)
-          ~neighbors ?hop_cost ~src:producer ~dst_pe:consumer.pe
-          ~deadline:read_time ~max_hops:8 ()
-    | Paged -> (
-        match (page_of_idx t producer.pe, page_of_idx t consumer.pe) with
-        | pu, pv when pu >= 0 && pv >= pu ->
-            (* Values may relay forward through intermediate pages; each
-               step stays in its page or crosses one boundary. *)
-            let allowed pe =
-              let p = page_of_idx t pe in
-              p >= pu && p <= pv
-            in
-            let step a b =
-              let pa = page_of_idx t a and pb = page_of_idx t b in
-              if pa < 0 || pb < 0 then false
-              else if pb = pa then read_adjacent t ~same_page:true a b
-              else if pb = pa + 1 then cross_adjacent t a b
-              else false
-            in
-            Router.find ~grid:(grid t) ~ii:t.ii ~free ~allowed ~read_adjacent:step
-              ~neighbors ?hop_cost ~src:producer ~dst_pe:consumer.pe
-              ~deadline:read_time
-              ~max_hops:(2 * (pv - pu + 4))
-              ()
-        | _, _ -> None)
+        Router.find t.router ~gen Mesh ~src ~src_time ~dst ~deadline ~max_hops:8
+    | Paged ->
+        (* Values may relay forward through intermediate pages; each
+           step stays in its page or crosses one boundary. *)
+        let page = (fabric t).Router.page in
+        let pu = page.(src) and pv = page.(dst) in
+        if pu >= 0 && pv >= pu then
+          Router.find t.router ~gen
+            (Pages { first = pu; last = pv })
+            ~src ~src_time ~dst ~deadline
+            ~max_hops:(2 * (pv - pu + 4))
+        else None
 
-  (* All edges of candidate [v] at [cand] whose other endpoint is already
-     placed — [preds]/[succs] are precomputed once per node in
-     [place_node].  Returns the routes to commit, or None if infeasible. *)
-  let edges_feasible t ~preds ~succs (cand : Mapping.placement) =
+  let add_overlay t hops =
+    List.iter
+      (fun (h : Mapping.placement) ->
+        t.overlay.(occ_key t (index t h.pe) h.time) <- t.overlay_gen)
+      hops
+
+  (* All edges of candidate [v] at ([pe], [time]) whose other endpoint is
+     already placed — [preds]/[succs] hold (edge, PE index, time) of that
+     endpoint and are precomputed once per node in [place_node].  Returns
+     the routes to commit, or None if infeasible. *)
+  let rec succ_routes t pe time acc = function
+    | [] -> Some acc
+    | (e, pw, tw) :: rest -> (
+        match edge_route t e ~src:pe ~src_time:time ~dst:pw ~dst_time:tw with
+        | None -> None
+        | Some [] -> succ_routes t pe time acc rest
+        | Some hops ->
+            add_overlay t hops;
+            succ_routes t pe time ({ Mapping.edge = e; hops } :: acc) rest)
+
+  let rec pred_routes t pe time ~succs acc = function
+    | [] -> succ_routes t pe time acc succs
+    | (e, pu, tu) :: rest -> (
+        match edge_route t e ~src:pu ~src_time:tu ~dst:pe ~dst_time:time with
+        | None -> None
+        | Some [] -> pred_routes t pe time ~succs acc rest
+        | Some hops ->
+            add_overlay t hops;
+            pred_routes t pe time ~succs ({ Mapping.edge = e; hops } :: acc) rest)
+
+  let edges_feasible t ~preds ~succs pe time =
     t.overlay_gen <- t.overlay_gen + 1;
-    let gen = t.overlay_gen in
-    let add_overlay hops =
-      List.iter
-        (fun (h : Mapping.placement) -> t.overlay.(occ_key t h.pe h.time) <- gen)
-        hops
-    in
-    let rec go_succs acc = function
-      | [] -> Some acc
-      | (e, pw) :: rest -> (
-          match edge_feasible t e ~producer:cand ~consumer:pw with
-          | None -> None
-          | Some [] -> go_succs acc rest
-          | Some hops ->
-              add_overlay hops;
-              go_succs ({ Mapping.edge = e; hops } :: acc) rest)
-    in
-    let rec go_preds acc = function
-      | [] -> go_succs acc succs
-      | (e, pu) :: rest -> (
-          match edge_feasible t e ~producer:pu ~consumer:cand with
-          | None -> None
-          | Some [] -> go_preds acc rest
-          | Some hops ->
-              add_overlay hops;
-              go_preds ({ Mapping.edge = e; hops } :: acc) rest)
-    in
-    go_preds [] preds
+    pred_routes t pe time ~succs [] preds
+
+  let base_free t pe time = Bytes.get t.occupied (occ_key t pe time) = '\000'
 
   let mem_ok t ~v_is_mem pe time =
-    (not v_is_mem) || t.mem_use.(mem_key t pe time) < t.prep.Prep.mem_ports
+    (not v_is_mem)
+    || t.mem_use.(mem_key t (fabric t).Router.row.(pe) time) < t.prep.Prep.mem_ports
 
+  (* Only pages forming a contiguous prefix may be used; allow one fresh
+     page beyond the current maximum.  A fresh copy: [place_node]
+     shuffles it. *)
   let candidate_pes t =
-    let all = t.prep.Prep.all_pes in
-    match kind t with
-    | Unconstrained -> Array.copy all
-    | Paged ->
-        (* Only pages forming a contiguous prefix may be used; allow one
-           fresh page beyond the current maximum. *)
-        let page_idx = t.prep.Prep.page_idx in
-        let keep i = page_idx.(i) >= 0 && page_idx.(i) <= t.max_page_used + 1 in
-        let count = ref 0 in
-        Array.iteri (fun i _ -> if keep i then incr count) all;
-        let out = Array.make !count all.(0) in
-        let j = ref 0 in
-        Array.iteri
-          (fun i pe ->
-            if keep i then begin
-              out.(!j) <- pe;
-              incr j
-            end)
-          all;
-        out
+    let c = t.prep.Prep.candidates in
+    Array.copy c.(min (t.max_page_used + 1) (Array.length c - 1))
 
   let has_unplaced_consumer t v =
     List.exists
       (fun (e : Graph.edge) -> t.placements.(e.dst) = None)
       (Graph.succs (graph t) v)
 
+  (* ----- bandwidth pricing ------------------------------------------- *)
+
   (* Bus-pressure price of a feasible candidate, the bandwidth-aware
      term of the cost tuple (0 for legacy attempts).  A memory op pays
      for the load already on its (row, slot) — steering memory traffic
      toward slack rows — plus a saturation surcharge when it would spend
      the row's last port; any placement (op or routing hop) additionally
-     pays the stranding price of eating a would-be port issuer's PE. *)
-  let bus_cost t ~v_is_mem (cand : Mapping.placement) routes =
+     pays the stranding price of eating a would-be port issuer's PE.
+     Occupying (pe, time) "strands" row-bus budget when the row still has
+     unspent memory ports at that slot but is running out of free PEs to
+     issue them from: each such placement makes the residual bandwidth
+     harder to spend later ([Router.strand_price]). *)
+  let bus_cost t ~v_is_mem pe time routes =
     if not t.bus then 0
     else begin
       let own =
         if v_is_mem then begin
-          let k = mem_key t cand.pe cand.time in
-          let used = t.mem_use.(k) in
+          let row = (fabric t).Router.row.(pe) in
+          let used = t.mem_use.(mem_key t row time) in
           let saturating =
-            if used + 1 >= t.prep.Prep.port_budget.(cand.pe.Coord.row) then 1
-            else 0
+            if used + 1 >= t.prep.Prep.port_budget.(row) then 1 else 0
           in
           (4 * used) + (2 * saturating)
         end
-        else port_strand t cand.pe cand.time
+        else Router.strand_price t.router pe time
       in
       List.fold_left
         (fun acc (r : Mapping.route) ->
           List.fold_left
-            (fun acc (h : Mapping.placement) -> acc + port_strand t h.pe h.time)
+            (fun acc (h : Mapping.placement) ->
+              acc + Router.strand_price t.router (index t h.pe) h.time)
             acc r.hops)
         own routes
     end
@@ -366,46 +332,65 @@ module Attempt = struct
      consumers are still unplaced (lower II pressure).  The fourth
      component is the bus-pressure term — tie-break-level for legacy
      attempts (always 0 there), an active allocation signal for
-     bandwidth-aware ones. *)
-  let cost t v ~v_is_mem (cand : Mapping.placement) routes =
+     bandwidth-aware ones.  [unplaced_consumer] is
+     [has_unplaced_consumer t v], fixed while [v]'s candidates are
+     probed. *)
+  let cost t ~unplaced_consumer ~v_is_mem pe time routes =
     let hops =
       List.fold_left (fun acc (r : Mapping.route) -> acc + List.length r.hops) 0 routes
     in
-    let bus = bus_cost t ~v_is_mem cand routes in
+    let bus = bus_cost t ~v_is_mem pe time routes in
     match kind t with
     | Unconstrained -> (0, 0, hops, bus, Cgra_util.Rng.int t.rng 1024)
     | Paged when t.spread ->
         let interior_penalty =
-          if
-            has_unplaced_consumer t v
-            && not t.prep.Prep.boundary.(Grid.index (grid t) cand.pe)
-          then 1
-          else 0
+          if unplaced_consumer && not t.prep.Prep.boundary.(pe) then 1 else 0
         in
         (0, hops, interior_penalty, bus, Cgra_util.Rng.int t.rng 1024)
     | Paged ->
-        let pg = max 0 (page_of_idx t cand.pe) in
+        let pg = max 0 (fabric t).Router.page.(pe) in
         let fresh = if pg > t.max_page_used then 1 else 0 in
         (fresh, pg, hops, bus, Cgra_util.Rng.int t.rng 1024)
 
+  (* Lexicographic order on cost tuples, compared as ints. *)
+  let cost_lt ((a1, a2, a3, a4, a5) : int * int * int * int * int)
+      (b1, b2, b3, b4, b5) =
+    a1 < b1
+    || a1 = b1
+       && (a2 < b2
+          || a2 = b2
+             && (a3 < b3 || (a3 = b3 && (a4 < b4 || (a4 = b4 && a5 < b5)))))
+
+  let add_hops t delta hops =
+    List.iter
+      (fun (h : Mapping.placement) ->
+        Bytes.set t.occupied
+          (occ_key t (index t h.pe) h.time)
+          (if delta > 0 then '\001' else '\000');
+        let k = mem_key t h.pe.Coord.row h.time in
+        t.row_occ.(k) <- t.row_occ.(k) + delta)
+      hops
+
+  (* Take ([delta] = 1) or free ([delta] = -1) node [v]'s slot and bus
+     port at [p]. *)
+  let occupy t v delta (p : Mapping.placement) =
+    Bytes.set t.occupied
+      (occ_key t (index t p.pe) p.time)
+      (if delta > 0 then '\001' else '\000');
+    let rk = mem_key t p.pe.Coord.row p.time in
+    t.row_occ.(rk) <- t.row_occ.(rk) + delta;
+    if Op.is_mem (Graph.node (graph t) v).op then
+      t.mem_use.(rk) <- t.mem_use.(rk) + delta
+
   let commit t v (cand : Mapping.placement) routes =
     t.placements.(v) <- Some cand;
-    Bytes.set t.occupied (occ_key t cand.pe cand.time) '\001';
-    let rk = mem_key t cand.pe cand.time in
-    t.row_occ.(rk) <- t.row_occ.(rk) + 1;
-    if Op.is_mem (Graph.node (graph t) v).op then
-      t.mem_use.(rk) <- t.mem_use.(rk) + 1;
+    occupy t v 1 cand;
     List.iter
       (fun (r : Mapping.route) ->
-        List.iter
-          (fun (h : Mapping.placement) ->
-            Bytes.set t.occupied (occ_key t h.pe h.time) '\001';
-            let k = mem_key t h.pe h.time in
-            t.row_occ.(k) <- t.row_occ.(k) + 1)
-          r.hops;
+        add_hops t 1 r.hops;
         t.routes <- r :: t.routes)
       routes;
-    let pg = page_of_idx t cand.pe in
+    let pg = (fabric t).Router.page.(index t cand.pe) in
     if pg >= 0 then t.max_page_used <- max t.max_page_used pg
 
   (* Roll node [u] back out of the schedule: its slot, bus ports, row
@@ -417,89 +402,61 @@ module Attempt = struct
     | None -> None
     | Some (p : Mapping.placement) ->
         t.placements.(u) <- None;
-        Bytes.set t.occupied (occ_key t p.pe p.time) '\000';
-        let rk = mem_key t p.pe p.time in
-        t.row_occ.(rk) <- t.row_occ.(rk) - 1;
-        if Op.is_mem (Graph.node (graph t) u).op then
-          t.mem_use.(rk) <- t.mem_use.(rk) - 1;
+        occupy t u (-1) p;
         let mine, keep =
           List.partition
             (fun (r : Mapping.route) ->
               r.edge.Graph.src = u || r.edge.Graph.dst = u)
             t.routes
         in
-        List.iter
-          (fun (r : Mapping.route) ->
-            List.iter
-              (fun (h : Mapping.placement) ->
-                Bytes.set t.occupied (occ_key t h.pe h.time) '\000';
-                let k = mem_key t h.pe h.time in
-                t.row_occ.(k) <- t.row_occ.(k) - 1)
-              r.hops)
-          mine;
+        List.iter (fun (r : Mapping.route) -> add_hops t (-1) r.hops) mine;
         t.routes <- keep;
         Some (p, mine)
 
   let recommit t u (p : Mapping.placement) removed_routes =
     t.placements.(u) <- Some p;
-    Bytes.set t.occupied (occ_key t p.pe p.time) '\001';
-    let rk = mem_key t p.pe p.time in
-    t.row_occ.(rk) <- t.row_occ.(rk) + 1;
-    if Op.is_mem (Graph.node (graph t) u).op then
-      t.mem_use.(rk) <- t.mem_use.(rk) + 1;
+    occupy t u 1 p;
     List.iter
       (fun (r : Mapping.route) ->
-        List.iter
-          (fun (h : Mapping.placement) ->
-            Bytes.set t.occupied (occ_key t h.pe h.time) '\001';
-            let k = mem_key t h.pe h.time in
-            t.row_occ.(k) <- t.row_occ.(k) + 1)
-          r.hops;
+        add_hops t 1 r.hops;
         t.routes <- r :: t.routes)
       removed_routes
 
   (* Modulo scheduling window of node [v] from its placed neighbours —
      data edges and memory ordering constraints alike. *)
   let window t v =
+    let from_pred acc src distance =
+      match t.placements.(src) with
+      | Some (pu : Mapping.placement) -> max acc (pu.time + 1 - (distance * t.ii))
+      | None -> acc
+    in
+    let to_succ acc dst distance =
+      match t.placements.(dst) with
+      | Some (pw : Mapping.placement) -> min acc (pw.time - 1 + (distance * t.ii))
+      | None -> acc
+    in
     let lo =
       List.fold_left
         (fun acc (e : Graph.edge) ->
-          if is_const t e.src then acc
-          else
-            match t.placements.(e.src) with
-            | Some pu -> max acc (pu.time + 1 - (e.distance * t.ii))
-            | None -> acc)
+          if is_const t e.src then acc else from_pred acc e.src e.distance)
         0
         (Graph.preds (graph t) v)
     in
     let lo =
       List.fold_left
-        (fun acc (o : Memdep.t) ->
-          if o.dst <> v then acc
-          else
-            match t.placements.(o.src) with
-            | Some pu -> max acc (pu.time + 1 - (o.distance * t.ii))
-            | None -> acc)
-        lo t.prep.Prep.ordering
+        (fun acc (o : Memdep.t) -> from_pred acc o.src o.distance)
+        lo t.prep.Prep.ord_in.(v)
     in
     let hi =
       List.fold_left
-        (fun acc (e : Graph.edge) ->
-          match t.placements.(e.dst) with
-          | Some pw -> min acc (pw.time - 1 + (e.distance * t.ii))
-          | None -> acc)
+        (fun acc (e : Graph.edge) -> to_succ acc e.dst e.distance)
         max_int
         (Graph.succs (graph t) v)
     in
     let hi =
       List.fold_left
-        (fun acc (o : Memdep.t) ->
-          if o.src <> v then acc
-          else
-            match t.placements.(o.dst) with
-            | Some pw -> min acc (pw.time - 1 + (o.distance * t.ii))
-            | None -> acc)
-        hi t.prep.Prep.ordering
+        (fun acc (o : Memdep.t) -> to_succ acc o.dst o.distance)
+        hi t.prep.Prep.ord_out.(v)
     in
     (* Resource slots repeat modulo II, so [ii] distinct times cover every
        slot — but routing deadlines are not modular: a later time buys a
@@ -520,7 +477,7 @@ module Attempt = struct
             if is_const t e.src then None
             else
               match t.placements.(e.src) with
-              | Some pu -> Some (e, pu)
+              | Some pu -> Some (e, index t pu.pe, pu.time)
               | None -> None)
           (Graph.preds (graph t) v)
       in
@@ -528,29 +485,30 @@ module Attempt = struct
         List.filter_map
           (fun (e : Graph.edge) ->
             match t.placements.(e.dst) with
-            | Some pw -> Some (e, pw)
+            | Some pw -> Some (e, index t pw.pe, pw.time)
             | None -> None)
           (Graph.succs (graph t) v)
       in
       let v_is_mem = Op.is_mem (Graph.node (graph t) v).op in
+      let unplaced_consumer = has_unplaced_consumer t v in
       let rec try_time time =
         if time > hi then false
         else begin
           let best = ref None in
-          Array.iter
-            (fun pe ->
-              let cand = { Mapping.pe; time } in
-              if base_free t pe time && mem_ok t ~v_is_mem pe time then
-                match edges_feasible t ~preds ~succs cand with
-                | None -> ()
-                | Some routes ->
-                    let c = cost t v ~v_is_mem cand routes in
-                    (match !best with
-                    | Some (c0, _, _) when c0 <= c -> ()
-                    | Some _ | None -> best := Some (c, cand, routes)))
-            pes;
+          for i = 0 to Array.length pes - 1 do
+            let pe = pes.(i) in
+            if base_free t pe time && mem_ok t ~v_is_mem pe time then
+              match edges_feasible t ~preds ~succs pe time with
+              | None -> ()
+              | Some routes -> (
+                  let c = cost t ~unplaced_consumer ~v_is_mem pe time routes in
+                  match !best with
+                  | Some (c0, _, _) when not (cost_lt c c0) -> ()
+                  | Some _ | None -> best := Some (c, pe, routes))
+          done;
           match !best with
-          | Some ((c1, c2, c3, c4, c5), cand, routes) ->
+          | Some ((c1, c2, c3, c4, c5), pe, routes) ->
+              let cand = { Mapping.pe = (fabric t).Router.coords.(pe); time } in
               commit t v cand routes;
               t.debug (fun () ->
                   Printf.sprintf
@@ -587,33 +545,34 @@ module Attempt = struct
                else None)
              (Graph.preds (graph t) v @ Graph.succs (graph t) v))
       in
-      let mem_victims =
-        List.sort
-          (fun (u1, load1) (u2, load2) ->
-            let c = Int.compare load2 load1 in
-            if c <> 0 then c else Int.compare u1 u2)
-          (List.concat_map
-             (fun (n : Graph.node) ->
-               if n.id = v || not (Op.is_mem n.op) || List.mem n.id neighbours
-               then []
-               else
-                 match t.placements.(n.id) with
-                 | None -> []
-                 | Some p -> [ (n.id, t.mem_use.(mem_key t p.pe p.time)) ])
-             (Graph.nodes (graph t)))
+      (* Built only when the second tier runs; a failed spill restores
+         every placement and port count, so the loads read here are the
+         ones at entry. *)
+      let mem_victims () =
+        List.map fst
+          (List.sort
+             (fun (u1, load1) (u2, load2) ->
+               let c = Int.compare load2 load1 in
+               if c <> 0 then c else Int.compare u1 u2)
+             (List.concat_map
+                (fun (n : Graph.node) ->
+                  if n.id = v || not (Op.is_mem n.op) || List.mem n.id neighbours
+                  then []
+                  else
+                    match t.placements.(n.id) with
+                    | None -> []
+                    | Some p ->
+                        [ (n.id, t.mem_use.(mem_key t p.pe.Coord.row p.time)) ])
+                (Graph.nodes (graph t))))
       in
       (* A closed modulo window (hi < lo) is pinned entirely by the
          placed neighbours: evicting a non-adjacent memory op cannot
          reopen it, so skip the second tier and save the doomed
          placement scans. *)
       let lo, hi = window t v in
-      let victims =
-        List.map (fun u -> (u, 0)) neighbours
-        @ (if hi < lo then [] else mem_victims)
-      in
       let rec go = function
         | [] -> false
-        | (u, _) :: rest ->
+        | u :: rest ->
             if t.spills_left <= 0 then false
             else begin
               t.spills_left <- t.spills_left - 1;
@@ -641,7 +600,7 @@ module Attempt = struct
                   end
             end
       in
-      go victims
+      go neighbours || (hi >= lo && t.spills_left > 0 && go (mem_victims ()))
     end
 
   let run t =

@@ -16,7 +16,14 @@
     cheapest feasible (PE, time) of its modulo window, with bounded-hop
     routing.  Failed attempts restart with a perturbed placement order;
     exhausted attempts escalate the II.  Every returned mapping has been
-    re-checked by [Mapping.validate]. *)
+    re-checked by [Mapping.validate].
+
+    One [map] call computes its per-PE tables ({!Router.fabric}), the
+    candidate PEs for each page prefix and the per-node ordering
+    constraints once, and every attempt reads them without writing, so
+    raced attempts share them across domains.  Each attempt owns its
+    modulo reservation tables and one {!Router.t}, which every routing
+    search of the attempt reuses. *)
 
 type kind = Unconstrained | Paged
 

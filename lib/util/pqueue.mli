@@ -1,9 +1,8 @@
 (** Purely functional min-priority queue (pairing heap).
 
-    Used by the discrete-event system simulator ([Cgra_core.Os_sim]) and by
-    the router's best-first searches.  Priorities are compared with a
-    user-supplied total order; ties are broken by insertion sequence so
-    event processing is deterministic. *)
+    Used by the discrete-event system simulator ([Cgra_core.Os_sim]).
+    Priorities are compared with a user-supplied total order; ties are
+    broken by insertion sequence so event processing is deterministic. *)
 
 type ('p, 'a) t
 (** Queue with priorities ['p] and payloads ['a]. *)

@@ -268,6 +268,22 @@ let test_cgra_standard () =
   | None -> Alcotest.fail "4x4 p4");
   Alcotest.(check bool) "4x4 p8 omitted" true (Cgra.standard ~size:4 ~page_pes:8 = None)
 
+let test_cgra_standard_size_range () =
+  (* sizes outside 1..max_size are refused, never raised on or compiled *)
+  List.iter
+    (fun size ->
+      Alcotest.(check bool)
+        (Printf.sprintf "size %d refused" size)
+        true
+        (Cgra.standard ~size ~page_pes:4 = None))
+    [ 0; -1; Cgra.max_size + 1 ];
+  Alcotest.(check bool) "largest size accepted" true
+    (Cgra.standard ~size:Cgra.max_size ~page_pes:4 <> None);
+  Alcotest.(check bool) "every experiment's fabric fits" true
+    (List.for_all
+       (fun size -> size <= Cgra.max_size)
+       Cgra_core.Experiments.cgra_sizes)
+
 let test_cgra_invalid () =
   let pages = Page.rect (Grid.square 4) ~tile_rows:2 ~tile_cols:2 in
   Alcotest.check_raises "bad rf" (Invalid_argument "Cgra.make: rf_capacity must be positive")
@@ -333,6 +349,8 @@ let () =
       ( "cgra",
         [
           Alcotest.test_case "standard" `Quick test_cgra_standard;
+          Alcotest.test_case "standard size range" `Quick
+            test_cgra_standard_size_range;
           Alcotest.test_case "invalid" `Quick test_cgra_invalid;
         ] );
     ]

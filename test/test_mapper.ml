@@ -335,15 +335,27 @@ let test_route_through_pe () =
   (* dropping the route must fail *)
   expect_invalid_with "cannot read" { m with routes = [] }
 
+(* The eight (size, page PEs) fabrics of Fig. 8. *)
+let grid_fabrics = [ (4, 2); (4, 4); (6, 2); (6, 4); (6, 8); (8, 2); (8, 4); (8, 8) ]
+
+(* A router over [arch] at [ii] whose taken slots are [busy pe slot]. *)
+let router_on ?(busy = fun _ _ -> false) arch ~ii =
+  let fabric = Router.fabric arch in
+  let n = Array.length fabric.coords in
+  let occupied =
+    Bytes.init (n * ii) (fun k ->
+        if busy fabric.coords.(k / ii) (k mod ii) then '\001' else '\000')
+  in
+  Router.create fabric ~ii ~occupied ~overlay:(Array.make (n * ii) 0) ()
+
+let pe_at arch ~row ~col = Grid.index arch.Cgra.grid (Coord.make ~row ~col)
+
 let test_router_finds_path () =
   let arch = arch_4x4_p4 () in
-  let grid = arch.Cgra.grid in
-  let free _ _ = true in
   let read_adjacent a b = Coord.equal a b || Coord.adjacent a b in
   match
-    Router.find ~grid ~ii:4 ~free ~allowed:(fun _ -> true) ~read_adjacent
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:3 ~col:3) ~deadline:8 ~max_hops:8 ()
+    Router.find (router_on arch ~ii:4) ~gen:1 Mesh ~src:(pe_at arch ~row:0 ~col:0)
+      ~src_time:0 ~dst:(pe_at arch ~row:3 ~col:3) ~deadline:8 ~max_hops:8
   with
   | Some hops ->
       Alcotest.(check bool) "needs >= 4 hops" true (List.length hops >= 4);
@@ -362,12 +374,8 @@ let test_router_finds_path () =
 let test_router_direct_case () =
   let arch = arch_4x4_p4 () in
   match
-    Router.find ~grid:arch.Cgra.grid ~ii:2
-      ~free:(fun _ _ -> true)
-      ~allowed:(fun _ -> true)
-      ~read_adjacent:(fun a b -> Coord.equal a b || Coord.adjacent a b)
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:0 ~col:1) ~deadline:5 ~max_hops:4 ()
+    Router.find (router_on arch ~ii:2) ~gen:1 Mesh ~src:(pe_at arch ~row:0 ~col:0)
+      ~src_time:0 ~dst:(pe_at arch ~row:0 ~col:1) ~deadline:5 ~max_hops:4
   with
   | Some [] -> ()
   | Some _ -> Alcotest.fail "expected no hops"
@@ -376,12 +384,8 @@ let test_router_direct_case () =
 let test_router_respects_deadline () =
   let arch = arch_4x4_p4 () in
   match
-    Router.find ~grid:arch.Cgra.grid ~ii:8
-      ~free:(fun _ _ -> true)
-      ~allowed:(fun _ -> true)
-      ~read_adjacent:(fun a b -> Coord.equal a b || Coord.adjacent a b)
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:3 ~col:3) ~deadline:2 ~max_hops:8 ()
+    Router.find (router_on arch ~ii:8) ~gen:1 Mesh ~src:(pe_at arch ~row:0 ~col:0)
+      ~src_time:0 ~dst:(pe_at arch ~row:3 ~col:3) ~deadline:2 ~max_hops:8
   with
   | None -> ()
   | Some _ -> Alcotest.fail "deadline too tight for 4 hops"
@@ -390,13 +394,11 @@ let test_router_respects_occupancy () =
   (* wall of busy slots in column 1 except one cell forces the path
      through that cell *)
   let arch = arch_4x4_p4 () in
-  let free (pe : Coord.t) _ = not (pe.col = 1 && pe.row <> 2) in
+  let busy (pe : Coord.t) _ = pe.col = 1 && pe.row <> 2 in
   match
-    Router.find ~grid:arch.Cgra.grid ~ii:8 ~free
-      ~allowed:(fun _ -> true)
-      ~read_adjacent:(fun a b -> Coord.equal a b || Coord.adjacent a b)
-      ~src:{ Mapping.pe = Coord.make ~row:0 ~col:0; time = 0 }
-      ~dst_pe:(Coord.make ~row:0 ~col:3) ~deadline:20 ~max_hops:10 ()
+    Router.find (router_on ~busy arch ~ii:8) ~gen:1 Mesh
+      ~src:(pe_at arch ~row:0 ~col:0) ~src_time:0 ~dst:(pe_at arch ~row:0 ~col:3)
+      ~deadline:20 ~max_hops:10
   with
   | Some hops ->
       Alcotest.(check bool) "path uses the gap" true
@@ -406,9 +408,288 @@ let test_router_respects_occupancy () =
         || List.for_all (fun (h : Mapping.placement) -> h.pe.Coord.col <> 1) hops)
   | None -> Alcotest.fail "router should find a detour"
 
-(* ---------- bandwidth-aware scheduling ---------- *)
+(* The closure-driven router the int-indexed one replaced, verbatim: the
+   reference the corpus below compares against. *)
+module Reference_router = struct
+  let earliest_free ~ii ~free pe ~lower ~deadline =
+    (* Scanning one full II window suffices: slots repeat modulo ii. *)
+    let rec go t =
+      if t > deadline || t >= lower + ii then None
+      else if free pe t then Some t
+      else go (t + 1)
+    in
+    go lower
 
-let grid_fabrics = [ (4, 2); (4, 4); (6, 2); (6, 4); (6, 8); (8, 2); (8, 4); (8, 8) ]
+  let find ~grid ~ii ~free ~allowed ~read_adjacent ?goal_adjacent ?neighbors
+      ?hop_cost ~(src : Mapping.placement) ~dst_pe ~deadline ~max_hops () =
+    (* Infeasibility prechecks: each hop is one mesh move and one cycle,
+       and the final hop must sit on or next to [dst_pe], so a chain needs
+       at least [max 1 (manhattan - 1)] hops and as many cycles before the
+       [deadline] read.  The scheduler probes many (PE, time) candidates
+       whose edges cannot route; rejecting those without expanding the
+       best-first frontier is cheaper than the exhausted search. *)
+    let d =
+      abs (src.Mapping.pe.Coord.row - dst_pe.Coord.row)
+      + abs (src.Mapping.pe.Coord.col - dst_pe.Coord.col)
+    in
+    let need = max 1 (d - 1) in
+    let goal_adjacent = Option.value ~default:read_adjacent goal_adjacent in
+    let neighbors =
+      match neighbors with
+      | Some f -> f
+      | None -> fun pe -> Grid.neighbors grid pe @ [ pe ]
+    in
+    if goal_adjacent src.Mapping.pe dst_pe && deadline >= src.Mapping.time + 1 then
+      Some []
+    else if
+      need > max_hops
+      || deadline < src.Mapping.time + need + 1
+      ||
+      (* The final hop must be an [allowed], goal-adjacent PE with a free
+         slot late enough to be reached (one cycle per unit of distance
+         from [src], at least one hop) and early enough to be read by
+         [deadline]. *)
+      not
+        (List.exists
+           (fun pe ->
+             allowed pe
+             && goal_adjacent pe dst_pe
+             &&
+             let dist_src =
+               abs (src.Mapping.pe.Coord.row - pe.Coord.row)
+               + abs (src.Mapping.pe.Coord.col - pe.Coord.col)
+             in
+             let lower = src.Mapping.time + max 1 dist_src in
+             earliest_free ~ii ~free pe ~lower ~deadline:(deadline - 1) <> None)
+           (neighbors dst_pe))
+    then None
+    else begin
+      (* Best-first over (hops, accumulated hop cost, arrival time);
+         parents recorded for path reconstruction.  The visited map is
+         three dense per-PE arrays — the scheduler calls this in its
+         innermost loop, so constant factors matter.  Without [hop_cost]
+         every cost is 0 and the search degenerates to the original
+         (hops, time) order, expansion for expansion. *)
+      let hop_cost = match hop_cost with Some f -> f | None -> fun _ _ -> 0 in
+      let module Pq = Cgra_util.Pqueue in
+      let n = Grid.pe_count grid in
+      (* pe index -> (hops, cost, time) already expanded with *)
+      let best_h = Array.make n max_int in
+      let best_c = Array.make n max_int in
+      let best_t = Array.make n max_int in
+      let cmp (h1, c1, t1) (h2, c2, t2) =
+        let c = Int.compare h1 h2 in
+        if c <> 0 then c
+        else
+          let c = Int.compare c1 c2 in
+          if c <> 0 then c else Int.compare t1 t2
+      in
+      let q = ref (Pq.empty ~cmp) in
+      let push hops cost time pe path =
+        match earliest_free ~ii ~free pe ~lower:time ~deadline:(deadline - 1) with
+        | None -> ()
+        | Some t ->
+            let cost = cost + hop_cost pe t in
+            let key = Grid.index grid pe in
+            let better =
+              hops < best_h.(key)
+              || hops = best_h.(key)
+                 && (cost < best_c.(key)
+                    || (cost = best_c.(key) && t < best_t.(key)))
+            in
+            if better then begin
+              best_h.(key) <- hops;
+              best_c.(key) <- cost;
+              best_t.(key) <- t;
+              q := Pq.push !q (hops, cost, t) (pe, { Mapping.pe; time = t } :: path)
+            end
+      in
+      List.iter
+        (fun pe ->
+          if allowed pe && read_adjacent src.Mapping.pe pe then
+            push 1 0 (src.Mapping.time + 1) pe [])
+        (neighbors src.Mapping.pe);
+      let rec search () =
+        match Pq.pop !q with
+        | None -> None
+        | Some (((hops, cost, t), (pe, path)), rest) ->
+            q := rest;
+            if goal_adjacent pe dst_pe && deadline >= t + 1 then Some (List.rev path)
+            else if hops >= max_hops then search ()
+            else begin
+              List.iter
+                (fun pe' ->
+                  if allowed pe' && read_adjacent pe pe' then
+                    push (hops + 1) cost (t + 1) pe' path)
+                (neighbors pe);
+              search ()
+            end
+      in
+      search ()
+    end
+end
+
+(* The reference router's arguments for one search, built the way the
+   scheduler built them: a free-slot closure over the occupancy and the
+   overlay, the precomputed neighbour table, the port-strand hop cost,
+   and for paged edges the page-window [allowed] and [step] relations. *)
+let reference_find arch ~ii ~occupied ~overlay ~gen ~strand ~paged ~src ~src_time
+    ~dst ~deadline ~max_hops =
+  let grid = arch.Cgra.grid in
+  let pages = arch.Cgra.pages in
+  let is_band = not (Page.is_rect pages) in
+  let page_of pe = Option.value ~default:(-1) (Page.page_of_pe pages pe) in
+  let free pe time =
+    let k = (Grid.index grid pe * ii) + (time mod ii) in
+    Bytes.get occupied k = '\000' && overlay.(k) <> gen
+  in
+  let nbrs_self =
+    Array.of_list
+      (List.map (fun pe -> Grid.neighbors grid pe @ [ pe ]) (Grid.all_pes grid))
+  in
+  let neighbors pe = nbrs_self.(Grid.index grid pe) in
+  let hop_cost =
+    Option.map
+      (fun (s : Router.strand) (pe : Coord.t) time ->
+        let k = (pe.row * ii) + (time mod ii) in
+        let slack = s.budget.(pe.row) - s.mem_use.(k) in
+        if slack > 0 && grid.Grid.cols - s.row_occ.(k) <= slack then 1 else 0)
+      strand
+  in
+  let read_adjacent ~same_page a b =
+    Coord.equal a b
+    || Coord.adjacent a b
+       &&
+       if same_page && paged && is_band then
+         abs (Grid.serp_index grid a - Grid.serp_index grid b) = 1
+       else true
+  in
+  let cross_adjacent a b =
+    Coord.adjacent a b
+    && ((not is_band) || abs (Grid.serp_index grid a - Grid.serp_index grid b) = 1)
+  in
+  let src = { Mapping.pe = src; time = src_time } in
+  if not paged then
+    Reference_router.find ~grid ~ii ~free ~allowed:(fun _ -> true)
+      ~read_adjacent:(read_adjacent ~same_page:false)
+      ~neighbors ?hop_cost ~src ~dst_pe:dst ~deadline ~max_hops ()
+  else
+    let pu = page_of src.pe and pv = page_of dst in
+    let allowed pe =
+      let p = page_of pe in
+      p >= pu && p <= pv
+    in
+    let step a b =
+      let pa = page_of a and pb = page_of b in
+      if pa < 0 || pb < 0 then false
+      else if pb = pa then read_adjacent ~same_page:true a b
+      else if pb = pa + 1 then cross_adjacent a b
+      else false
+    in
+    Reference_router.find ~grid ~ii ~free ~allowed ~read_adjacent:step ~neighbors
+      ?hop_cost ~src ~dst_pe:dst ~deadline ~max_hops ()
+
+let test_router_corpus () =
+  (* 2,048 seeded searches on every Fig. 8 fabric (4x4, 6x6 and 8x8 with
+     2-, 4- and 8-PE pages, 6x6's band pages included): random II,
+     occupancy, overlay, endpoints, deadline and hop bound, under both
+     relations, with and without the strand price.  Each fabric reuses
+     one scratch per (II, price) across its cases.  The int-indexed
+     router must return the reference's hop list, or None, every time. *)
+  let rng = Cgra_util.Rng.create ~seed:2011 in
+  let direct = ref 0 and chains = ref 0 and none = ref 0 and cases = ref 0 in
+  List.iter
+    (fun (size, page_pes) ->
+      let arch = Option.get (Cgra.standard ~size ~page_pes) in
+      let fabric = Router.fabric arch in
+      let n = Array.length fabric.coords in
+      let rows = arch.Cgra.grid.Grid.rows and cols = arch.Cgra.grid.Grid.cols in
+      let paged_pes =
+        List.filter (fun i -> fabric.page.(i) >= 0) (List.init n Fun.id)
+        |> Array.of_list
+      in
+      List.iter
+        (fun ii ->
+          let occupied = Bytes.make (n * ii) '\000' in
+          let overlay = Array.make (n * ii) 0 in
+          let strand =
+            {
+              Router.mem_use = Array.make (rows * ii) 0;
+              row_occ = Array.make (rows * ii) 0;
+              budget = Array.make rows arch.Cgra.mem_ports_per_row;
+            }
+          in
+          let plain = Router.create fabric ~ii ~occupied ~overlay () in
+          let priced = Router.create fabric ~ii ~occupied ~overlay ~strand () in
+          for case = 1 to 32 do
+            incr cases;
+            let density = Cgra_util.Rng.int rng 70 in
+            let gen = 1 + Cgra_util.Rng.int rng 3 in
+            for k = 0 to (n * ii) - 1 do
+              Bytes.set occupied k
+                (if Cgra_util.Rng.int rng 100 < density then '\001' else '\000');
+              overlay.(k) <- (if Cgra_util.Rng.int rng 8 = 0 then gen else 0)
+            done;
+            for k = 0 to (rows * ii) - 1 do
+              strand.mem_use.(k) <-
+                Cgra_util.Rng.int rng (arch.Cgra.mem_ports_per_row + 1);
+              strand.row_occ.(k) <- Cgra_util.Rng.int rng (cols + 1)
+            done;
+            let paged = case mod 2 = 0 in
+            let src, dst =
+              if not paged then (Cgra_util.Rng.int rng n, Cgra_util.Rng.int rng n)
+              else
+                (* the scheduler routes a paged edge only forward *)
+                let a = Cgra_util.Rng.choose rng paged_pes in
+                let b = Cgra_util.Rng.choose rng paged_pes in
+                if fabric.page.(a) <= fabric.page.(b) then (a, b) else (b, a)
+            in
+            let src_time = Cgra_util.Rng.int rng 12 in
+            let deadline = src_time + Cgra_util.Rng.int rng 16 in
+            let max_hops =
+              if paged then 2 * (fabric.page.(dst) - fabric.page.(src) + 4)
+                            - Cgra_util.Rng.int rng 4
+              else 2 + Cgra_util.Rng.int rng 8
+            in
+            let with_strand = Cgra_util.Rng.bool rng in
+            let reach : Router.reach =
+              if paged then
+                Pages { first = fabric.page.(src); last = fabric.page.(dst) }
+              else Mesh
+            in
+            let got =
+              Router.find (if with_strand then priced else plain) ~gen reach ~src
+                ~src_time ~dst ~deadline ~max_hops
+            in
+            let want =
+              reference_find arch ~ii ~occupied ~overlay ~gen
+                ~strand:(if with_strand then Some strand else None)
+                ~paged ~src:fabric.coords.(src) ~src_time ~dst:fabric.coords.(dst)
+                ~deadline ~max_hops
+            in
+            (match want with
+            | Some [] -> incr direct
+            | Some _ -> incr chains
+            | None -> incr none);
+            if got <> want then
+              Alcotest.failf
+                "%dx%d p%d ii=%d case %d (%s%s): src %d@%d dst %d deadline %d \
+                 max_hops %d differs from the reference"
+                size size page_pes ii case
+                (if paged then "paged" else "unconstrained")
+                (if with_strand then ", priced" else "")
+                src src_time dst deadline max_hops
+          done)
+        [ 1; 2; 3; 4; 5; 7; 9; 12 ])
+    grid_fabrics;
+  (* the corpus must exercise every outcome, searches above all *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cases: %d direct, %d chains, %d none" !cases !direct !chains
+       !none)
+    true
+    (!cases = 2_048 && !direct >= 100 && !chains >= 300 && !none >= 300)
+
+(* ---------- bandwidth-aware scheduling ---------- *)
 
 let test_bus_aware_ii_monotone () =
   (* The bus-aware ladder replays the complete legacy attempt family
@@ -472,6 +753,54 @@ let test_bus_aware_race_identical () =
             [ 1; 2; 4 ])
         kernels)
     grid_fabrics
+
+(* ---------- pinned scheduler output ---------- *)
+
+(* One digest per seed over every call of the Fig. 8 grid: 8 fabric/page
+   pairs x 11 kernels x both compilers.  Each call contributes its
+   config, the codec bytes of its mapping, and its launched and polish
+   race counters, so a change to any decision of any attempt — the
+   mapping itself or how far up the (II, attempt) ladder it was found —
+   changes the digest.  Constant-cost rewrites of the scheduler must
+   leave both digests as they are. *)
+let fig8_grid_digest seed =
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (size, page_pes) ->
+      let arch = Option.get (Cgra.standard ~size ~page_pes) in
+      List.iter
+        (fun (k : Cgra_kernels.Kernels.t) ->
+          List.iter
+            (fun (kind, tag) ->
+              let trace = Cgra_trace.Trace.make () in
+              let config =
+                Printf.sprintf "%s %dx%d p%d %s" k.name size size page_pes tag
+              in
+              match Scheduler.map ~seed ~trace kind arch k.graph with
+              | Error e -> Alcotest.failf "%s: %s" config e
+              | Ok m ->
+                  let counter name =
+                    List.find_map
+                      (fun (e : Cgra_trace.Trace.event) ->
+                        match e.payload with
+                        | Counter { name = n; value } when n = "sched.race." ^ name ->
+                            Some (int_of_float value)
+                        | _ -> None)
+                      (Cgra_trace.Trace.events trace)
+                    |> Option.get
+                  in
+                  Printf.bprintf b "%s|%d|%d|%s\n" config (counter "launched")
+                    (counter "polish")
+                    (Cgra_isa.Codec.mapping_bytes m))
+            [ (Scheduler.Unconstrained, "base"); (Scheduler.Paged, "paged") ])
+        Cgra_kernels.Kernels.all)
+    grid_fabrics;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_fig8_grid seed expected () =
+  Alcotest.(check string)
+    (Printf.sprintf "Fig. 8 grid digest at seed %d" seed)
+    expected (fig8_grid_digest seed)
 
 (* ---------- properties over synthetic kernels ---------- *)
 
@@ -558,6 +887,8 @@ let () =
           Alcotest.test_case "direct case" `Quick test_router_direct_case;
           Alcotest.test_case "deadline" `Quick test_router_respects_deadline;
           Alcotest.test_case "occupancy detour" `Quick test_router_respects_occupancy;
+          Alcotest.test_case "corpus matches the reference search" `Quick
+            test_router_corpus;
         ] );
       ( "bus-aware",
         [
@@ -565,6 +896,13 @@ let () =
             test_bus_aware_ii_monotone;
           Alcotest.test_case "raced = sequential at -j 1/2/4" `Slow
             test_bus_aware_race_identical;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "Fig. 8 grid output at seed 0" `Slow
+            (test_pinned_fig8_grid 0 "5be48a1c2b89b6b0461d34ef7159f56c");
+          Alcotest.test_case "Fig. 8 grid output at seed 1" `Slow
+            (test_pinned_fig8_grid 1 "c09b6b6074508320dc8e7a665d1f24e2");
         ] );
       ( "properties",
         [
