@@ -94,11 +94,6 @@ let is_square_tile t =
   | Rect { tile_rows; tile_cols } -> tile_rows = tile_cols
   | Band _ -> false
 
-let tile_dims t =
-  match t.shape with
-  | Rect { tile_rows; tile_cols } -> Some (tile_rows, tile_cols)
-  | Band _ -> None
-
 let tile_origin t n =
   match t.shape with
   | Band _ -> None

@@ -59,9 +59,6 @@ val is_square_tile : t -> bool
 (** True for [Rect] shapes with square tiles (full D4 mirroring
     available). *)
 
-val tile_dims : t -> (int * int) option
-(** [(tile_rows, tile_cols)] for [Rect] shapes. *)
-
 val tile_origin : t -> int -> Coord.t option
 (** Top-left corner of a page's tile ([Rect] only). *)
 

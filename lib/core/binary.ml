@@ -59,8 +59,6 @@ let stats () =
     stores = Atomic.get stores;
   }
 
-let cache_stats () = (Atomic.get mem_hits + Atomic.get disk_hits, Atomic.get compiles)
-
 let reset_stats () =
   Atomic.set mem_hits 0;
   Atomic.set disk_hits 0;

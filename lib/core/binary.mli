@@ -86,9 +86,6 @@ val stats : unit -> stats
     [compiles] counts actual scheduler runs, so a fully warm start shows
     [compiles = 0]. *)
 
-val cache_stats : unit -> int * int
-(** [(hits, misses)] — hits across both tiers, misses = [compiles]. *)
-
 val reset_stats : unit -> unit
 (** Zero the counters (the caches themselves are untouched). *)
 

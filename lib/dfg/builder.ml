@@ -28,8 +28,6 @@ let op1 b op x = add b op [ (x, 0) ]
 
 let op2 b op x y = add b op [ (x, 0); (y, 0) ]
 
-let op3 b op x y z = add b op [ (x, 0); (y, 0); (z, 0) ]
-
 let const b k = op0 b (Op.Const k)
 
 let load b array ~offset ~stride = op0 b (Op.Load { array; offset; stride })

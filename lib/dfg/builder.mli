@@ -28,8 +28,6 @@ val op1 : t -> Op.t -> v -> v
 
 val op2 : t -> Op.t -> v -> v -> v
 
-val op3 : t -> Op.t -> v -> v -> v -> v
-
 val const : t -> int -> v
 
 val load : t -> string -> offset:int -> stride:int -> v

@@ -19,11 +19,6 @@ let placement_exn t v =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Mapping.placement_exn: node %d unplaced" v)
 
-let page_of_node t v =
-  match t.placements.(v) with
-  | None -> None
-  | Some p -> Page.page_of_pe t.arch.Cgra.pages p.pe
-
 let all_occupants t =
   let ops =
     Array.to_list t.placements
@@ -50,8 +45,6 @@ let n_pages_used t = List.length (pages_used t)
 let schedule_length t =
   1
   + List.fold_left (fun acc (_, p) -> max acc p.time) 0 (all_occupants t)
-
-let slot_of t (p : placement) = p.time mod t.ii
 
 let utilization t =
   let occupied = List.length (all_occupants t) in

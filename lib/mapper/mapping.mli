@@ -56,9 +56,6 @@ type t = {
 val placement_exn : t -> int -> placement
 (** Raises [Invalid_argument] for unplaced (const) nodes. *)
 
-val page_of_node : t -> int -> int option
-(** Page of a placed node's PE. *)
-
 val pages_used : t -> int list
 (** Sorted distinct pages hosting at least one op or routing hop. *)
 
@@ -71,9 +68,6 @@ val schedule_length : t -> int
 val utilization : t -> float
 (** Fraction of PE slots of one II window occupied by ops or routing
     hops, over the whole fabric — the U of Section IV. *)
-
-val slot_of : t -> placement -> int
-(** [time mod ii]. *)
 
 val steps : t -> (placement * placement) list
 (** Every producer-to-reader step of every edge: producer to first hop,

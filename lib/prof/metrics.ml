@@ -72,19 +72,6 @@ module Hist = struct
       Float.min t.vmax (Float.max t.vmin (walk 0 keys))
     end
 
-  let merge a b =
-    let t = create () in
-    let absorb src =
-      Hashtbl.iter (fun k r -> add_bucket t k !r) src.buckets;
-      t.n <- t.n + src.n;
-      t.total <- t.total +. src.total;
-      if src.vmin < t.vmin then t.vmin <- src.vmin;
-      if src.vmax > t.vmax then t.vmax <- src.vmax
-    in
-    absorb a;
-    absorb b;
-    t
-
   type summary = {
     n : int;
     sum : float;
@@ -122,96 +109,3 @@ module Hist = struct
         ("sum", Json.Num s.sum);
       ]
 end
-
-type t = {
-  counters : (string, float ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  hists : (string, Hist.t) Hashtbl.t;
-}
-
-let create () =
-  { counters = Hashtbl.create 16; gauges = Hashtbl.create 16;
-    hists = Hashtbl.create 16 }
-
-let counter t name v =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r +. v
-  | None -> Hashtbl.add t.counters name (ref v)
-
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0.0
-
-let gauge t name v =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.add t.gauges name (ref v)
-
-let hist t name = Hashtbl.find_opt t.hists name
-
-let observe t name v =
-  let h =
-    match Hashtbl.find_opt t.hists name with
-    | Some h -> h
-    | None ->
-        let h = Hist.create () in
-        Hashtbl.add t.hists name h;
-        h
-  in
-  Hist.observe h v
-
-let merge a b =
-  let t = create () in
-  Hashtbl.iter (fun name r -> counter t name !r) a.counters;
-  Hashtbl.iter (fun name r -> counter t name !r) b.counters;
-  (* right-biased: apply [a] first so [b] overwrites on collision *)
-  Hashtbl.iter (fun name r -> gauge t name !r) a.gauges;
-  Hashtbl.iter (fun name r -> gauge t name !r) b.gauges;
-  let absorb src =
-    Hashtbl.iter
-      (fun name h ->
-        match Hashtbl.find_opt t.hists name with
-        | Some existing -> Hashtbl.replace t.hists name (Hist.merge existing h)
-        | None -> Hashtbl.replace t.hists name (Hist.merge h (Hist.create ())))
-      src.hists
-  in
-  absorb a;
-  absorb b;
-  t
-
-let sorted_items tbl value =
-  Hashtbl.fold (fun name v acc -> (name, value v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let to_json t =
-  Json.Obj
-    [
-      ("counters", Json.Obj (sorted_items t.counters (fun r -> Json.Num !r)));
-      ("gauges", Json.Obj (sorted_items t.gauges (fun r -> Json.Num !r)));
-      ("histograms", Json.Obj (sorted_items t.hists Hist.summary_json));
-    ]
-
-let pp ppf t =
-  let section title items pp_item =
-    if items <> [] then begin
-      Format.fprintf ppf "@[<v 2>%s:@," title;
-      List.iteri
-        (fun i (name, v) ->
-          if i > 0 then Format.pp_print_cut ppf ();
-          pp_item name v)
-        items;
-      Format.fprintf ppf "@]@,"
-    end
-  in
-  Format.pp_open_vbox ppf 0;
-  section "counters"
-    (sorted_items t.counters (fun r -> !r))
-    (fun name v -> Format.fprintf ppf "%-32s %g" name v);
-  section "gauges"
-    (sorted_items t.gauges (fun r -> !r))
-    (fun name v -> Format.fprintf ppf "%-32s %g" name v);
-  section "histograms"
-    (sorted_items t.hists Hist.summary)
-    (fun name (s : Hist.summary) ->
-      Format.fprintf ppf "%-32s n=%d mean=%g p50=%g p90=%g p99=%g max=%g" name
-        s.n s.mean s.p50 s.p90 s.p99 s.max);
-  Format.pp_close_box ppf ()

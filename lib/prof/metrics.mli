@@ -1,19 +1,8 @@
-(** Metrics registry: counters, gauges, and streaming histograms.
-
-    The observability layer's primitive vocabulary.  Three instrument
-    kinds, all addressed by name:
-
-    - {b counters} — monotonic accumulators ([requests], [reshapes]);
-    - {b gauges} — last-write-wins point samples ([queue_depth]);
-    - {b histograms} — log-bucketed streaming distributions with
-      exact-count quantiles (p50/p90/p99) and exact min/max.
-
-    Everything here is built for {e deterministic aggregation}: a
-    registry filled on one domain {!merge}d into another gives the same
-    result regardless of domain count or completion order (counter and
-    histogram merges are commutative sums; gauges are right-biased, so
-    merge in a fixed order), and every serialization emits keys sorted,
-    never in hash-table iteration order. *)
+(** Streaming histograms: log-bucketed distributions with exact-count
+    quantiles (p50/p90/p99) and exact min/max, the observability layer's
+    one instrument.  {!Analyze}, {!Render} and the farm summarize
+    latencies with them; every serialization emits keys sorted, never in
+    hash-table iteration order. *)
 
 module Hist : sig
   (** HDR-style log-bucketed histogram: 16 sub-buckets per power of two,
@@ -44,10 +33,6 @@ module Hist : sig
       observation, clamped to [\[min_value, max_value\]].  Exact when
       that observation is a bucket boundary. *)
 
-  val merge : t -> t -> t
-  (** Pointwise bucket sum; exact min/max combine.  Commutative and
-      associative, so cross-domain aggregation is order-independent. *)
-
   type summary = {
     n : int;
     sum : float;
@@ -64,34 +49,3 @@ module Hist : sig
   val summary_json : t -> Cgra_trace.Json.value
   (** [Obj] with keys sorted: count, max, mean, min, p50, p90, p99, sum. *)
 end
-
-type t
-(** A registry.  Not thread-safe: fill one per domain, then {!merge}. *)
-
-val create : unit -> t
-
-val counter : t -> string -> float -> unit
-(** [counter t name v] adds [v] to the named monotonic counter. *)
-
-val counter_value : t -> string -> float
-(** 0 for never-bumped names. *)
-
-val gauge : t -> string -> float -> unit
-(** Set the named gauge (last write wins). *)
-
-val observe : t -> string -> float -> unit
-(** Record one observation into the named histogram. *)
-
-val hist : t -> string -> Hist.t option
-
-val merge : t -> t -> t
-(** [merge a b]: fresh registry with summed counters, merged histograms,
-    and gauges right-biased ([b] wins on collision).  [a] and [b] are
-    unchanged. *)
-
-val to_json : t -> Cgra_trace.Json.value
-(** [{"counters":{…},"gauges":{…},"histograms":{…}}], every level
-    sorted by name — byte-stable across hash-table iteration order. *)
-
-val pp : Format.formatter -> t -> unit
-(** Aligned text dump, same sorted order as {!to_json}. *)

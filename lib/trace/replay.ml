@@ -61,52 +61,6 @@ let aggregates events =
           stalls = !stalls;
         }
 
-let utilization_timeline events =
-  let total =
-    List.find_map
-      (fun (e : event) ->
-        match e.payload with Run_begin r -> Some r.total_pages | _ -> None)
-      events
-  in
-  match total with
-  | None -> []
-  | Some total ->
-      let frac n = float_of_int n /. float_of_int total in
-      let allocated = ref 0 in
-      let steps = ref [ (0.0, 0.0) ] in
-      List.iter
-        (fun (e : event) ->
-          let record () = steps := (e.time, frac !allocated) :: !steps in
-          match e.payload with
-          | Kernel_grant r ->
-              allocated := !allocated + r.range.len;
-              record ()
-          | Kernel_release r ->
-              allocated := !allocated - r.range.len;
-              record ()
-          | Reshape r ->
-              allocated := !allocated + r.after.len - r.before.len;
-              record ()
-          | _ -> ())
-        events;
-      List.rev !steps
-
-let queue_depth_timeline events =
-  let waiting = Hashtbl.create 8 in
-  let steps = ref [] in
-  List.iter
-    (fun (e : event) ->
-      match e.payload with
-      | Kernel_stall r ->
-          Hashtbl.replace waiting r.thread ();
-          steps := (e.time, Hashtbl.length waiting) :: !steps
-      | Kernel_grant r when Hashtbl.mem waiting r.thread ->
-          Hashtbl.remove waiting r.thread;
-          steps := (e.time, Hashtbl.length waiting) :: !steps
-      | _ -> ())
-    events;
-  List.rev !steps
-
 let wait_intervals events =
   let since = Hashtbl.create 8 in
   let served = ref [] in

@@ -31,13 +31,6 @@ val aggregates : Trace.event list -> (aggregates, string) result
 (** [Error] when the stream lacks a [Run_begin] header or ends with
     threads unaccounted for. *)
 
-val utilization_timeline : Trace.event list -> (float * float) list
-(** [(time, allocated_fraction)] steps, one per allocation change
-    (grants, releases, reshapes), starting at [(0, 0)]. *)
-
-val queue_depth_timeline : Trace.event list -> (float * int) list
-(** [(time, waiting_threads)] steps, one per stall or stalled grant. *)
-
 val wait_intervals : Trace.event list -> (int * float) list
 (** One entry per served stall: (thread, cycles from queueing to
     grant), in service order. *)

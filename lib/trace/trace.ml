@@ -148,62 +148,3 @@ let kind_name = function
   | Span_begin _ -> "span_begin"
   | Span_end _ -> "span_end"
   | Mark _ -> "mark"
-
-let pp_range ppf (r : page_range) = Format.fprintf ppf "[%d+%d]" r.base r.len
-
-let pp_event ppf e =
-  Format.fprintf ppf "@[%6.0f #%d %s" e.time e.seq (kind_name e.payload);
-  (match e.payload with
-  | Run_begin r ->
-      Format.fprintf ppf " mode=%s pages=%d threads=%d policy=%s cost=%g rows=%d ports=%d"
-        r.mode r.total_pages r.n_threads r.policy r.reconfig_cost r.rows r.mem_ports
-  | Run_end r -> Format.fprintf ppf " makespan=%g" r.makespan
-  | Thread_arrival r -> Format.fprintf ppf " t%d segments=%d" r.thread r.segments
-  | Thread_finish r -> Format.fprintf ppf " t%d" r.thread
-  | Kernel_request r ->
-      Format.fprintf ppf " t%d %s x%d ops=%d mem=%d desired=%d" r.thread r.kernel
-        r.iterations r.ops r.mem r.desired
-  | Kernel_grant r ->
-      Format.fprintf ppf " t%d %s %a%s cost=%g rate=%g" r.thread r.kernel pp_range
-        r.range
-        (if r.shrunk then " (shrunk)" else "")
-        r.cost r.rate
-  | Kernel_stall r ->
-      Format.fprintf ppf " t%d %s depth=%d" r.thread r.kernel r.queue_depth
-  | Kernel_release r ->
-      Format.fprintf ppf " t%d %s %a" r.thread r.kernel pp_range r.range
-  | Reshape r ->
-      Format.fprintf ppf " t%d %s %a -> %a rewritten=%d cost=%g rate=%g" r.thread
-        (match r.kind with Shrink -> "shrink" | Expand -> "expand" | Move -> "move")
-        pp_range r.before pp_range r.after r.pages_rewritten r.cost r.rate
-  | Occupancy r ->
-      Format.fprintf ppf " t%d pages=%d elapsed=%g" r.thread r.pages r.elapsed
-  | Alloc_decision r ->
-      Format.fprintf ppf " c%d desired=%d granted=%s considered=%d" r.client
-        r.desired
-        (match r.granted with
-        | Some g -> Format.asprintf "%a" pp_range g
-        | None -> "none")
-        (List.length r.considered)
-  | Farm_begin r ->
-      Format.fprintf ppf " shards=%d tenants=%d bound=%d resident=%d requests=%d"
-        r.shards r.tenants r.queue_bound r.max_resident r.requests
-  | Farm_request r ->
-      Format.fprintf ppf " r%d tenant=%d %s x%d" r.req r.tenant r.kernel
-        r.iterations
-  | Farm_reject r ->
-      Format.fprintf ppf " r%d tenant=%d depth=%d" r.req r.tenant r.queue_depth
-  | Farm_admit r ->
-      Format.fprintf ppf " r%d tenant=%d shard=%d" r.req r.tenant r.shard
-  | Farm_resident r -> Format.fprintf ppf " r%d shard=%d" r.req r.shard
-  | Farm_retire r ->
-      Format.fprintf ppf " r%d tenant=%d shard=%d latency=%g" r.req r.tenant
-        r.shard r.latency
-  | Farm_end r ->
-      Format.fprintf ppf " makespan=%g retired=%d rejected=%d" r.makespan
-        r.retired r.rejected
-  | Counter r -> Format.fprintf ppf " %s=%g" r.name r.value
-  | Span_begin r -> Format.fprintf ppf " %s" r.name
-  | Span_end r -> Format.fprintf ppf " %s" r.name
-  | Mark r -> Format.fprintf ppf " %s: %s" r.name r.detail);
-  Format.fprintf ppf "@]"

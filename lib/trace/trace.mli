@@ -152,5 +152,3 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 val kind_name : payload -> string
 (** Stable snake_case tag, e.g. ["kernel_grant"] — the ["kind"] field of
     the JSONL export and the ["cat"] of the Chrome export. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -258,6 +258,161 @@ let test_parsers_total () =
     (count "accepted" > 0 && count "rejected" > 0);
   Alcotest.(check bool) "mutated traces profiled" true (count "profiled" > 0)
 
+(* ---------- the CLI: every numeric flag is total ---------- *)
+
+(* Run one command line in-process; returns its exit status, stdout and
+   stderr.  [~catch:false] lets any exception escape into the test. *)
+let run_cli argv =
+  let redirect fd =
+    let path = Filename.temp_file "cgra-cli" ".txt" in
+    let saved = Unix.dup fd in
+    let file = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    Unix.dup2 file fd;
+    Unix.close file;
+    (path, saved)
+  in
+  let restore fd (path, saved) =
+    Unix.dup2 saved fd;
+    Unix.close saved;
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  Format.print_flush ();
+  flush_all ();
+  let out = redirect Unix.stdout and err = redirect Unix.stderr in
+  (* restored before an exception escapes, so the test report shows it *)
+  let texts = ref ("", "") in
+  let status =
+    Fun.protect
+      ~finally:(fun () ->
+        Format.print_flush ();
+        Format.pp_print_flush Format.err_formatter ();
+        flush_all ();
+        texts := (restore Unix.stdout out, restore Unix.stderr err))
+      (fun () ->
+        Cmdliner.Cmd.eval' ~catch:false
+          ~argv:(Array.of_list ("cgra_tool" :: argv))
+          Cgra_cli.cmd)
+  in
+  let out, err = !texts in
+  (status, out, err)
+
+let scratch name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "cgra-cli-%d-%s" (Unix.getpid ()) name)
+
+let cli_store = scratch "store"
+
+let cli_trace = scratch "trace.json"
+
+(* Every command with a cheap command line that succeeds, and the
+   numeric flags to corrupt.  A base option is dropped while its flag is
+   under test; "N" is fuzz's positional seed count. *)
+let cli_commands =
+  let sized = [ "--size"; "--page-size"; "--seed"; "--domains" ] in
+  let os = sized @ [ "--threads"; "--need"; "--reconfig-cost" ] in
+  [
+    ("kernels", [], [], []);
+    ("dot", [ "--kernel=mpeg" ], [], []);
+    ("cache", [ "--cache=" ^ cli_store ], [ "stats" ], []);
+    ("map", [ "--kernel=mpeg" ], [], sized);
+    ( "shrink",
+      [ "--kernel=mpeg"; "--target-pages=1" ],
+      [],
+      sized @ [ "--target-pages" ] );
+    ( "simulate",
+      [ "--kernel=mpeg"; "--iterations=2" ],
+      [],
+      sized @ [ "--iterations" ] );
+    ("trace", [ "--threads=2"; "--out=" ^ cli_trace ], [], os);
+    ("profile", [ "--threads=2" ], [], os);
+    ( "encode",
+      [ "--kernel=mpeg"; "--paged"; "--target-pages=1" ],
+      [],
+      sized @ [ "--target-pages" ] );
+    ("compile", [ "--kernel=mpeg" ], [], sized);
+    ("greedy", [], [], [ "-n"; "-m"; "--ii"; "--iterations" ]);
+    ( "verify",
+      [ "--kernel=mpeg"; "--paged"; "--fold-sweep"; "--iterations=2" ],
+      [],
+      sized @ [ "--iterations" ] );
+    ("fuzz", [], [ "os"; "1" ], [ "N"; "--seed"; "--domains" ]);
+    ( "farm",
+      [ "--shards=4"; "--requests=10" ],
+      [],
+      [ "--shards"; "--page-size"; "--tenants"; "--requests"; "--load";
+        "--queue-bound"; "--max-resident"; "--seed"; "--reconfig-cost";
+        "--domains" ] );
+    ("fig8", [ "--size=4" ], [], [ "--size"; "--seed"; "--domains" ]);
+    ( "fig9",
+      [ "--size=4"; "--replicates=1" ],
+      [],
+      [ "--size"; "--seed"; "--replicates"; "--domains" ] );
+  ]
+
+(* cheap values first, so a missing lower bound fails before a huge
+   value can run *)
+let cli_values = [ "x"; "nan"; "inf"; "-inf"; "1e300"; "0"; "-1"; "4611686018427387903" ]
+
+(* The exit statuses a value may produce: 124 when it does not parse;
+   any int for --seed and -j; 1 for a negative or huge count and for
+   every non-finite or huge float. *)
+let allowed flag v =
+  let float_flag = List.mem flag [ "--need"; "--reconfig-cost"; "--load" ] in
+  let free = List.mem flag [ "--seed"; "--domains" ] in
+  match v with
+  | "x" -> [ 124 ]
+  | "nan" | "inf" | "-inf" | "1e300" -> if float_flag then [ 1 ] else [ 124 ]
+  | _ when free -> [ 0 ]
+  | "0" -> [ 0; 1 ]
+  | _ -> [ 1 ]
+
+let test_cli_total () =
+  let check argv allowed =
+    let line = String.concat " " argv in
+    let status, out, err =
+      try run_cli argv
+      with e -> Alcotest.failf "cgra_tool %s raised %s" line (Printexc.to_string e)
+    in
+    if not (List.mem status allowed) then
+      Alcotest.failf "cgra_tool %s: exit %d\nstderr: %s" line status err;
+    if status = 1 then begin
+      if out <> "" then
+        Alcotest.failf "cgra_tool %s: refused after printing:\n%s" line out;
+      match String.split_on_char '\n' err with
+      | [ msg; "" ] when String.starts_with ~prefix:"error: " msg -> ()
+      | _ -> Alcotest.failf "cgra_tool %s: not one error line:\n%s" line err
+    end
+  in
+  List.iter
+    (fun (name, opts, pos, flags) ->
+      check ((name :: opts) @ pos) [ 0 ];
+      List.iter
+        (fun flag ->
+          List.iter
+            (fun v ->
+              let argv =
+                if flag = "N" then [ name; List.hd pos; "--"; v ]
+                else
+                  let opts =
+                    List.filter
+                      (fun o -> not (String.starts_with ~prefix:(flag ^ "=") o))
+                      opts
+                  in
+                  (* short flags take their value glued: -n-1 *)
+                  let arg =
+                    if String.length flag = 2 then flag ^ v else flag ^ "=" ^ v
+                  in
+                  (name :: opts) @ (arg :: pos)
+              in
+              check argv (allowed flag v))
+            cli_values)
+        flags)
+    cli_commands;
+  Sys.rmdir cli_store;
+  Sys.remove cli_trace
+
 let () =
   Alcotest.run "corpus"
     [
@@ -268,4 +423,6 @@ let () =
           harnesses );
       ( "parsers",
         [ Alcotest.test_case "total on mutated inputs" `Quick test_parsers_total ] );
+      ( "cli",
+        [ Alcotest.test_case "every numeric flag is total" `Quick test_cli_total ] );
     ]

@@ -1,9 +1,9 @@
 (* The observability layer's contract: histogram quantiles are exact at
-   bucket edges and merges are order-independent; a profile report is a
-   deterministic function of the trace (golden digests, live == post-hoc
-   JSONL round-trip); stall attribution agrees with Replay's independent
-   wait accounting; and the bench gate passes its own baselines while
-   failing a row inflated beyond tolerance. *)
+   bucket edges; a profile report is a deterministic function of the
+   trace (golden digests, live == post-hoc JSONL round-trip); stall
+   attribution agrees with Replay's independent wait accounting; and the
+   bench gate passes its own baselines while failing a row inflated
+   beyond tolerance. *)
 
 open Cgra_arch
 open Cgra_core
@@ -11,7 +11,6 @@ module T = Cgra_trace.Trace
 module Export = Cgra_trace.Export
 module Replay = Cgra_trace.Replay
 module Json = Cgra_trace.Json
-module Metrics = Cgra_prof.Metrics
 module Hist = Cgra_prof.Metrics.Hist
 module Analyze = Cgra_prof.Analyze
 module Render = Cgra_prof.Render
@@ -76,75 +75,6 @@ let test_hist_empty () =
   Alcotest.(check int) "n" 0 (Hist.count h);
   Alcotest.check feq "mean" 0.0 (Hist.mean h);
   Alcotest.check feq "quantile" 0.0 (Hist.quantile h 50.0)
-
-let test_hist_merge_matches_union () =
-  let all = Hist.create () and a = Hist.create () and b = Hist.create () in
-  List.iteri
-    (fun i v ->
-      Hist.observe all v;
-      Hist.observe (if i mod 2 = 0 then a else b) v)
-    [ 1.0; 17.0; 300.5; 4.0; 1e6; 0.0; 23.0; 23.0; 512.0 ];
-  let m = Hist.merge a b in
-  Alcotest.(check int) "n" (Hist.count all) (Hist.count m);
-  Alcotest.check feq "sum" (Hist.sum all) (Hist.sum m);
-  Alcotest.check feq "min" (Hist.min_value all) (Hist.min_value m);
-  Alcotest.check feq "max" (Hist.max_value all) (Hist.max_value m);
-  List.iter
-    (fun p ->
-      Alcotest.check feq
-        (Printf.sprintf "p%g" p)
-        (Hist.quantile all p) (Hist.quantile m p))
-    [ 10.0; 50.0; 90.0; 99.0 ]
-
-(* ---------- Registry: cross-domain merge determinism ---------- *)
-
-let fill seed =
-  let r = Metrics.create () in
-  Metrics.counter r "requests" (float_of_int (seed * 3));
-  Metrics.counter r "reshapes" 1.0;
-  Metrics.gauge r (Printf.sprintf "domain%d.depth" seed) (float_of_int seed);
-  for i = 0 to 9 do
-    Metrics.observe r "latency" (float_of_int ((seed * 100) + (i * 16)))
-  done;
-  r
-
-let test_registry_merge_determinism () =
-  let a = fill 1 and b = fill 2 and c = fill 3 in
-  let orders =
-    [
-      Metrics.merge (Metrics.merge a b) c;
-      Metrics.merge a (Metrics.merge b c);
-      Metrics.merge (Metrics.merge c a) b;
-      Metrics.merge b (Metrics.merge c a);
-    ]
-  in
-  let strings = List.map (fun r -> Json.to_string (Metrics.to_json r)) orders in
-  match strings with
-  | first :: rest ->
-      List.iteri
-        (fun i s ->
-          Alcotest.(check string)
-            (Printf.sprintf "order %d byte-identical" (i + 1))
-            first s)
-        rest
-  | [] -> assert false
-
-let test_registry_merge_semantics () =
-  let a = fill 1 and b = fill 2 in
-  let m = Metrics.merge a b in
-  Alcotest.check feq "counters sum" 9.0 (Metrics.counter_value m "requests");
-  Alcotest.check feq "inputs untouched" 3.0 (Metrics.counter_value a "requests");
-  (* gauges are right-biased on collision *)
-  let x = Metrics.create () and y = Metrics.create () in
-  Metrics.gauge x "g" 1.0;
-  Metrics.gauge y "g" 2.0;
-  (match Json.member "gauges" (Metrics.to_json (Metrics.merge x y)) with
-  | Some (Json.Obj [ ("g", Json.Num v) ]) ->
-      Alcotest.check feq "right wins" 2.0 v
-  | _ -> Alcotest.fail "gauges shape");
-  match Metrics.hist m "latency" with
-  | Some h -> Alcotest.(check int) "hist merged" 20 (Hist.count h)
-  | None -> Alcotest.fail "merged histogram missing"
 
 (* ---------- profile on a fixed-seed traced fig9-style run ---------- *)
 
@@ -592,15 +522,6 @@ let () =
           Alcotest.test_case "zero and negative clamp" `Quick
             test_hist_zero_and_negative;
           Alcotest.test_case "empty" `Quick test_hist_empty;
-          Alcotest.test_case "merge matches union" `Quick
-            test_hist_merge_matches_union;
-        ] );
-      ( "registry",
-        [
-          Alcotest.test_case "merge order-independent" `Quick
-            test_registry_merge_determinism;
-          Alcotest.test_case "merge semantics" `Quick
-            test_registry_merge_semantics;
         ] );
       ( "profile",
         [
