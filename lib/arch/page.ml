@@ -165,8 +165,78 @@ let vglobal t n (local : Coord.t) =
   | Rect _ -> global_of t n local
   | Band { size } ->
       if local.row = 0 && local.col >= 0 && local.col < size && n >= 0 && n < n_pages t
-      then Some (Grid.serpentine t.grid).((n * size) + local.col)
+      then begin
+        (* invert [Grid.serp_index] without building the whole path *)
+        let cols = t.grid.Grid.cols in
+        let k = (n * size) + local.col in
+        let row = k / cols and j = k mod cols in
+        Some (Coord.make ~row ~col:(if row mod 2 = 0 then j else cols - 1 - j))
+      end
       else None
+
+(* ----- int tables for the PageMaster fold ----- *)
+
+type tables = {
+  page_size : int;
+  page_of : int array;
+  local_of : int array;
+  pe_at : int array;
+  coord : Coord.t array;
+  orients : Orient.t array;
+  act : int array array;
+}
+
+(* Everything below is derived from [vlocal], [vglobal] and
+   [Orient.apply], so the tables and the coordinate functions cannot
+   disagree.  Local indices are row-major over [vdims]. *)
+let build_tables t =
+  let grid = t.grid in
+  let size = page_size t in
+  let vrows, vcols = vdims t in
+  let local_coord l = Coord.make ~row:(l / vcols) ~col:(l mod vcols) in
+  let local_index (c : Coord.t) = (c.row * vcols) + c.col in
+  let coord =
+    Array.init (Grid.pe_count grid) (fun i ->
+        Coord.make ~row:(i / grid.Grid.cols) ~col:(i mod grid.Grid.cols))
+  in
+  let page_of = Array.map (fun c -> Option.value ~default:(-1) (page_of_pe t c)) coord in
+  let local_of =
+    Array.mapi
+      (fun i c ->
+        if page_of.(i) < 0 then -1 else local_index (Option.get (vlocal t page_of.(i) c)))
+      coord
+  in
+  let pe_at =
+    Array.init (n_pages t * size) (fun k ->
+        Grid.index grid (Option.get (vglobal t (k / size) (local_coord (k mod size)))))
+  in
+  let orients = Array.of_list (Orient.all ~square:(is_square_tile t)) in
+  let act =
+    Array.map
+      (fun o ->
+        Array.init size (fun l ->
+            local_index (Orient.apply o ~tile_rows:vrows ~tile_cols:vcols (local_coord l))))
+      orients
+  in
+  { page_size = size; page_of; local_of; pe_at; coord; orients; act }
+
+(* Keyed by value: callers rebuild equal [t]s freely (one per
+   [Cgra.standard] call), and a layout is only a grid and a shape. *)
+let tables_memo : (t, tables) Hashtbl.t = Hashtbl.create 16
+
+let tables_lock = Mutex.create ()
+
+let tables t =
+  Mutex.protect tables_lock (fun () ->
+      match Hashtbl.find_opt tables_memo t with
+      | Some tb -> tb
+      | None ->
+          let tb = build_tables t in
+          Hashtbl.add tables_memo t tb;
+          tb)
+
+let move tb ~orient ~dst_page i =
+  tb.pe_at.((dst_page * tb.page_size) + tb.act.(orient).(tb.local_of.(i)))
 
 let dir_between t n =
   match t.shape with

@@ -82,6 +82,43 @@ val vlocal : t -> int -> Coord.t -> Coord.t option
 val vglobal : t -> int -> Coord.t -> Coord.t option
 (** Inverse of {!vlocal}. *)
 
+(** {1 Int tables}
+
+    The PageMaster fold relocates every operation of a kernel at each
+    thread launch.  These tables turn each relocation into array
+    lookups; PEs are named by {!Grid.index} and a PE's place in its
+    page by its {e local index}, [row * vcols + col] over {!vdims}. *)
+
+type tables = private {
+  page_size : int;  (** {!page_size} *)
+  page_of : int array;
+      (** by PE index: its page, or [-1] for an unused remainder PE
+          ({!page_of_pe}) *)
+  local_of : int array;
+      (** by PE index: its local index within its page ({!vlocal}), or
+          [-1] for a remainder PE *)
+  pe_at : int array;
+      (** [pe_at.(page * page_size + local)]: the PE index at that local
+          index of that page ({!vglobal}) *)
+  coord : Coord.t array;  (** by PE index: its coordinate *)
+  orients : Orient.t array;
+      (** the candidate symmetries of a page, in {!Orient.all} order, so
+          [orients.(0)] is the identity *)
+  act : int array array;
+      (** [act.(o).(local)]: the local index [orients.(o)] takes [local]
+          to ({!Orient.apply} on the virtual tile) *)
+}
+
+val tables : t -> tables
+(** The tables of this layout (grid and shape).  Built on first use and
+    shared afterwards, across domains too, by every equal [t]. *)
+
+val move : tables -> orient:int -> dst_page:int -> int -> int
+(** [move tb ~orient ~dst_page i] is where PE index [i] (a PE of some
+    page) lands when its page is mirrored by [tb.orients.(orient)] and
+    moved onto [dst_page]'s tile.  Raises [Invalid_argument] for a
+    remainder PE or a page out of range. *)
+
 val dir_between : t -> int -> Coord.dir option
 (** Direction from page [n]'s tile to page [n+1]'s tile in the serpentine
     ring order ([Rect] only; [None] for [Band] or the last page). *)

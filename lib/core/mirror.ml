@@ -1,68 +1,95 @@
 open Cgra_arch
 
-let relocate ~pages ~src_page ~dst_page o pe =
-  let tile_rows, tile_cols = Page.vdims pages in
-  match Page.vlocal pages src_page pe with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Mirror.relocate: %s not in page %d" (Coord.to_string pe)
-           src_page)
-  | Some local -> (
-      let local' = Orient.apply o ~tile_rows ~tile_cols local in
-      match Page.vglobal pages dst_page local' with
-      | Some pe' -> pe'
-      | None -> assert false (* symmetries preserve the tile *))
+(* The PE index of [pe], which must be a PE of page [page]. *)
+let index_in pages (tb : Page.tables) ~page (pe : Coord.t) =
+  let grid = pages.Page.grid in
+  if Grid.in_bounds grid pe && tb.page_of.(Grid.index grid pe) = page then
+    Grid.index grid pe
+  else
+    invalid_arg (Printf.sprintf "Mirror: %s not in page %d" (Coord.to_string pe) page)
 
-let solve ~pages ~src_base ~n_used ~s ~base ~cross_steps =
-  let candidates = Orient.all ~square:(Page.is_square_tile pages) in
-  let dst n = base + (n / s) in
-  (* [n] is relative to the source mapping's lowest used page
-     [src_base]; [cross_steps] is indexed the same way. *)
-  (* A pair (o_n, o_next) satisfies the steps crossing page n -> n+1 when
-     every transferred value stays within register-file reach. *)
-  let pair_ok n o_n o_next =
-    List.for_all
-      (fun (a, b) ->
-        let a' = relocate ~pages ~src_page:(src_base + n) ~dst_page:(dst n) o_n a in
-        let b' =
-          relocate ~pages ~src_page:(src_base + n + 1) ~dst_page:(dst (n + 1)) o_next b
-        in
-        Coord.equal a' b' || Coord.adjacent a' b')
-      cross_steps.(n)
+let check_page pages page =
+  if page < 0 || page >= Page.n_pages pages then
+    invalid_arg (Printf.sprintf "Mirror: page %d outside the fabric" page)
+
+let relocate ~pages ~src_page ~dst_page o pe =
+  let tb = Page.tables pages in
+  let rec rank r =
+    if r = Array.length tb.orients then
+      invalid_arg "Mirror.relocate: symmetry not available on this page shape"
+    else if Orient.equal tb.orients.(r) o then r
+    else rank (r + 1)
   in
+  check_page pages dst_page;
+  tb.coord.(Page.move tb ~orient:(rank 0) ~dst_page (index_in pages tb ~page:src_page pe))
+
+let solve_ranks ~pages ~src_base ~n_used ~s ~base ~cross_steps =
   if n_used <= 0 then Some [||]
   else begin
-    (* DP over the page path: feasible orientations of page n, with a
-       witness predecessor for path reconstruction. *)
-    let feasible = Array.make n_used [] in
-    feasible.(0) <- List.map (fun o -> (o, None)) candidates;
+    let tb = Page.tables pages in
+    let k = Array.length tb.orients in
+    let cols = pages.Page.grid.Grid.cols in
+    (* [n] is relative to the source mapping's lowest used page
+       [src_base]; [cross_steps] is indexed the same way. *)
+    let dst n = base + (n / s) in
+    check_page pages (dst 0);
+    check_page pages (dst (n_used - 1));
+    (* Where a PE of source page [n] lands under each candidate
+       orientation: each cross-step endpoint is relocated once per
+       orientation, not once per pair of them. *)
+    let images n pe =
+      let i = index_in pages tb ~page:(src_base + n) pe in
+      Array.init k (fun o -> Page.move tb ~orient:o ~dst_page:(dst n) i)
+    in
+    let steps =
+      Array.init (n_used - 1) (fun n ->
+          List.map (fun (a, b) -> (images n a, images (n + 1) b)) cross_steps.(n))
+    in
+    (* Same PE or mesh neighbours: register-file reach. *)
+    let near a b =
+      abs ((a / cols) - (b / cols)) + abs ((a mod cols) - (b mod cols)) <= 1
+    in
+    (* A pair (o_n, o_next) satisfies the steps crossing page n -> n+1 when
+       every transferred value stays within register-file reach. *)
+    let pair_ok n o_n o_next =
+      List.for_all (fun (a, b) -> near a.(o_n) b.(o_next)) steps.(n)
+    in
+    (* DP over the page path: [pred.(n).(o)] is the first orientation of
+       page n-1, in candidate order, that is feasible and compatible with
+       [o] on page n; [-1] when [o] is infeasible on page n.  Page 0
+       admits every candidate ([k] marks that). *)
+    let pred = Array.make_matrix n_used k (-1) in
+    Array.fill pred.(0) 0 k k;
     for n = 1 to n_used - 1 do
-      feasible.(n) <-
-        List.filter_map
-          (fun o ->
-            let pred =
-              List.find_opt (fun (o_prev, _) -> pair_ok (n - 1) o_prev o) feasible.(n - 1)
-            in
-            Option.map (fun (o_prev, _) -> (o, Some o_prev)) pred)
-          candidates
+      for o = 0 to k - 1 do
+        let rec first p =
+          if p = k then -1
+          else if pred.(n - 1).(p) >= 0 && pair_ok (n - 1) p o then p
+          else first (p + 1)
+        in
+        pred.(n).(o) <- first 0
+      done
     done;
-    match feasible.(n_used - 1) with
-    | [] -> None
-    | (last, _) :: _ ->
-        let result = Array.make n_used Orient.identity in
-        result.(n_used - 1) <- last;
-        (* walk back through witnesses *)
+    let rec first_feasible o =
+      if o = k then None
+      else if pred.(n_used - 1).(o) >= 0 then Some o
+      else first_feasible (o + 1)
+    in
+    match first_feasible 0 with
+    | None -> None
+    | Some last ->
+        let result = Array.make n_used 0 in
+        (* walk back through the witnesses *)
         let rec back n o =
-          if n = 0 then ()
-          else
-            let o_prev =
-              match List.find_opt (fun (o', _) -> Orient.equal o' o) feasible.(n) with
-              | Some (_, Some p) -> p
-              | Some (_, None) | None -> assert false
-            in
-            result.(n - 1) <- o_prev;
-            back (n - 1) o_prev
+          result.(n) <- o;
+          if n > 0 then back (n - 1) pred.(n).(o)
         in
         back (n_used - 1) last;
         Some result
   end
+
+let solve ~pages ~src_base ~n_used ~s ~base ~cross_steps =
+  let tb = Page.tables pages in
+  Option.map
+    (Array.map (fun o -> tb.orients.(o)))
+    (solve_ranks ~pages ~src_base ~n_used ~s ~base ~cross_steps)

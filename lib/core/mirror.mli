@@ -15,7 +15,15 @@
     dynamic program over candidate symmetries solves the assignment
     exactly: if the DP fails, no orientation assignment exists (this
     happens for non-square tiles whose fold mixes horizontal and vertical
-    page boundaries; square tiles always admit the needed rotation). *)
+    page boundaries; square tiles always admit the needed rotation).
+
+    Everything runs on the layout's {!Cgra_arch.Page.tables}, built once
+    per page layout: a relocation is three array reads.  Each cross-page
+    step's two endpoints are relocated once per candidate orientation of
+    their page ([k <= 8]), and the DP then compares PE indices: at most
+    [k^2] pair checks per page boundary, each over that boundary's steps,
+    so a solve costs O(k * steps + k^2 * pages * steps) int operations
+    and allocates only the [k]-entry image of each endpoint. *)
 
 val solve :
   pages:Cgra_arch.Page.t ->
@@ -31,7 +39,22 @@ val solve :
     destination page [base + n/s] and [cross_steps.(n)] lists the
     producer/consumer PE pairs of steps crossing from page
     [src_base + n] to page [src_base + n + 1].  Returns [None] when no
-    assignment satisfies every step. *)
+    assignment satisfies every step.  Among the solutions it returns the
+    one the DP's candidate order ({!Cgra_arch.Orient.all}) picks first.
+    Raises [Invalid_argument] when a step's PE is not in its page or a
+    destination page is outside the fabric. *)
+
+val solve_ranks :
+  pages:Cgra_arch.Page.t ->
+  src_base:int ->
+  n_used:int ->
+  s:int ->
+  base:int ->
+  cross_steps:(Cgra_arch.Coord.t * Cgra_arch.Coord.t) list array ->
+  int array option
+(** {!solve}, each symmetry given by its index in
+    [(Page.tables pages).orients] — the form {!Cgra_arch.Page.move}
+    takes. *)
 
 val relocate :
   pages:Cgra_arch.Page.t ->
@@ -43,4 +66,5 @@ val relocate :
 (** [relocate ~pages ~src_page ~dst_page o pe] is the new position of
     [pe] (a member of [src_page]) after applying symmetry [o] and moving
     to [dst_page]'s tile.  Raises [Invalid_argument] if [pe] is not in
-    [src_page]. *)
+    [src_page], [dst_page] is outside the fabric, or [o] is not a
+    symmetry of the page shape. *)

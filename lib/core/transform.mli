@@ -15,7 +15,10 @@
 
     The transformation visits each operation and routing hop exactly
     once: O(ops + hops + pages * steps) — the low-order-polynomial claim,
-    substantiated by the bechamel benchmarks. *)
+    substantiated by the [fold …] rows of [BENCH_micro.json].  Each
+    visit is a few reads of the layout's {!Cgra_arch.Page.tables},
+    built once per page layout and shared, so a fold allocates little
+    beyond the new mapping itself. *)
 
 type shrunk = {
   mapping : Cgra_mapper.Mapping.t;
@@ -47,6 +50,9 @@ val fold :
     [target_pages] pages starting at [base_page] (default 0).  The
     source may occupy any contiguous run of pages, not necessarily
     starting at page 0 — the runtime re-folds mappings the allocator
-    already relocated.  Errors when [m] is not a paged mapping, its used
-    pages are not contiguous, [target_pages < 1], or the destination
-    range exceeds the fabric. *)
+    already relocated.  Errors when [m] is not a paged mapping, leaves a
+    non-constant node unplaced, has an operation or routing hop outside
+    every page (off the grid, or on a band fabric's remainder PEs), its
+    used pages are not contiguous, [target_pages < 1], or the
+    destination range exceeds the fabric.  Total: it never raises, so a
+    launch can fold whatever the store decoded. *)

@@ -36,7 +36,9 @@ let monitor ~queue_bound ~max_resident (events : T.event list) =
           Hashtbl.replace state r.req Queued;
           Hashtbl.replace request_time r.req e.T.time;
           Queue.add r.req (queue_of r.tenant);
-          if Queue.length (queue_of r.tenant) > queue_bound + 1 then
+          (* the newest request may sit one over the bound until its
+             reject; compared without adding, so [max_int] cannot wrap *)
+          if Queue.length (queue_of r.tenant) - 1 > queue_bound then
             err "event %d: tenant %d queue depth %d beyond bound %d" seq r.tenant
               (Queue.length (queue_of r.tenant))
               queue_bound

@@ -51,7 +51,7 @@ type reader = { data : string; mutable pos : int }
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-let r_int r =
+let r_int_multi r =
   let v = ref 0 and shift = ref 0 and more = ref true in
   while !more do
     if r.pos >= String.length r.data then corrupt "truncated varint";
@@ -63,6 +63,16 @@ let r_int r =
     more := byte land 0x80 <> 0
   done;
   (!v lsr 1) lxor (- (!v land 1))
+
+(* Most fields (coordinates, times, small ids) fit one byte. *)
+let r_int r =
+  let pos = r.pos in
+  let v = if pos < String.length r.data then Char.code r.data.[pos] else 0x80 in
+  if v < 0x80 then begin
+    r.pos <- pos + 1;
+    (v lsr 1) lxor (- (v land 1))
+  end
+  else r_int_multi r
 
 let r_str r =
   let n = r_int r in
@@ -174,7 +184,30 @@ let graph_bytes g =
     (Graph.edges g);
   Buffer.contents b
 
-let graph_digest g = Digest.to_hex (Digest.string (graph_bytes g))
+(* A graph is immutable, so its digest is computed once per graph and
+   remembered for as long as the graph is alive: every store load keys
+   on it.  Keys are compared physically and hashed by name, which is
+   cheaper than hashing the structure; the table is not domain-safe on
+   its own, hence the lock. *)
+module Digests = Ephemeron.K1.Make (struct
+  type t = Graph.t
+
+  let equal = ( == )
+
+  let hash g = Hashtbl.hash (Graph.name g)
+end)
+
+let digests = Digests.create 16
+
+let digests_lock = Mutex.create ()
+
+let graph_digest g =
+  match Mutex.protect digests_lock (fun () -> Digests.find_opt digests g) with
+  | Some d -> d
+  | None ->
+      let d = Digest.to_hex (Digest.string (graph_bytes g)) in
+      Mutex.protect digests_lock (fun () -> Digests.replace digests g d);
+      d
 
 (* ----- mappings ----- *)
 
@@ -183,11 +216,14 @@ let w_placement b (p : Mapping.placement) =
   w_int b p.pe.Coord.col;
   w_int b p.time
 
-let r_placement r : Mapping.placement =
+let r_placement ~(arch : Cgra.t) r : Mapping.placement =
   let row = r_int r in
   let col = r_int r in
   let time = r_int r in
-  { pe = Coord.make ~row ~col; time }
+  let pe = Coord.make ~row ~col in
+  if not (Grid.in_bounds arch.grid pe) then
+    corrupt "PE (%d,%d) outside the %dx%d grid" row col arch.grid.rows arch.grid.cols;
+  { pe; time }
 
 let w_mapping b (m : Mapping.t) =
   w_int b m.Mapping.ii;
@@ -211,8 +247,7 @@ let r_mapping ~arch ~graph r : Mapping.t =
   if n <> Graph.n_nodes graph then
     corrupt "placement count %d does not match the %d-node graph" n
       (Graph.n_nodes graph);
-  let placements = Array.init n (fun _ -> r_opt r r_placement) in
-  let edge_set = Graph.edges graph in
+  let placements = Array.init n (fun _ -> r_opt r (r_placement ~arch)) in
   let routes =
     r_list r (fun r ->
         let src = r_int r in
@@ -220,9 +255,9 @@ let r_mapping ~arch ~graph r : Mapping.t =
         let operand = r_int r in
         let distance = r_int r in
         let edge = { Graph.src; dst; operand; distance } in
-        if not (List.mem edge edge_set) then
+        if src < 0 || src >= n || not (List.mem edge (Graph.succs graph src)) then
           corrupt "route for edge %d->%d absent from the graph" src dst;
-        let hops = r_list r r_placement in
+        let hops = r_list r (r_placement ~arch) in
         { Mapping.edge; hops })
   in
   { Mapping.arch; graph; ii; placements; routes; paged }

@@ -38,7 +38,8 @@ val graph_bytes : Cgra_dfg.Graph.t -> string
 
 val graph_digest : Cgra_dfg.Graph.t -> string
 (** MD5 of {!graph_bytes}, in hex — the kernel component of persistent
-    cache keys. *)
+    cache keys.  Computed once per graph value and remembered while the
+    graph is alive; safe to call from any domain. *)
 
 (** {1 Mappings} *)
 
@@ -53,8 +54,9 @@ val mapping_of_bytes :
   (Cgra_mapper.Mapping.t, string) result
 (** Inverse of {!mapping_bytes} over the given arch and graph.  Checks
     structural sanity (placement count matches the graph, routed edges
-    exist in it) but not schedule legality — run
-    [Cgra_mapper.Mapping.validate] for that. *)
+    exist in it, every placement and routing hop is on the arch's grid)
+    but not schedule legality — run [Cgra_mapper.Mapping.validate] for
+    that. *)
 
 (** {1 Compiled binaries (base + paged mapping pair)} *)
 

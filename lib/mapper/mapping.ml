@@ -59,8 +59,20 @@ let consumer_read_time t (e : Graph.edge) =
 
 let is_const t v = match (Graph.node t.graph v).op with Op.Const _ -> true | _ -> false
 
-let route_for t (e : Graph.edge) =
-  List.find_opt (fun r -> r.edge = e) t.routes
+(* Each edge's route, found through its consumer: a node has one
+   incoming edge per operand, so a bucket holds a handful of routes.
+   Buckets keep [t.routes]' order, so the first route listed for an edge
+   is the one found. *)
+let route_index t =
+  let by_dst = Array.make (Graph.n_nodes t.graph) [] in
+  List.iter
+    (fun r ->
+      let d = r.edge.Graph.dst in
+      if d >= 0 && d < Array.length by_dst then by_dst.(d) <- r :: by_dst.(d))
+    (List.rev t.routes);
+  fun (e : Graph.edge) -> List.find_opt (fun r -> r.edge = e) by_dst.(e.dst)
+
+let hops_of route_for e = match route_for e with None -> [] | Some r -> r.hops
 
 (* Same-page adjacency for reads.  For band pages the transformation may
    reverse a page, which only preserves path-consecutive adjacency. *)
@@ -80,12 +92,13 @@ let cross_adjacent t a b =
      || abs (Grid.serp_index t.arch.Cgra.grid a - Grid.serp_index t.arch.Cgra.grid b) = 1)
 
 let steps t =
+  let route_for = route_index t in
   List.concat_map
     (fun (e : Graph.edge) ->
       if is_const t e.src then []
       else
         let pu = placement_exn t e.src and pv = placement_exn t e.dst in
-        let hops = match route_for t e with None -> [] | Some r -> r.hops in
+        let hops = hops_of route_for e in
         let rec chain prev acc = function
           | [] -> List.rev ((prev, pv) :: acc)
           | h :: rest -> chain h ((prev, h) :: acc) rest
@@ -105,13 +118,14 @@ type transfer = {
 }
 
 let transfers t =
+  let route_for = route_index t in
   List.concat_map
     (fun (e : Graph.edge) ->
       if is_const t e.src then []
       else
         let pu = placement_exn t e.src and pv = placement_exn t e.dst in
         let final_read = consumer_read_time t e in
-        let hops = match route_for t e with None -> [] | Some r -> r.hops in
+        let hops = hops_of route_for e in
         let rec chain prev_key (prev : placement) acc idx = function
           | [] ->
               List.rev
@@ -189,9 +203,10 @@ let validate ?(check_mem = true) t =
       let last = Option.value ~default:born (Hashtbl.find_opt instances key) in
       Hashtbl.replace instances key (max last read)
     in
+    let route_for = route_index t in
     let check_edge (e : Graph.edge) =
       if is_const t e.src then begin
-        if route_for t e <> None then
+        if route_for e <> None then
           err "edge %d->%d from const has a route" e.src e.dst
       end
       else begin
@@ -210,7 +225,7 @@ let validate ?(check_mem = true) t =
             | Some _, Some _ | None, _ | _, None -> false
         in
         (* Producer -> hop1 -> ... -> hopK -> consumer. *)
-        let hops = match route_for t e with None -> [] | Some r -> r.hops in
+        let hops = hops_of route_for e in
         let ok = ref true in
         let prev = ref (pu : placement) in
         List.iter

@@ -61,18 +61,19 @@ let counters t =
 let key_hash ~version ~arch_fp ~kernel_digest ~seed =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "%d|%s|%s|%d" version arch_fp kernel_digest seed))
+       (String.concat "|" [ string_of_int version; arch_fp; kernel_digest; string_of_int seed ]))
 
 let rel_path_of_hash hash = Filename.concat (String.sub hash 0 2) (hash ^ extension)
 
-let key_of ~seed arch (k : Cgra_kernels.Kernels.t) =
-  (Binary.fingerprint arch, Codec.graph_digest k.graph, seed)
+(* One artifact's identity and address, derived once per load or save. *)
+type key = { arch_fp : string; kernel_digest : string; seed : int; rel_path : string }
 
-let path_for t ~seed arch k =
-  let arch_fp, kernel_digest, seed = key_of ~seed arch k in
-  Filename.concat t.root
-    (rel_path_of_hash
-       (key_hash ~version:Codec.format_version ~arch_fp ~kernel_digest ~seed))
+let key_of ~seed arch (k : Cgra_kernels.Kernels.t) =
+  let arch_fp = Binary.fingerprint arch and kernel_digest = Codec.graph_digest k.graph in
+  let hash = key_hash ~version:Codec.format_version ~arch_fp ~kernel_digest ~seed in
+  { arch_fp; kernel_digest; seed; rel_path = rel_path_of_hash hash }
+
+let path_for t ~seed arch k = Filename.concat t.root (key_of ~seed arch k).rel_path
 
 (* ----- artifact framing ----- *)
 
@@ -130,18 +131,17 @@ let read_file path =
 
 (* ----- load / save ----- *)
 
-let decode ~seed arch (k : Cgra_kernels.Kernels.t) content =
-  let arch_fp, kernel_digest, seed = key_of ~seed arch k in
+let decode_keyed (key : key) arch (k : Cgra_kernels.Kernels.t) content =
   match parse_artifact content with
   | Error _ as e -> e
   | Ok h ->
       if h.version <> Codec.format_version then
         Error (Printf.sprintf "format version %d (want %d)" h.version
                  Codec.format_version)
-      else if h.arch_fp <> arch_fp then Error "arch fingerprint mismatch"
-      else if h.kernel_digest <> kernel_digest then
+      else if h.arch_fp <> key.arch_fp then Error "arch fingerprint mismatch"
+      else if h.kernel_digest <> key.kernel_digest then
         Error "kernel digest mismatch"
-      else if h.seed <> seed then Error "seed mismatch"
+      else if h.seed <> key.seed then Error "seed mismatch"
       else (
         match Codec.binary_of_payload ~arch ~graph:k.graph h.payload with
         | Error _ as e -> e
@@ -150,13 +150,16 @@ let decode ~seed arch (k : Cgra_kernels.Kernels.t) content =
         | Ok (name, base, paged) ->
             Ok { Binary.name; graph = k.graph; base; paged })
 
+let decode ~seed arch k content = decode_keyed (key_of ~seed arch k) arch k content
+
 let load t ~seed arch (k : Cgra_kernels.Kernels.t) =
-  match read_file (path_for t ~seed arch k) with
+  let key = key_of ~seed arch k in
+  match read_file (Filename.concat t.root key.rel_path) with
   | None ->
       Atomic.incr t.load_misses;
       None
   | Some content -> (
-      match decode ~seed arch k content with
+      match decode_keyed key arch k content with
       | Ok b ->
           Atomic.incr t.load_hits;
           Some b
@@ -167,10 +170,12 @@ let load t ~seed arch (k : Cgra_kernels.Kernels.t) =
           None)
 
 let save t ~seed arch (k : Cgra_kernels.Kernels.t) (b : Binary.t) =
-  let arch_fp, kernel_digest, seed = key_of ~seed arch k in
+  let key = key_of ~seed arch k in
   let payload = Codec.binary_payload ~name:b.Binary.name ~base:b.Binary.base ~paged:b.Binary.paged in
-  let bytes = artifact_bytes ~arch_fp ~kernel_digest ~seed ~payload in
-  let path = path_for t ~seed arch k in
+  let bytes =
+    artifact_bytes ~arch_fp:key.arch_fp ~kernel_digest:key.kernel_digest ~seed ~payload
+  in
+  let path = Filename.concat t.root key.rel_path in
   (* temp-then-rename so concurrent readers (and writers racing on the
      same key) only ever observe complete artifacts; the tmp name is
      unique per process x handle x write *)

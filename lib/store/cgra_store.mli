@@ -42,13 +42,19 @@ val load :
     magic/version word, key match (arch fingerprint, kernel digest,
     seed), payload digest, payload decode, or kernel-name match.
     Rejections bump {!counters}[.rejects] and are indistinguishable
-    from misses to the caller, which recompiles. *)
+    from misses to the caller, which recompiles.  Every load reads the
+    file and runs every check; only the key is derived once per load
+    and serves both the path and the header comparison (the graph
+    digest inside it is computed once per graph,
+    {!Cgra_isa.Codec.graph_digest}). *)
 
 val decode :
   seed:int -> Cgra_arch.Cgra.t -> Cgra_kernels.Kernels.t -> string ->
   (Cgra_core.Binary.t, string) result
 (** The checks {!load} applies to an artifact file's bytes, without the
-    file: [Error] names the first one that fails.  Total on any bytes. *)
+    file: [Error] names the first one that fails.  Total on any bytes,
+    and a decoded binary places every operation and routing hop on the
+    arch's grid ({!Cgra_isa.Codec.mapping_of_bytes}). *)
 
 val save :
   t -> seed:int -> Cgra_arch.Cgra.t -> Cgra_kernels.Kernels.t ->

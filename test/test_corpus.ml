@@ -212,9 +212,18 @@ let parsers_case seed =
             = Lazy.force payload
           then Ok ()
           else Error (`Wrong "loaded a binary other than the one stored"));
+  (* payload: an accepted mutant is what a launch would fold, so its
+     paged mapping must fold to one page and to half the fabric with a
+     verdict, never an exception *)
   verdict ~input:"payload" (binary_mutation rng (Lazy.force payload)) (fun s ->
-      of_result
-        (Codec.binary_of_payload ~arch:(Lazy.force arch) ~graph:kernel.graph s));
+      match Codec.binary_of_payload ~arch:(Lazy.force arch) ~graph:kernel.graph s with
+      | Error _ -> Error `Rejected
+      | Ok (_, _, paged) ->
+          List.iter
+            (fun target_pages ->
+              match Transform.fold ~target_pages paged with Ok _ | Error _ -> ())
+            [ 1; Cgra.n_pages (Lazy.force arch) / 2 ];
+          Ok ());
   (* context image: rows x cols contexts of ii slots each, checked
      without multiplying *)
   verdict ~input:"config" (binary_mutation rng (Lazy.force config)) (fun s ->

@@ -140,6 +140,15 @@ let test_rejections_respect_bound () =
   Alcotest.(check (list string)) "report invariants" []
     (Farm_fuzz.check_report r)
 
+(* The stream monitor compares queue depth with the bound without
+   adding to the bound, so the largest bound there is reads as no bound
+   at all rather than wrapping into a false defect on every request. *)
+let test_unbounded_queue_monitor () =
+  let p = { small_params with queue_bound = max_int } in
+  let r = run_ok ~traced:true p in
+  Alcotest.(check int) "nothing rejected" 0 r.Farm.rejected;
+  Alcotest.(check (list string)) "every check holds" [] (Farm_fuzz.check r)
+
 (* ---------- golden farm_* stream ---------- *)
 
 (* The small fixed-seed run's JSONL stream is pinned by digest: any
@@ -376,6 +385,8 @@ let () =
             test_admission_properties;
           Alcotest.test_case "tight bound rejects, conserves" `Quick
             test_rejections_respect_bound;
+          Alcotest.test_case "max_int bound checks clean" `Quick
+            test_unbounded_queue_monitor;
           Alcotest.test_case "exact-time rule catches deferral" `Quick
             test_exact_time_rule_catches_deferral;
           Alcotest.test_case "non-finite params rejected" `Quick

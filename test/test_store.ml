@@ -80,6 +80,30 @@ let test_graph_digest () =
     "different kernels, different digests" true
     (Codec.graph_digest (k "mpeg") <> Codec.graph_digest (k "sobel"))
 
+(* The content address of an artifact: arch fingerprint, graph digest,
+   seed and format version hashed together.  Pinned so that a faster
+   derivation of any part of the key cannot move a store's files. *)
+let test_artifact_path_golden () =
+  let store = Cgra_store.open_ (fresh_dir ()) in
+  Fun.protect
+    ~finally:(fun () -> rm_rf (Cgra_store.dir store))
+    (fun () ->
+      List.iter
+        (fun ((size, page_pes, name, seed), expect) ->
+          let k = Cgra_kernels.Kernels.find_exn name in
+          let path = Cgra_store.path_for store ~seed (arch size page_pes) k in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %dx%d/p%d seed %d" name size size page_pes seed)
+            (Filename.concat (Cgra_store.dir store) expect)
+            path)
+        [
+          ((4, 4, "mpeg", 0), "71/71df3b7a246f08a55ae32e345665d161.cgrabin");
+          ((6, 8, "sobel", 1), "50/50623f2b4d39f83ed87ccdbafaee1b6d.cgrabin");
+          ((8, 4, "swim", 7), "ab/ab00dbca90bb150582aad5ac0f024606.cgrabin");
+          ((4, 2, "histeq", 0), "af/af083234c171bb834bb62c69057f92f2.cgrabin");
+          ((6, 4, "wavelet", -3), "c8/c85cd3fc65bc98b8f2beffb304344579.cgrabin");
+        ])
+
 (* ----- serialization round-trips ----- *)
 
 let check_mapping_equal what (a : Cgra_mapper.Mapping.t) (b : Cgra_mapper.Mapping.t) =
@@ -333,6 +357,51 @@ let test_hostile_codec_bytes () =
       | Ok _ | Error _ -> ())
     cases
 
+(* An artifact whose framing, key and payload MD5 are all consistent,
+   but whose paged mapping puts sobel's node 0 somewhere else on 6x6
+   with 8-PE band pages.  Off the grid, the decoder refuses it; on a
+   remainder PE (on the grid, in no page), it decodes, and the launch's
+   fold refuses it.  Neither raises. *)
+let test_crafted_placements () =
+  let a = arch 6 8 in
+  let k = Cgra_kernels.Kernels.find_exn "sobel" in
+  let b = compile_ok a k in
+  let moved pe =
+    let placements = Array.copy b.Binary.paged.placements in
+    let p = Option.get placements.(0) in
+    placements.(0) <- Some { p with Cgra_mapper.Mapping.pe };
+    { b.Binary.paged with Cgra_mapper.Mapping.placements }
+  in
+  let artifact paged =
+    let payload = Codec.binary_payload ~name:b.Binary.name ~base:b.Binary.base ~paged in
+    let w = Buffer.create 1024 in
+    Buffer.add_string w "CGRB";
+    Codec.Wire.w_int w Codec.format_version;
+    Codec.Wire.w_str w (Cgra.fingerprint a);
+    Codec.Wire.w_str w (Codec.graph_digest k.graph);
+    Codec.Wire.w_int w 0;
+    Codec.Wire.w_str w payload;
+    Codec.Wire.w_str w (Digest.string payload);
+    Buffer.contents w
+  in
+  (match Cgra_store.decode ~seed:0 a k (artifact b.Binary.paged) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the unmodified framing is rejected: %s" e);
+  (match Cgra_store.decode ~seed:0 a k (artifact (moved (Coord.make ~row:40 ~col:3))) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a placement off the grid decoded");
+  let remainder =
+    List.find
+      (fun pe -> Page.page_of_pe a.Cgra.pages pe = None)
+      (Grid.all_pes a.Cgra.grid)
+  in
+  match Cgra_store.decode ~seed:0 a k (artifact (moved remainder)) with
+  | Error e -> Alcotest.failf "an on-grid placement is rejected: %s" e
+  | Ok loaded -> (
+      match Transform.fold ~target_pages:(Cgra.n_pages a / 2) loaded.Binary.paged with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a remainder-PE occupant folded")
+
 (* ----- store audit: scan, stats, gc ----- *)
 
 let test_scan_stats_gc () =
@@ -425,6 +494,7 @@ let () =
           Alcotest.test_case "canonical, not pretty-printed" `Quick
             test_fingerprint_is_canonical;
           Alcotest.test_case "graph digest" `Quick test_graph_digest;
+          Alcotest.test_case "golden artifact paths" `Quick test_artifact_path_golden;
         ] );
       ( "roundtrip",
         [
@@ -449,6 +519,8 @@ let () =
           Alcotest.test_case "empty and garbage files" `Quick
             test_empty_and_garbage_files;
           Alcotest.test_case "hostile codec bytes" `Quick test_hostile_codec_bytes;
+          Alcotest.test_case "crafted placements, valid digest" `Quick
+            test_crafted_placements;
         ] );
       ( "audit",
         [

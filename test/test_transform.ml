@@ -273,6 +273,262 @@ let test_mirror_band_reversal () =
         junction
   | None -> Alcotest.fail "band fold must solve via reversal"
 
+(* ---------- differential oracle: the coordinate-based fold ---------- *)
+
+(* The fold as it was before the int tables: every relocation through
+   the option-returning coordinate functions, every orientation pair
+   relocated afresh.  Kept verbatim (its band-page [vlocal]/[vglobal]
+   included) as the oracle the table-driven {!Transform.fold} is
+   checked against. *)
+module Reference = struct
+  let vlocal (t : Page.t) n (c : Coord.t) =
+    match t.shape with
+    | Rect _ -> Page.local_of t n c
+    | Band { size } ->
+        if Page.page_of_pe t c = Some n then
+          Some (Coord.make ~row:0 ~col:(Grid.serp_index t.grid c - (n * size)))
+        else None
+
+  let vglobal (t : Page.t) n (local : Coord.t) =
+    match t.shape with
+    | Rect _ -> Page.global_of t n local
+    | Band { size } ->
+        if local.row = 0 && local.col >= 0 && local.col < size && n >= 0
+           && n < Page.n_pages t
+        then Some (Grid.serpentine t.grid).((n * size) + local.col)
+        else None
+
+  let relocate ~pages ~src_page ~dst_page o pe =
+    let tile_rows, tile_cols = Page.vdims pages in
+    match vlocal pages src_page pe with
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Mirror.relocate: %s not in page %d" (Coord.to_string pe)
+             src_page)
+    | Some local -> (
+        let local' = Orient.apply o ~tile_rows ~tile_cols local in
+        match vglobal pages dst_page local' with
+        | Some pe' -> pe'
+        | None -> assert false (* symmetries preserve the tile *))
+
+  let solve ~pages ~src_base ~n_used ~s ~base ~cross_steps =
+    let candidates = Orient.all ~square:(Page.is_square_tile pages) in
+    let dst n = base + (n / s) in
+    (* [n] is relative to the source mapping's lowest used page
+       [src_base]; [cross_steps] is indexed the same way. *)
+    (* A pair (o_n, o_next) satisfies the steps crossing page n -> n+1 when
+       every transferred value stays within register-file reach. *)
+    let pair_ok n o_n o_next =
+      List.for_all
+        (fun (a, b) ->
+          let a' = relocate ~pages ~src_page:(src_base + n) ~dst_page:(dst n) o_n a in
+          let b' =
+            relocate ~pages ~src_page:(src_base + n + 1) ~dst_page:(dst (n + 1)) o_next b
+          in
+          Coord.equal a' b' || Coord.adjacent a' b')
+        cross_steps.(n)
+    in
+    if n_used <= 0 then Some [||]
+    else begin
+      (* DP over the page path: feasible orientations of page n, with a
+         witness predecessor for path reconstruction. *)
+      let feasible = Array.make n_used [] in
+      feasible.(0) <- List.map (fun o -> (o, None)) candidates;
+      for n = 1 to n_used - 1 do
+        feasible.(n) <-
+          List.filter_map
+            (fun o ->
+              let pred =
+                List.find_opt (fun (o_prev, _) -> pair_ok (n - 1) o_prev o) feasible.(n - 1)
+              in
+              Option.map (fun (o_prev, _) -> (o, Some o_prev)) pred)
+            candidates
+      done;
+      match feasible.(n_used - 1) with
+      | [] -> None
+      | (last, _) :: _ ->
+          let result = Array.make n_used Orient.identity in
+          result.(n_used - 1) <- last;
+          (* walk back through witnesses *)
+          let rec back n o =
+            if n = 0 then ()
+            else
+              let o_prev =
+                match List.find_opt (fun (o', _) -> Orient.equal o' o) feasible.(n) with
+                | Some (_, Some p) -> p
+                | Some (_, None) | None -> assert false
+              in
+              result.(n - 1) <- o_prev;
+              back (n - 1) o_prev
+          in
+          back (n_used - 1) last;
+          Some result
+    end
+
+  let cdiv a b = (a + b - 1) / b
+
+  let fold ?(base_page = 0) ~target_pages (src : Mapping.t) : (Transform.shrunk, string) result =
+    let pages = src.arch.Cgra.pages in
+    let page_of pe =
+      match Page.page_of_pe pages pe with
+      | Some p -> p
+      | None -> invalid_arg "Transform.fold: occupant outside any page"
+    in
+    if not src.paged then Error "Transform.fold: source mapping is not paged"
+    else if target_pages < 1 then Error "Transform.fold: target_pages < 1"
+    else begin
+      let used = Mapping.pages_used src in
+      let n_used = List.length used in
+      if n_used = 0 then Error "Transform.fold: empty mapping"
+      else begin
+        let src_base = List.hd used in
+        let contiguous =
+          List.for_all2 (fun pg i -> pg = src_base + i) used (List.init n_used Fun.id)
+        in
+        if not contiguous then
+          Error "Transform.fold: source pages are not a contiguous ring run"
+        else begin
+          let rel pg = pg - src_base in
+          let m_eff = min target_pages n_used in
+          let s = cdiv n_used m_eff in
+          if base_page < 0 || base_page + m_eff > Page.n_pages pages then
+            Error
+              (Printf.sprintf "Transform.fold: pages [%d, %d) exceed the fabric" base_page
+                 (base_page + m_eff))
+          else begin
+            let cross_steps = Array.make (max 1 (n_used - 1)) [] in
+            List.iter
+              (fun ((a : Mapping.placement), (b : Mapping.placement)) ->
+                let pa = rel (page_of a.pe) and pb = rel (page_of b.pe) in
+                if pb = pa + 1 then cross_steps.(pa) <- (a.pe, b.pe) :: cross_steps.(pa))
+              (Mapping.steps src);
+            let orientations, pe_exact =
+              match solve ~pages ~src_base ~n_used ~s ~base:base_page ~cross_steps with
+              | Some o -> (o, true)
+              | None -> (Array.make n_used Orient.identity, false)
+            in
+            let move (p : Mapping.placement) =
+              let n = rel (page_of p.pe) in
+              let pe =
+                relocate ~pages ~src_page:(src_base + n)
+                  ~dst_page:(base_page + (n / s)) orientations.(n) p.pe
+              in
+              { Mapping.pe; time = (p.time * s) + (n mod s) }
+            in
+            let mapping =
+              {
+                src with
+                Mapping.ii = src.ii * s;
+                placements = Array.map (Option.map move) src.placements;
+                routes =
+                  List.map
+                    (fun (r : Mapping.route) -> { r with hops = List.map move r.hops })
+                    src.routes;
+                paged = false;
+              }
+            in
+            Ok { mapping; source = src; n_used; m_eff; s; base_page; orientations; pe_exact }
+          end
+        end
+      end
+    end
+end
+
+(* Every paged mapping of the Fig. 8 grid at seeds 0 and 1, folded to
+   every target page count at every base page, by both folds: the same
+   verdict (a range past the fabric's end is an error for both) and, when
+   both succeed, the same orientations, exactness, fold factor and page
+   count, and the same mapping byte for byte. *)
+let test_fold_matches_reference () =
+  let folds = ref 0 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun size ->
+          List.iter
+            (fun page_pes ->
+              match Cgra.standard ~size ~page_pes with
+              | None -> ()
+              | Some a ->
+                  let n_pages = Cgra.n_pages a in
+                  List.iter
+                    (fun (k : Cgra_kernels.Kernels.t) ->
+                      let m =
+                        match Scheduler.map ~seed Paged a k.graph with
+                        | Ok m -> m
+                        | Error e -> Alcotest.failf "map %s: %s" k.name e
+                      in
+                      for target = 1 to n_pages do
+                        for base = 0 to n_pages - 1 do
+                          incr folds;
+                          let what =
+                            Printf.sprintf "%s %dx%d/p%d seed %d, %d pages at %d" k.name
+                              size size page_pes seed target base
+                          in
+                          match
+                            ( Transform.fold ~base_page:base ~target_pages:target m,
+                              Reference.fold ~base_page:base ~target_pages:target m )
+                          with
+                          | Ok got, Ok want ->
+                              if
+                                not
+                                  (Array.for_all2 Orient.equal got.orientations
+                                     want.orientations
+                                  && got.pe_exact = want.pe_exact && got.s = want.s
+                                  && got.m_eff = want.m_eff
+                                  && Cgra_isa.Codec.mapping_bytes got.mapping
+                                     = Cgra_isa.Codec.mapping_bytes want.mapping)
+                              then Alcotest.failf "%s: folds differ" what
+                          | Error _, Error _ -> ()
+                          | Ok _, Error e -> Alcotest.failf "%s: only the reference fails: %s" what e
+                          | Error e, Ok _ -> Alcotest.failf "%s: only the new fold fails: %s" what e
+                        done
+                      done)
+                    Cgra_kernels.Kernels.all)
+            Experiments.page_sizes)
+        Experiments.cgra_sizes)
+    [ 0; 1 ];
+  Alcotest.(check int) "folds compared" 40_590 !folds
+
+(* ---------- total on hostile mappings ---------- *)
+
+(* A band fabric leaves PEs outside every page (6x6 with 8-PE pages: 4
+   of them), and an artifact's placement may name any PE on the grid.
+   The fold refuses such a mapping, or an unplaced node, with an
+   [Error] instead of raising. *)
+let test_fold_rejects_bad_occupants () =
+  let m = paged_mapping ~size:6 ~page_pes:8 "sobel" in
+  let pages = m.Mapping.arch.Cgra.pages in
+  let remainder =
+    List.filter (fun pe -> Page.page_of_pe pages pe = None) (Grid.all_pes pages.Page.grid)
+  in
+  Alcotest.(check int) "remainder PEs on 6x6/p8" 4 (List.length remainder);
+  let v =
+    let rec placed v = if m.placements.(v) <> None then v else placed (v + 1) in
+    placed 0
+  in
+  let with_node pl =
+    let placements = Array.copy m.placements in
+    placements.(v) <- pl;
+    { m with Mapping.placements }
+  in
+  let time = (Mapping.placement_exn m v).time in
+  List.iter
+    (fun (what, bad) ->
+      List.iter
+        (fun target_pages ->
+          match Transform.fold ~target_pages bad with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s folded to %d pages" what target_pages
+          | exception e ->
+              Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+        [ 1; 2 ])
+    [
+      ("remainder PE", with_node (Some { Mapping.pe = List.hd remainder; time }));
+      ("off the grid", with_node (Some { Mapping.pe = Coord.make ~row:40 ~col:3; time }));
+      ("unplaced node", with_node None);
+    ]
+
 (* ---------- end-to-end: fold then simulate ---------- *)
 
 let test_fold_simulates_correctly () =
@@ -343,6 +599,10 @@ let () =
           Alcotest.test_case "no slot collisions" `Quick test_fold_no_slot_collisions;
           Alcotest.test_case "fold factor" `Quick test_fold_factor;
           Alcotest.test_case "orientations length" `Quick test_orientations_length;
+          Alcotest.test_case "matches the reference fold on the Fig. 8 grid" `Slow
+            test_fold_matches_reference;
+          Alcotest.test_case "bad occupants are errors" `Quick
+            test_fold_rejects_bad_occupants;
         ] );
       ( "mirror",
         [
