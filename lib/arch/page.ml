@@ -165,13 +165,7 @@ let vglobal t n (local : Coord.t) =
   | Rect _ -> global_of t n local
   | Band { size } ->
       if local.row = 0 && local.col >= 0 && local.col < size && n >= 0 && n < n_pages t
-      then begin
-        (* invert [Grid.serp_index] without building the whole path *)
-        let cols = t.grid.Grid.cols in
-        let k = (n * size) + local.col in
-        let row = k / cols and j = k mod cols in
-        Some (Coord.make ~row ~col:(if row mod 2 = 0 then j else cols - 1 - j))
-      end
+      then Some (Grid.serpentine t.grid).((n * size) + local.col)
       else None
 
 (* ----- int tables for the PageMaster fold ----- *)

@@ -1,54 +1,34 @@
 open Cgra_arch
 
-(* The PE index of [pe], which must be a PE of page [page]. *)
-let index_in pages (tb : Page.tables) ~page (pe : Coord.t) =
-  let grid = pages.Page.grid in
-  if Grid.in_bounds grid pe && tb.page_of.(Grid.index grid pe) = page then
-    Grid.index grid pe
-  else
-    invalid_arg (Printf.sprintf "Mirror: %s not in page %d" (Coord.to_string pe) page)
-
-let check_page pages page =
-  if page < 0 || page >= Page.n_pages pages then
-    invalid_arg (Printf.sprintf "Mirror: page %d outside the fabric" page)
-
-let relocate ~pages ~src_page ~dst_page o pe =
-  let tb = Page.tables pages in
-  let rec rank r =
-    if r = Array.length tb.orients then
-      invalid_arg "Mirror.relocate: symmetry not available on this page shape"
-    else if Orient.equal tb.orients.(r) o then r
-    else rank (r + 1)
-  in
-  check_page pages dst_page;
-  tb.coord.(Page.move tb ~orient:(rank 0) ~dst_page (index_in pages tb ~page:src_page pe))
-
-let solve_ranks ~pages ~src_base ~n_used ~s ~base ~cross_steps =
+let solve (tb : Page.tables) ~src_base ~n_used ~s ~base ~cross_steps =
   if n_used <= 0 then Some [||]
   else begin
-    let tb = Page.tables pages in
     let k = Array.length tb.orients in
-    let cols = pages.Page.grid.Grid.cols in
+    let n_pages = Array.length tb.pe_at / tb.page_size in
     (* [n] is relative to the source mapping's lowest used page
        [src_base]; [cross_steps] is indexed the same way. *)
     let dst n = base + (n / s) in
-    check_page pages (dst 0);
-    check_page pages (dst (n_used - 1));
-    (* Where a PE of source page [n] lands under each candidate
+    let check_page page =
+      if page < 0 || page >= n_pages then
+        invalid_arg (Printf.sprintf "Mirror.solve: page %d outside the fabric" page)
+    in
+    check_page (dst 0);
+    check_page (dst (n_used - 1));
+    (* Where PE [i] of source page [n] lands under each candidate
        orientation: each cross-step endpoint is relocated once per
        orientation, not once per pair of them. *)
-    let images n pe =
-      let i = index_in pages tb ~page:(src_base + n) pe in
-      Array.init k (fun o -> Page.move tb ~orient:o ~dst_page:(dst n) i)
+    let images n i =
+      if i < 0 || i >= Array.length tb.page_of || tb.page_of.(i) <> src_base + n then
+        invalid_arg
+          (Printf.sprintf "Mirror.solve: PE %d not in page %d" i (src_base + n));
+      Array.init k (fun o -> tb.coord.(Page.move tb ~orient:o ~dst_page:(dst n) i))
     in
     let steps =
       Array.init (n_used - 1) (fun n ->
           List.map (fun (a, b) -> (images n a, images (n + 1) b)) cross_steps.(n))
     in
     (* Same PE or mesh neighbours: register-file reach. *)
-    let near a b =
-      abs ((a / cols) - (b / cols)) + abs ((a mod cols) - (b mod cols)) <= 1
-    in
+    let near (a : Coord.t) (b : Coord.t) = abs (a.row - b.row) + abs (a.col - b.col) <= 1 in
     (* A pair (o_n, o_next) satisfies the steps crossing page n -> n+1 when
        every transferred value stays within register-file reach. *)
     let pair_ok n o_n o_next =
@@ -87,9 +67,3 @@ let solve_ranks ~pages ~src_base ~n_used ~s ~base ~cross_steps =
         back (n_used - 1) last;
         Some result
   end
-
-let solve ~pages ~src_base ~n_used ~s ~base ~cross_steps =
-  let tb = Page.tables pages in
-  Option.map
-    (Array.map (fun o -> tb.orients.(o)))
-    (solve_ranks ~pages ~src_base ~n_used ~s ~base ~cross_steps)

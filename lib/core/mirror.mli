@@ -20,51 +20,28 @@
     Everything runs on the layout's {!Cgra_arch.Page.tables}, built once
     per page layout: a relocation is three array reads.  Each cross-page
     step's two endpoints are relocated once per candidate orientation of
-    their page ([k <= 8]), and the DP then compares PE indices: at most
+    their page ([k <= 8]), and the DP then compares the images: at most
     [k^2] pair checks per page boundary, each over that boundary's steps,
     so a solve costs O(k * steps + k^2 * pages * steps) int operations
     and allocates only the [k]-entry image of each endpoint. *)
 
 val solve :
-  pages:Cgra_arch.Page.t ->
+  Cgra_arch.Page.tables ->
   src_base:int ->
   n_used:int ->
   s:int ->
   base:int ->
-  cross_steps:(Cgra_arch.Coord.t * Cgra_arch.Coord.t) list array ->
-  Cgra_arch.Orient.t array option
-(** [solve ~pages ~src_base ~n_used ~s ~base ~cross_steps] assigns one
-    symmetry per source page, where source page [src_base + n] (for
-    [n] in [0 .. n_used-1]) is relocated to
-    destination page [base + n/s] and [cross_steps.(n)] lists the
-    producer/consumer PE pairs of steps crossing from page
-    [src_base + n] to page [src_base + n + 1].  Returns [None] when no
-    assignment satisfies every step.  Among the solutions it returns the
-    one the DP's candidate order ({!Cgra_arch.Orient.all}) picks first.
-    Raises [Invalid_argument] when a step's PE is not in its page or a
-    destination page is outside the fabric. *)
-
-val solve_ranks :
-  pages:Cgra_arch.Page.t ->
-  src_base:int ->
-  n_used:int ->
-  s:int ->
-  base:int ->
-  cross_steps:(Cgra_arch.Coord.t * Cgra_arch.Coord.t) list array ->
+  cross_steps:(int * int) list array ->
   int array option
-(** {!solve}, each symmetry given by its index in
-    [(Page.tables pages).orients] — the form {!Cgra_arch.Page.move}
-    takes. *)
-
-val relocate :
-  pages:Cgra_arch.Page.t ->
-  src_page:int ->
-  dst_page:int ->
-  Cgra_arch.Orient.t ->
-  Cgra_arch.Coord.t ->
-  Cgra_arch.Coord.t
-(** [relocate ~pages ~src_page ~dst_page o pe] is the new position of
-    [pe] (a member of [src_page]) after applying symmetry [o] and moving
-    to [dst_page]'s tile.  Raises [Invalid_argument] if [pe] is not in
-    [src_page], [dst_page] is outside the fabric, or [o] is not a
-    symmetry of the page shape. *)
+(** [solve tb ~src_base ~n_used ~s ~base ~cross_steps] assigns one
+    symmetry per source page, where source page [src_base + n] (for
+    [n] in [0 .. n_used-1]) is relocated to destination page
+    [base + n/s] and [cross_steps.(n)] lists the producer/consumer PE
+    pairs ({!Cgra_arch.Grid.index}) of steps crossing from page
+    [src_base + n] to page [src_base + n + 1].  Each symmetry is given by
+    its index in [tb.orients], the form {!Cgra_arch.Page.move} takes.
+    Returns [None] when no assignment satisfies every step.  Among the
+    solutions it returns the one the DP's candidate order
+    ({!Cgra_arch.Orient.all}) picks first.  Raises [Invalid_argument]
+    when a step's PE is not in its page or a destination page is outside
+    the fabric. *)

@@ -70,7 +70,7 @@ let fold ?(base_page = 0) ~target_pages (src : Mapping.t) =
             Error "Transform.fold: source pages are not a contiguous ring run"
           else begin
             (* every occupant is on a page of the run: [occupied] checked *)
-            let rel (pe : Coord.t) = tb.page_of.(Grid.index grid pe) - src_base in
+            let rel i = tb.page_of.(i) - src_base in
             let m_eff = min target_pages n_used in
             let s = cdiv n_used m_eff in
             if base_page < 0 || base_page + m_eff > Page.n_pages pages then
@@ -82,23 +82,19 @@ let fold ?(base_page = 0) ~target_pages (src : Mapping.t) =
               let cross_steps = Array.make (max 1 (n_used - 1)) [] in
               List.iter
                 (fun ((a : Mapping.placement), (b : Mapping.placement)) ->
-                  let pa = rel a.pe and pb = rel b.pe in
-                  if pb = pa + 1 then cross_steps.(pa) <- (a.pe, b.pe) :: cross_steps.(pa))
+                  let ia = Grid.index grid a.pe and ib = Grid.index grid b.pe in
+                  let pa = rel ia in
+                  if rel ib = pa + 1 then cross_steps.(pa) <- (ia, ib) :: cross_steps.(pa))
                 (Mapping.steps src);
               let ranks, pe_exact =
-                match
-                  Mirror.solve_ranks ~pages ~src_base ~n_used ~s ~base:base_page
-                    ~cross_steps
-                with
+                match Mirror.solve tb ~src_base ~n_used ~s ~base:base_page ~cross_steps with
                 | Some o -> (o, true)
                 | None -> (Array.make n_used 0 (* the identity *), false)
               in
               let move (p : Mapping.placement) =
-                let n = rel p.pe in
-                let pe =
-                  Page.move tb ~orient:ranks.(n) ~dst_page:(base_page + (n / s))
-                    (Grid.index grid p.pe)
-                in
+                let i = Grid.index grid p.pe in
+                let n = rel i in
+                let pe = Page.move tb ~orient:ranks.(n) ~dst_page:(base_page + (n / s)) i in
                 { Mapping.pe = tb.coord.(pe); time = (p.time * s) + (n mod s) }
               in
               let mapping =

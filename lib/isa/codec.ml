@@ -51,7 +51,7 @@ type reader = { data : string; mutable pos : int }
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-let r_int_multi r =
+let r_int r =
   let v = ref 0 and shift = ref 0 and more = ref true in
   while !more do
     if r.pos >= String.length r.data then corrupt "truncated varint";
@@ -63,16 +63,6 @@ let r_int_multi r =
     more := byte land 0x80 <> 0
   done;
   (!v lsr 1) lxor (- (!v land 1))
-
-(* Most fields (coordinates, times, small ids) fit one byte. *)
-let r_int r =
-  let pos = r.pos in
-  let v = if pos < String.length r.data then Char.code r.data.[pos] else 0x80 in
-  if v < 0x80 then begin
-    r.pos <- pos + 1;
-    (v lsr 1) lxor (- (v land 1))
-  end
-  else r_int_multi r
 
 let r_str r =
   let n = r_int r in
@@ -247,7 +237,16 @@ let r_mapping ~arch ~graph r : Mapping.t =
   if n <> Graph.n_nodes graph then
     corrupt "placement count %d does not match the %d-node graph" n
       (Graph.n_nodes graph);
-  let placements = Array.init n (fun _ -> r_opt r (r_placement ~arch)) in
+  (* only a constant, folded into its consumers' immediates, may be
+     unplaced *)
+  let placements =
+    Array.init n (fun v ->
+        let p = r_opt r (r_placement ~arch) in
+        (match (p, (Graph.node graph v).op) with
+        | Some _, _ | None, Op.Const _ -> ()
+        | None, _ -> corrupt "non-constant node %d unplaced" v);
+        p)
+  in
   let routes =
     r_list r (fun r ->
         let src = r_int r in

@@ -53,9 +53,10 @@ val mapping_of_bytes :
   string ->
   (Cgra_mapper.Mapping.t, string) result
 (** Inverse of {!mapping_bytes} over the given arch and graph.  Checks
-    structural sanity (placement count matches the graph, routed edges
-    exist in it, every placement and routing hop is on the arch's grid)
-    but not schedule legality — run [Cgra_mapper.Mapping.validate] for
+    structural sanity (placement count matches the graph, every
+    non-constant node is placed, routed edges exist in it, every
+    placement and routing hop is on the arch's grid) but not schedule
+    legality — run [Cgra_mapper.Mapping.validate] for
     that. *)
 
 (** {1 Compiled binaries (base + paged mapping pair)} *)

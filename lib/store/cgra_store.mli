@@ -53,8 +53,9 @@ val decode :
   (Cgra_core.Binary.t, string) result
 (** The checks {!load} applies to an artifact file's bytes, without the
     file: [Error] names the first one that fails.  Total on any bytes,
-    and a decoded binary places every operation and routing hop on the
-    arch's grid ({!Cgra_isa.Codec.mapping_of_bytes}). *)
+    and a decoded binary places every non-constant operation, and every
+    routing hop, on the arch's grid
+    ({!Cgra_isa.Codec.mapping_of_bytes}). *)
 
 val save :
   t -> seed:int -> Cgra_arch.Cgra.t -> Cgra_kernels.Kernels.t ->

@@ -359,18 +359,21 @@ let test_hostile_codec_bytes () =
 
 (* An artifact whose framing, key and payload MD5 are all consistent,
    but whose paged mapping puts sobel's node 0 somewhere else on 6x6
-   with 8-PE band pages.  Off the grid, the decoder refuses it; on a
-   remainder PE (on the grid, in no page), it decodes, and the launch's
-   fold refuses it.  Neither raises. *)
+   with 8-PE band pages, or nowhere.  Off the grid or unplaced, the
+   decoder refuses it; on a remainder PE (on the grid, in no page), it
+   decodes, and the launch's fold refuses it.  None raises. *)
 let test_crafted_placements () =
   let a = arch 6 8 in
   let k = Cgra_kernels.Kernels.find_exn "sobel" in
   let b = compile_ok a k in
-  let moved pe =
+  let with_node0 p =
     let placements = Array.copy b.Binary.paged.placements in
-    let p = Option.get placements.(0) in
-    placements.(0) <- Some { p with Cgra_mapper.Mapping.pe };
+    placements.(0) <- p;
     { b.Binary.paged with Cgra_mapper.Mapping.placements }
+  in
+  let moved pe =
+    let p = Option.get b.Binary.paged.placements.(0) in
+    with_node0 (Some { p with Cgra_mapper.Mapping.pe })
   in
   let artifact paged =
     let payload = Codec.binary_payload ~name:b.Binary.name ~base:b.Binary.base ~paged in
@@ -390,6 +393,9 @@ let test_crafted_placements () =
   (match Cgra_store.decode ~seed:0 a k (artifact (moved (Coord.make ~row:40 ~col:3))) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a placement off the grid decoded");
+  (match Cgra_store.decode ~seed:0 a k (artifact (with_node0 None)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an unplaced operation decoded");
   let remainder =
     List.find
       (fun pe -> Page.page_of_pe a.Cgra.pages pe = None)

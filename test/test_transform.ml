@@ -196,11 +196,24 @@ let test_orientations_length () =
 
 (* ---------- mirror ---------- *)
 
+(* Where [pe] lands when its page is mirrored by symmetry [o] (an index
+   into the layout's [orients]) and moved onto [dst_page]'s tile. *)
+let relocate pages ~dst_page o pe =
+  let tb = Page.tables pages in
+  tb.coord.(Page.move tb ~orient:o ~dst_page (Grid.index pages.Page.grid pe))
+
+(* Cross steps as the PE-index pairs [Mirror.solve] takes. *)
+let step_indices pages =
+  let index = Grid.index pages.Page.grid in
+  List.map (fun (a, b) -> (index a, index b))
+
 let test_mirror_relocate_identity () =
   let pages = Page.rect (Grid.square 4) ~tile_rows:2 ~tile_cols:2 in
+  Alcotest.(check bool) "symmetry 0 is the identity" true
+    (Orient.equal Orient.identity (Page.tables pages).orients.(0));
   List.iter
     (fun pe ->
-      let pe' = Mirror.relocate ~pages ~src_page:0 ~dst_page:0 Orient.identity pe in
+      let pe' = relocate pages ~dst_page:0 0 pe in
       Alcotest.(check bool) "fixed point" true (Coord.equal pe pe'))
     (Page.pes_of_page pages 0)
 
@@ -208,23 +221,28 @@ let test_mirror_relocate_moves_tile () =
   let pages = Page.rect (Grid.square 4) ~tile_rows:2 ~tile_cols:2 in
   List.iter
     (fun pe ->
-      let pe' = Mirror.relocate ~pages ~src_page:0 ~dst_page:2 Orient.identity pe in
+      let pe' = relocate pages ~dst_page:2 0 pe in
       Alcotest.(check (option int)) "lands in page 2" (Some 2) (Page.page_of_pe pages pe'))
     (Page.pes_of_page pages 0)
 
 let test_mirror_relocate_rejects_foreign () =
+  (* a step from page 0 whose producer sits in another page *)
   let pages = Page.rect (Grid.square 4) ~tile_rows:2 ~tile_cols:2 in
+  let foreign = (Coord.make ~row:3 ~col:3, List.hd (Page.pes_of_page pages 1)) in
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (Mirror.relocate ~pages ~src_page:0 ~dst_page:1 Orient.identity
-            (Coord.make ~row:3 ~col:3));
+         (Mirror.solve (Page.tables pages) ~src_base:0 ~n_used:2 ~s:2 ~base:0
+            ~cross_steps:[| step_indices pages [ foreign ] |]);
        false
      with Invalid_argument _ -> true)
 
 let test_mirror_solve_no_steps () =
   let pages = Page.rect (Grid.square 4) ~tile_rows:2 ~tile_cols:2 in
-  match Mirror.solve ~pages ~src_base:0 ~n_used:3 ~s:3 ~base:0 ~cross_steps:[| []; []; [] |] with
+  match
+    Mirror.solve (Page.tables pages) ~src_base:0 ~n_used:3 ~s:3 ~base:0
+      ~cross_steps:[| []; []; [] |]
+  with
   | Some o -> Alcotest.(check int) "length" 3 (Array.length o)
   | None -> Alcotest.fail "unconstrained solve must succeed"
 
@@ -236,18 +254,21 @@ let test_mirror_solve_fig6_fold () =
   let steps01 = Page.boundary_pairs pages 0 in
   let steps12 = Page.boundary_pairs pages 1 in
   Alcotest.(check bool) "boundaries exist" true (steps01 <> [] && steps12 <> []);
-  match Mirror.solve ~pages ~src_base:0 ~n_used:3 ~s:3 ~base:0 ~cross_steps:[| steps01; steps12 |] with
+  match
+    Mirror.solve (Page.tables pages) ~src_base:0 ~n_used:3 ~s:3 ~base:0
+      ~cross_steps:[| step_indices pages steps01; step_indices pages steps12 |]
+  with
   | Some o ->
-      let reloc n orient pe = Mirror.relocate ~pages ~src_page:n ~dst_page:0 orient pe in
+      let reloc n pe = relocate pages ~dst_page:0 o.(n) pe in
       List.iter
         (fun (a, b) ->
-          let a' = reloc 0 o.(0) a and b' = reloc 1 o.(1) b in
+          let a' = reloc 0 a and b' = reloc 1 b in
           Alcotest.(check bool) "0-1 within RF reach" true
             (Coord.equal a' b' || Coord.adjacent a' b'))
         steps01;
       List.iter
         (fun (a, b) ->
-          let a' = reloc 1 o.(1) a and b' = reloc 2 o.(2) b in
+          let a' = reloc 1 a and b' = reloc 2 b in
           Alcotest.(check bool) "1-2 within RF reach" true
             (Coord.equal a' b' || Coord.adjacent a' b'))
         steps12
@@ -263,12 +284,15 @@ let test_mirror_band_reversal () =
       (Page.boundary_pairs pages 0)
   in
   Alcotest.(check bool) "junction exists" true (junction <> []);
-  match Mirror.solve ~pages ~src_base:0 ~n_used:2 ~s:2 ~base:0 ~cross_steps:[| junction |] with
+  match
+    Mirror.solve (Page.tables pages) ~src_base:0 ~n_used:2 ~s:2 ~base:0
+      ~cross_steps:[| step_indices pages junction |]
+  with
   | Some o ->
       List.iter
         (fun (a, b) ->
-          let a' = Mirror.relocate ~pages ~src_page:0 ~dst_page:0 o.(0) a in
-          let b' = Mirror.relocate ~pages ~src_page:1 ~dst_page:0 o.(1) b in
+          let a' = relocate pages ~dst_page:0 o.(0) a in
+          let b' = relocate pages ~dst_page:0 o.(1) b in
           Alcotest.(check bool) "reach" true (Coord.equal a' b' || Coord.adjacent a' b'))
         junction
   | None -> Alcotest.fail "band fold must solve via reversal"
