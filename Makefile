@@ -17,13 +17,15 @@ fmt:
 	dune build @fmt
 
 # End-to-end smoke: a traced Multi/Single run in both export formats
-# (self-validated by the trace command) plus the fuzz harnesses.
+# (self-validated by the trace command), the fuzz harnesses, and the
+# bench gate's check of all five committed baselines.
 smoke:
 	dune build @smoke
 
 ci: all fmt test smoke
 
-# Regenerate the committed perf baselines at the repo root.  BENCH_micro
+# Regenerate the five committed perf baselines at the repo root.  Every
+# row states its own gate ("better", "kind", "bound").  BENCH_micro
 # rows carry a per-row "domains" field: the sequential rows are
 # single-domain per-call latencies, and the "(paged, -j 4)" rows time the
 # same compiles with the scheduler ladder raced across a 4-domain pool
@@ -57,20 +59,21 @@ farm:
 # through the sequential event-loop coordinator.  Rewrites
 # BENCH_farm_big.json: quality rows at nominal load, the
 # least-loaded/cost-aware overload pair, and the front-end simulation
-# rate (requests per wall-second).
+# rate (requests per wall-second).  `gate --check` then validates all
+# five committed baselines, this one included.
 farm-big:
 	dune build bench/main.exe
 	CGRA_DOMAINS=$$(nproc) dune exec bench/main.exe -- farm-big --json
-	dune exec bench/main.exe -- gate --check --farm-big
+	dune exec bench/main.exe -- gate --check
 
-# Re-measure every bench family and compare each row against the
-# committed baselines with per-row tolerances; non-zero exit on any
-# regression.  --farm-big opts the at-scale fleet into the re-measured
-# set.  `gate --check` (run by @smoke) only re-validates the committed
-# files against themselves.
+# Re-measure all five bench families, the at-scale fleet included, and
+# compare each row against its committed baseline within the bound the
+# row states; non-zero exit on any regression.  `gate --check` (run by
+# @smoke and runtest) only re-validates the committed files against
+# themselves.
 bench-gate:
 	dune build bench/main.exe
-	dune exec bench/main.exe -- gate --farm-big
+	dune exec bench/main.exe -- gate
 
 # A profiled 16-thread Multi-mode run on the default 4x4: occupancy heatmap,
 # row-bus contention, stall attribution, reshape accounting, latency

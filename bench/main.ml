@@ -2,22 +2,22 @@
    and micro-benchmarks the PageMaster transformation (the low-order
    polynomial-time claim) and the compiler.
 
-   Usage:  dune exec bench/main.exe                  (everything)
-           dune exec bench/main.exe -- fig8          (Fig. 8 only)
-           dune exec bench/main.exe -- fig9          (Fig. 9 only)
-           dune exec bench/main.exe -- micro         (micro-benchmarks)
-           dune exec bench/main.exe -- micro --json  (also write BENCH_micro.json)
-           dune exec bench/main.exe -- fig9 --json   (also write BENCH_fig9.json)
-           dune exec bench/main.exe -- fig8 --json   (also write BENCH_fig8.json)
-           dune exec bench/main.exe -- farm --json   (also write BENCH_farm.json)
-           dune exec bench/main.exe -- gate          (re-run + compare baselines)
-           dune exec bench/main.exe -- gate --check  (validate baselines only)
+   Usage:  dune exec bench/main.exe                   (everything)
+           dune exec bench/main.exe -- FAMILY         (one family: micro |
+                                                       fig9 | fig8 | farm |
+                                                       farm-big)
+           dune exec bench/main.exe -- FAMILY --json  (also write its
+                                                       BENCH_<family>.json)
+           dune exec bench/main.exe -- ablation       (ablations only)
+           dune exec bench/main.exe -- gate           (re-run + compare all
+                                                       five baselines)
+           dune exec bench/main.exe -- gate --check   (validate baselines only)
 
    Timing discipline: every micro row is min-of-N (warm-up, calibrated
    repetition count, N timed samples, minimum recorded) with the run
    count and (max-min)/min spread stored beside the value, so the
    committed BENCH_*.json rows are gate-able — `gate` re-measures and
-   fails loudly when a row regresses beyond its tolerance
+   fails loudly when a row moves beyond the bound it states
    (Cgra_prof.Bench_gate).
 
    Parallel sections (fig8/fig9/ablation sweeps) fan out across
@@ -27,20 +27,32 @@
    across PRs. *)
 
 open Cgra_core
+module Gate = Cgra_prof.Bench_gate
 
 let line = String.make 78 '='
 
 let section title = Printf.printf "\n%s\n%s\n%s\n" line title line
 
-(* ----- min-of-N timing ----- *)
+(* ----- rows ----- *)
 
-type measured = {
-  m_name : string;
-  ns : float;  (* minimum ns per run over the samples *)
-  runs : int;  (* samples taken *)
-  spread : float;  (* (max-min)/min over the samples, percent *)
-  domains : int;  (* pool width the measured code ran at *)
-}
+(* A row from its samples: the best one by [better] (the minimum of a
+   [Lower] row), with the run count and the (max-min)/min spread, in
+   percent, beside it. *)
+let summarize ?(domains = 1) ~better ~kind ~bound name samples =
+  let mn = List.fold_left Float.min infinity samples in
+  let mx = List.fold_left Float.max neg_infinity samples in
+  {
+    Gate.name;
+    value = (match better with Gate.Lower -> mn | Gate.Higher -> mx);
+    domains;
+    runs = List.length samples;
+    spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
+    better;
+    kind;
+    bound;
+  }
+
+(* ----- min-of-N timing ----- *)
 
 let n_samples = 5
 
@@ -48,8 +60,9 @@ let n_samples = 5
    batch takes >= 20 ms (so the 1 us clock quantizes below 0.01%), then
    take [n_samples] batches and keep the minimum — the least-disturbed
    run on a shared machine, which is what makes committed rows stable
-   enough to gate on. *)
-let measure ?(domains = 1) name f =
+   enough to gate on.  A host-time row may double before it fails
+   ([bound] 2.0 by default). *)
+let measure ?domains ?(bound = 2.0) name f =
   ignore (f ());
   let batch reps =
     let t0 = Unix.gettimeofday () in
@@ -63,128 +76,52 @@ let measure ?(domains = 1) name f =
     else calibrate (reps * 4)
   in
   let reps = calibrate 1 in
-  let samples =
-    List.init n_samples (fun _ -> batch reps /. float_of_int reps *. 1e9)
-  in
-  let mn = List.fold_left Float.min infinity samples in
-  let mx = List.fold_left Float.max neg_infinity samples in
-  {
-    m_name = name;
-    ns = mn;
-    runs = n_samples;
-    spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
-    domains;
-  }
+  summarize ?domains ~better:Gate.Lower ~kind:Gate.Measured ~bound name
+    (List.init n_samples (fun _ -> batch reps /. float_of_int reps *. 1e9))
 
 let show rows =
   List.iter
     (fun r ->
+      let ns = r.Gate.value in
       let human =
-        if r.ns >= 1_000_000.0 then Printf.sprintf "%10.2f ms/run" (r.ns /. 1e6)
-        else if r.ns >= 1_000.0 then Printf.sprintf "%10.2f us/run" (r.ns /. 1e3)
-        else Printf.sprintf "%10.0f ns/run" r.ns
+        if ns >= 1_000_000.0 then Printf.sprintf "%10.2f ms/run" (ns /. 1e6)
+        else if ns >= 1_000.0 then Printf.sprintf "%10.2f us/run" (ns /. 1e3)
+        else Printf.sprintf "%10.0f ns/run" ns
       in
-      Printf.printf "  %-40s %s  (min of %d, spread %.1f%%)\n" r.m_name human
+      Printf.printf "  %-40s %s  (min of %d, spread %.1f%%)\n" r.name human
         r.runs r.spread)
     rows
 
-(* ----- machine-readable baselines ----- *)
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-(* [results] are measured rows in [unit_]; validated with the project's
-   own JSON parser before the file is written, and parseable back with
-   Cgra_prof.Bench_gate.parse (the gate's reader). *)
-let bench_doc ~bench ~unit_ ~domains ~extras results =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"bench\": %s,\n" (json_string bench);
-  Printf.bprintf b "  \"domains\": %d,\n" domains;
-  List.iter (fun (k, v) -> Printf.bprintf b "  %s: %s,\n" (json_string k) v) extras;
-  Printf.bprintf b "  \"unit\": %s,\n" (json_string unit_);
-  Buffer.add_string b "  \"results\": [\n";
-  let n = List.length results in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    { \"name\": %s, \"value\": %.3f, \"domains\": %d, \"runs\": %d, \
-         \"spread\": %.1f }%s\n"
-        (json_string r.m_name) r.ns r.domains r.runs r.spread
-        (if i = n - 1 then "" else ","))
-    results;
-  Buffer.add_string b "  ]\n}\n";
-  let data = Buffer.contents b in
-  (match Cgra_trace.Json.parse data with
-  | Ok _ -> ()
-  | Error e -> failwith ("emitted " ^ bench ^ " baseline is not valid JSON: " ^ e));
-  (match Cgra_prof.Bench_gate.parse data with
-  | Ok _ -> ()
-  | Error e -> failwith ("emitted " ^ bench ^ " baseline does not gate-parse: " ^ e));
-  data
-
-let write_bench_json ~path ~bench ~unit_ ~domains ~extras results =
-  let data = bench_doc ~bench ~unit_ ~domains ~extras results in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
-  Printf.printf "\nwrote %s (%d results, %s)\n" path (List.length results) unit_
-
 (* ----- Fig. 8: compile-time constraint cost ----- *)
 
-(* The gated quality rows: every fabric's 4-PE-page geomean (the page
-   size all three fabrics share, and the one Fig. 8 headlines).  These
-   are deterministic functions of the scheduler at seed 0 — no timing,
-   no spread — so the gate direction flips: a drop in any row means the
+(* Every (fabric, page size) table is printed; the gated quality rows
+   are every fabric's 4-PE-page geomean (the page size all three fabrics
+   share, and the one Fig. 8 headlines).  These are deterministic
+   functions of the scheduler at seed 0 — no timing, no spread — so they
+   gate upward with a flat 0.05-point slack: a drop in any row means the
    compiler got worse at its job. *)
-let fig8_rows ~pool ~quiet () =
-  let w = Cgra_util.Pool.width pool in
+let fig8_rows ~pool ~quiet =
+  let domains = Cgra_util.Pool.width pool in
   List.filter_map
     (fun size ->
+      let figs = Experiments.fig8_all ~pool ~size () in
+      if not quiet then
+        List.iter
+          (fun f ->
+            print_newline ();
+            print_endline (Experiments.render_fig8 f))
+          figs;
       List.find_map
         (fun (f : Experiments.fig8) ->
           if f.page_pes <> 4 then None
-          else begin
-            if not quiet then begin
-              print_newline ();
-              print_endline (Experiments.render_fig8 f)
-            end;
+          else
             Some
-              {
-                m_name = Printf.sprintf "fig8 %dx%d p4 geomean" size size;
-                ns = f.geomean_pct;
-                runs = 1;
-                spread = 0.0;
-                domains = w;
-              }
-          end)
-        (Experiments.fig8_all ~pool ~size ()))
+              (summarize ~domains ~better:Gate.Higher ~kind:Gate.Exact
+                 ~bound:0.05
+                 (Printf.sprintf "fig8 %dx%d p4 geomean" size size)
+                 [ f.geomean_pct ]))
+        figs)
     Experiments.cgra_sizes
-
-let run_fig8 ~pool ~json () =
-  section "Figure 8 - performance cost of the paging constraints (100 * II_b / II_c)";
-  List.iter
-    (fun size ->
-      List.iter
-        (fun f ->
-          print_newline ();
-          print_endline (Experiments.render_fig8 f))
-        (Experiments.fig8_all ~pool ~size ()))
-    Experiments.cgra_sizes;
-  if json then
-    write_bench_json ~path:"BENCH_fig8.json" ~bench:"fig8" ~unit_:"percent"
-      ~domains:(Cgra_util.Pool.width pool) ~extras:[]
-      (fig8_rows ~pool ~quiet:true ())
 
 (* ----- Fig. 9: multithreading improvement ----- *)
 
@@ -193,58 +130,40 @@ let run_fig8 ~pool ~json () =
    sample prints the figures. *)
 let fig9_samples = 3
 
-let fig9_rows ~pool ~replicates ~quiet () =
-  let w = Cgra_util.Pool.width pool in
-  List.map
-    (fun size ->
-      let sample i =
-        Binary.clear_cache ();
-        let t0 = Unix.gettimeofday () in
-        let figs = Experiments.fig9_all ~replicates ~pool ~size () in
-        let dt = Unix.gettimeofday () -. t0 in
-        if i = 0 && not quiet then
-          List.iter
-            (fun f ->
-              print_newline ();
-              print_endline (Experiments.render_fig9 f))
-            figs;
-        dt
-      in
-      let samples = List.init fig9_samples sample in
-      let mn = List.fold_left Float.min infinity samples in
-      let mx = List.fold_left Float.max neg_infinity samples in
-      {
-        m_name = Printf.sprintf "fig9 %dx%d sweep" size size;
-        ns = mn;
-        runs = fig9_samples;
-        spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
-        domains = w;
-      })
-    Experiments.cgra_sizes
+let fig9_replicates = 3
 
-let fig9_with_total rows ~w =
-  let total = List.fold_left (fun acc r -> acc +. r.ns) 0.0 rows in
+let fig9_rows ~pool ~quiet =
+  let domains = Cgra_util.Pool.width pool in
+  let rows =
+    List.map
+      (fun size ->
+        let sample i =
+          Binary.clear_cache ();
+          let t0 = Unix.gettimeofday () in
+          let figs =
+            Experiments.fig9_all ~replicates:fig9_replicates ~pool ~size ()
+          in
+          let dt = Unix.gettimeofday () -. t0 in
+          if i = 0 && not quiet then
+            List.iter
+              (fun f ->
+                print_newline ();
+                print_endline (Experiments.render_fig9 f))
+              figs;
+          dt
+        in
+        summarize ~domains ~better:Gate.Lower ~kind:Gate.Measured ~bound:2.0
+          (Printf.sprintf "fig9 %dx%d sweep" size size)
+          (List.init fig9_samples sample))
+      Experiments.cgra_sizes
+  in
+  (* the total gates like its parts, with the widest part's spread *)
+  let total = List.fold_left (fun acc r -> acc +. r.Gate.value) 0.0 rows in
   let spread =
-    List.fold_left (fun acc r -> Float.max acc r.spread) 0.0 rows
+    List.fold_left (fun acc r -> Float.max acc r.Gate.spread) 0.0 rows
   in
   rows
-  @ [
-      { m_name = "fig9 full sweep"; ns = total; runs = fig9_samples; spread;
-        domains = w };
-    ]
-
-let run_fig9 ~pool ~replicates ~json () =
-  section
-    (Printf.sprintf
-       "Figure 9 - throughput improvement of multithreading (mean of %d workloads)"
-       replicates);
-  let rows = fig9_rows ~pool ~replicates ~quiet:false () in
-  let w = Cgra_util.Pool.width pool in
-  if json then
-    write_bench_json ~path:"BENCH_fig9.json" ~bench:"fig9" ~unit_:"wall_s"
-      ~domains:w
-      ~extras:[ ("replicates", string_of_int replicates) ]
-      (fig9_with_total rows ~w)
+  @ [ { (List.hd rows) with name = "fig9 full sweep"; value = total; spread } ]
 
 (* ----- micro-benchmarks ----- *)
 
@@ -366,7 +285,7 @@ let warm_start_benches arch =
         ignore (Result.get_ok (Binary.compile_suite arch)) );
   ]
 
-let micro_rows ~quiet () =
+let micro_rows ~quiet =
   let collect title benches =
     if not quiet then print_endline title;
     let rows = List.map (fun (name, f) -> measure name f) benches in
@@ -408,31 +327,28 @@ let micro_rows ~quiet () =
          then load, integrity-check and decode the disk artifact; 0 scheduler \
          runs):";
     let rows =
+      (* microsecond-scale disk reads jitter hardest: 4x before a fail *)
       with_warm_store (fun arch ->
-          List.map (fun (name, f) -> measure name f) (warm_start_benches arch))
+          List.map
+            (fun (name, f) -> measure ~bound:4.0 name f)
+            (warm_start_benches arch))
     in
     if not quiet then show rows;
     rows
   in
   transform_rows @ greedy_rows @ mapper_rows @ raced_rows @ warm_rows
 
-let run_micro ~json () =
-  section "Micro-benchmarks - PageMaster runtime vs. compiler runtime";
-  let rows = micro_rows ~quiet:false () in
-  if json then
-    write_bench_json ~path:"BENCH_micro.json" ~bench:"micro" ~unit_:"ns_per_run"
-      ~domains:1 ~extras:[] rows
-
 (* ----- farm: sustained-load serving rows ----- *)
 
 (* The farm quality rows are virtual-clock simulation outputs —
    deterministic functions of the seed, like fig8 — and the gate
-   compares them with a flat epsilon: throughput rows gate upward, the
-   latency quantiles gate downward.  They still run min-of-3 with the
-   spread measured rather than asserted: a nonzero spread in a committed
-   file would itself be a determinism bug, surfaced where the gate can
-   see it.  Three-plus offered loads trace the load curve from headroom
-   through saturation. *)
+   compares them with a flat 0.001 slack (the %.3f quantization of the
+   written value): throughput rows gate upward, the latency quantiles
+   gate downward.  They still run three times with the spread measured
+   rather than asserted: a nonzero spread in a committed file would
+   itself be a determinism bug, surfaced where the gate can see it.
+   Three-plus offered loads trace the load curve from headroom through
+   saturation. *)
 let farm_samples = 3
 
 let farm_loads = [ 0.5; 1.0; 2.0; 4.0 ]
@@ -446,34 +362,29 @@ let farm_run ~pool p =
 
 let farm_quality_metrics =
   [
-    ("req/kcycle", fun (r : Cgra_farm.Farm.report) -> r.Cgra_farm.Farm.throughput);
-    ("latency p50", fun r -> r.Cgra_farm.Farm.latency.p50);
-    ("latency p99", fun r -> r.Cgra_farm.Farm.latency.p99);
+    ( "req/kcycle",
+      Gate.Higher,
+      fun (r : Cgra_farm.Farm.report) -> r.Cgra_farm.Farm.throughput );
+    ("latency p50", Gate.Lower, fun r -> r.Cgra_farm.Farm.latency.p50);
+    ("latency p99", Gate.Lower, fun r -> r.Cgra_farm.Farm.latency.p99);
   ]
 
-(* One config, min-of-[farm_samples]: returns the first report (for
+(* One config, [farm_samples] runs: returns the first report (for
    rendering) and the metric rows. *)
 let farm_metric_rows ~pool ~prefix p =
-  let w = Cgra_util.Pool.width pool in
+  let domains = Cgra_util.Pool.width pool in
   let reports = List.init farm_samples (fun _ -> farm_run ~pool p) in
   let rows =
     List.map
-      (fun (name, read) ->
-        let samples = List.map read reports in
-        let mn = List.fold_left Float.min infinity samples in
-        let mx = List.fold_left Float.max neg_infinity samples in
-        {
-          m_name = Printf.sprintf "%s %s" prefix name;
-          ns = mn;
-          runs = farm_samples;
-          spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
-          domains = w;
-        })
+      (fun (name, better, read) ->
+        summarize ~domains ~better ~kind:Gate.Exact ~bound:0.001
+          (Printf.sprintf "%s %s" prefix name)
+          (List.map read reports))
       farm_quality_metrics
   in
   (List.hd reports, rows)
 
-let farm_rows ~pool ~quiet () =
+let farm_rows ~pool ~quiet =
   List.concat_map
     (fun load ->
       let p = { Cgra_farm.Farm.default_params with offered_load = load } in
@@ -487,19 +398,6 @@ let farm_rows ~pool ~quiet () =
       rows)
     farm_loads
 
-let run_farm ~pool ~json () =
-  section
-    "Farm - sustained multi-tenant load on the mixed fleet (deterministic, \
-     virtual clock)";
-  let rows = farm_rows ~pool ~quiet:false () in
-  if json then
-    write_bench_json ~path:"BENCH_farm.json" ~bench:"farm"
-      ~unit_:"req_per_kcycle|cycles" ~domains:(Cgra_util.Pool.width pool)
-      ~extras:
-        [ ("requests", string_of_int Cgra_farm.Farm.default_params.n_requests);
-          ("seed", string_of_int Cgra_farm.Farm.default_params.seed) ]
-      rows
-
 (* ----- farm-big: the at-scale harness ----- *)
 
 (* Farm.big_params: 24 mixed shards, 8 tenants, 10^4 requests.  The
@@ -509,7 +407,7 @@ let run_farm ~pool ~json () =
    so the p99 improvement is in the baseline itself, not a claim — and
    the wall-clock simulation rate of the sequential event loop. *)
 
-let farm_big_quality_rows ~pool ~quiet () =
+let farm_big_quality_rows ~pool ~quiet =
   let p = Cgra_farm.Farm.big_params in
   let show (r : Cgra_farm.Farm.report) =
     if not quiet then begin
@@ -540,145 +438,30 @@ let farm_big_quality_rows ~pool ~quiet () =
   @ overload Cgra_farm.Farm.Least_loaded
   @ overload Cgra_farm.Farm.Cost_aware
 
-(* Requests per wall-second through the coordinator, min-of-N (best
-   rate), with the suite compile pre-warmed so the clock sees the
+(* Requests per wall-second through the coordinator, best of N (the
+   maximum rate), with the suite compile pre-warmed so the clock sees the
    discrete-event loop and not the mapper.  The loop is sequential, so
-   there is one row, measured on a one-domain pool. *)
-let farm_big_rate_rows ~quiet () =
+   there is one row, measured on a one-domain pool; like the other
+   host-time rows it may halve before it fails. *)
+let farm_big_rate_row ~quiet =
   let p = Cgra_farm.Farm.big_params in
   let row =
     Cgra_util.Pool.with_pool ~domains:1 (fun pool ->
         ignore (farm_run ~pool p);
-        let samples =
-          List.init farm_samples (fun _ ->
-              let t0 = Unix.gettimeofday () in
-              ignore (farm_run ~pool p);
-              float_of_int p.Cgra_farm.Farm.n_requests
-              /. (Unix.gettimeofday () -. t0))
-        in
-        let mn = List.fold_left Float.min infinity samples in
-        let mx = List.fold_left Float.max neg_infinity samples in
-        { m_name = "farm-big sim-rate"; ns = mx; runs = farm_samples;
-          spread = (if mn > 0.0 then (mx -. mn) /. mn *. 100.0 else 0.0);
-          domains = Cgra_util.Pool.width pool })
+        summarize ~better:Gate.Higher ~kind:Gate.Measured ~bound:2.0
+          "farm-big sim-rate"
+          (List.init farm_samples (fun _ ->
+               let t0 = Unix.gettimeofday () in
+               ignore (farm_run ~pool p);
+               float_of_int p.Cgra_farm.Farm.n_requests
+               /. (Unix.gettimeofday () -. t0))))
   in
   if not quiet then
     Printf.printf
       "\nFront-end simulation rate: %.0f req/wall-s (best of %d, spread \
        %.1f%%, %d domain)\n"
-      row.ns row.runs row.spread row.domains;
-  [ row ]
-
-let run_farm_big ~pool ~json () =
-  section
-    "Farm at scale - 24 mixed shards, 8 tenants, 10000 requests";
-  let quality = farm_big_quality_rows ~pool ~quiet:false () in
-  let rates = farm_big_rate_rows ~quiet:false () in
-  if json then
-    write_bench_json ~path:"BENCH_farm_big.json" ~bench:"farm-big"
-      ~unit_:"req_per_kcycle|cycles|req_per_wall_s"
-      ~domains:(Cgra_util.Pool.width pool)
-      ~extras:
-        [ ("requests", string_of_int Cgra_farm.Farm.big_params.n_requests);
-          ("shards",
-           string_of_int (List.length Cgra_farm.Farm.big_params.fleet));
-          ("tenants", string_of_int Cgra_farm.Farm.big_params.n_tenants);
-          ("seed", string_of_int Cgra_farm.Farm.big_params.seed) ]
-      (quality @ rates)
-
-(* ----- gate: the enforced perf contract ----- *)
-
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error e -> failwith e
-
-let load_baseline path =
-  match Cgra_prof.Bench_gate.parse (read_file path) with
-  | Ok doc -> doc
-  | Error e -> failwith (path ^ ": " ^ e)
-
-(* [check_only] compares each committed baseline against itself: it
-   proves the file parses, every row has a tolerance, and the
-   self-comparison passes — cheap enough for @smoke.  The full gate
-   re-measures and compares for real. *)
-let run_gate ~pool ~check_only ~micro_path ~fig9_path ~fig8_path ~farm_path
-    ~farm_big_path () =
-  section
-    (if check_only then "Bench gate - baseline validation (tolerance check only)"
-     else "Bench gate - fresh measurements vs. committed baselines");
-  let gate name baseline current =
-    let outcomes = Cgra_prof.Bench_gate.check ~baseline ~current in
-    Printf.printf "\n%s (%s):\n%s" name baseline.Cgra_prof.Bench_gate.unit_
-      (Cgra_prof.Bench_gate.render ~unit_:baseline.Cgra_prof.Bench_gate.unit_
-         outcomes);
-    Cgra_prof.Bench_gate.failures outcomes
-  in
-  let micro_base = load_baseline micro_path in
-  let fig9_base = load_baseline fig9_path in
-  let fig8_base = load_baseline fig8_path in
-  let farm_base = load_baseline farm_path in
-  let farm_big_base = Option.map load_baseline farm_big_path in
-  let micro_cur, fig9_cur, fig8_cur, farm_cur, farm_big_cur =
-    if check_only then
-      (micro_base, fig9_base, fig8_base, farm_base, farm_big_base)
-    else begin
-      let micro_rows = micro_rows ~quiet:true () in
-      let micro_doc =
-        bench_doc ~bench:"micro" ~unit_:"ns_per_run" ~domains:1 ~extras:[]
-          micro_rows
-      in
-      let fig9_rows = fig9_rows ~pool ~replicates:3 ~quiet:true () in
-      let w = Cgra_util.Pool.width pool in
-      let fig9_doc =
-        bench_doc ~bench:"fig9" ~unit_:"wall_s" ~domains:w
-          ~extras:[ ("replicates", "3") ]
-          (fig9_with_total fig9_rows ~w)
-      in
-      let fig8_doc =
-        bench_doc ~bench:"fig8" ~unit_:"percent" ~domains:w ~extras:[]
-          (fig8_rows ~pool ~quiet:true ())
-      in
-      let farm_doc =
-        bench_doc ~bench:"farm" ~unit_:"req_per_kcycle|cycles" ~domains:w
-          ~extras:[] (farm_rows ~pool ~quiet:true ())
-      in
-      let farm_big_doc =
-        Option.map
-          (fun _ ->
-            bench_doc ~bench:"farm-big"
-              ~unit_:"req_per_kcycle|cycles|req_per_wall_s" ~domains:w
-              ~extras:[]
-              (farm_big_quality_rows ~pool ~quiet:true ()
-              @ farm_big_rate_rows ~quiet:true ()))
-          farm_big_base
-      in
-      ( Result.get_ok (Cgra_prof.Bench_gate.parse micro_doc),
-        Result.get_ok (Cgra_prof.Bench_gate.parse fig9_doc),
-        Result.get_ok (Cgra_prof.Bench_gate.parse fig8_doc),
-        Result.get_ok (Cgra_prof.Bench_gate.parse farm_doc),
-        Option.map
-          (fun d -> Result.get_ok (Cgra_prof.Bench_gate.parse d))
-          farm_big_doc )
-    end
-  in
-  let micro_failures = gate "micro" micro_base micro_cur in
-  let fig9_failures = gate "fig9" fig9_base fig9_cur in
-  let fig8_failures = gate "fig8" fig8_base fig8_cur in
-  let farm_failures = gate "farm" farm_base farm_cur in
-  let farm_big_failures =
-    match (farm_big_base, farm_big_cur) with
-    | Some base, Some cur -> gate "farm-big" base cur
-    | _ -> 0
-  in
-  let failures =
-    micro_failures + fig9_failures + fig8_failures + farm_failures
-    + farm_big_failures
-  in
-  if failures > 0 then begin
-    Printf.printf "\nbench gate: %d row(s) FAILED\n" failures;
-    exit 1
-  end
-  else print_endline "\nbench gate: all rows within tolerance"
+      row.value row.runs row.spread row.domains;
+  row
 
 (* ----- ablations (design choices DESIGN.md calls out) ----- *)
 
@@ -700,56 +483,173 @@ let run_ablation ~pool () =
   show "Memory ports per row bus (4x4, 4-PE pages)"
     (Experiments.ablation_mem_ports ~pool ~size:4 ~page_pes:4 ~ports:[ 1; 2; 4; 8 ] ())
 
+(* ----- the five gated families ----- *)
+
+type family = {
+  bench : string;  (* the mode that runs it, and its file's "bench" *)
+  file : string;
+  unit_ : string;
+  title : string;
+  extras : (string * string) list;  (* document fields, raw JSON *)
+  rows : pool:Cgra_util.Pool.t -> quiet:bool -> Gate.row list;
+}
+
+let families =
+  let farm = Cgra_farm.Farm.default_params and big = Cgra_farm.Farm.big_params in
+  [
+    {
+      bench = "micro";
+      file = "BENCH_micro.json";
+      unit_ = "ns_per_run";
+      title = "Micro-benchmarks - PageMaster runtime vs. compiler runtime";
+      extras = [];
+      rows = (fun ~pool:_ ~quiet -> micro_rows ~quiet);
+    };
+    {
+      bench = "fig9";
+      file = "BENCH_fig9.json";
+      unit_ = "wall_s";
+      title =
+        Printf.sprintf
+          "Figure 9 - throughput improvement of multithreading (mean of %d \
+           workloads)"
+          fig9_replicates;
+      extras = [ ("replicates", string_of_int fig9_replicates) ];
+      rows = fig9_rows;
+    };
+    {
+      bench = "fig8";
+      file = "BENCH_fig8.json";
+      unit_ = "percent";
+      title =
+        "Figure 8 - performance cost of the paging constraints (100 * II_b / \
+         II_c)";
+      extras = [];
+      rows = fig8_rows;
+    };
+    {
+      bench = "farm";
+      file = "BENCH_farm.json";
+      unit_ = "req_per_kcycle|cycles";
+      title =
+        "Farm - sustained multi-tenant load on the mixed fleet \
+         (deterministic, virtual clock)";
+      extras =
+        [ ("requests", string_of_int farm.n_requests);
+          ("seed", string_of_int farm.seed) ];
+      rows = farm_rows;
+    };
+    {
+      bench = "farm-big";
+      file = "BENCH_farm_big.json";
+      unit_ = "req_per_kcycle|cycles|req_per_wall_s";
+      title = "Farm at scale - 24 mixed shards, 8 tenants, 10000 requests";
+      extras =
+        [ ("requests", string_of_int big.n_requests);
+          ("shards", string_of_int (List.length big.fleet));
+          ("tenants", string_of_int big.n_tenants);
+          ("seed", string_of_int big.seed) ];
+      rows =
+        (fun ~pool ~quiet ->
+          farm_big_quality_rows ~pool ~quiet @ [ farm_big_rate_row ~quiet ]);
+    };
+  ]
+
+(* The family's document as written to its file, checked with the
+   gate's own reader, which also gives the gate its fresh rows exactly as
+   a file would (values rounded as written). *)
+let bench_doc ~pool fam rows =
+  let str s = Cgra_trace.Json.to_string (Cgra_trace.Json.Str s) in
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "{\n  \"bench\": %s,\n  \"domains\": %d,\n" (str fam.bench)
+    (Cgra_util.Pool.width pool);
+  List.iter (fun (k, v) -> Printf.bprintf b "  %s: %s,\n" (str k) v) fam.extras;
+  Printf.bprintf b "  \"unit\": %s,\n  \"results\": [\n    %s\n  ]\n}\n"
+    (str fam.unit_)
+    (String.concat ",\n    " (List.map Gate.row_json rows));
+  let data = Buffer.contents b in
+  match Gate.parse data with
+  | Ok doc -> (data, doc)
+  | Error e -> failwith (Printf.sprintf "emitted %s does not parse: %s" fam.file e)
+
+let run_family ~pool ~json fam =
+  section fam.title;
+  let rows = fam.rows ~pool ~quiet:false in
+  if json then begin
+    let data, _ = bench_doc ~pool fam rows in
+    Out_channel.with_open_bin fam.file (fun oc -> output_string oc data);
+    Printf.printf "\nwrote %s (%d results, %s)\n" fam.file (List.length rows)
+      fam.unit_
+  end
+
+(* ----- gate: the enforced perf contract ----- *)
+
+let read_baseline file =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | s -> Result.map_error (fun e -> file ^ ": " ^ e) (Gate.parse s)
+
+(* Compares every family's committed file with fresh rows and returns
+   the number of failures (an unreadable file is one).  [check_only]
+   compares each file with itself instead: it proves the file parses,
+   every row states its gate, and the self-comparison passes — cheap
+   enough for @smoke and runtest. *)
+let gate ~pool ~check_only =
+  section
+    (if check_only then "Bench gate - baseline validation (no re-measurement)"
+     else "Bench gate - fresh measurements vs. committed baselines");
+  let failures =
+    List.fold_left
+      (fun acc fam ->
+        match read_baseline fam.file with
+        | Error e ->
+            Printf.printf "\n%s: FAIL (%s)\n" fam.bench e;
+            acc + 1
+        | Ok baseline ->
+            let current =
+              if check_only then baseline
+              else snd (bench_doc ~pool fam (fam.rows ~pool ~quiet:true))
+            in
+            let outcomes = Gate.check ~baseline ~current in
+            Printf.printf "\n%s (%s):\n%s" fam.bench baseline.unit_
+              (Gate.render ~unit_:baseline.unit_ outcomes);
+            acc + Gate.failures outcomes)
+      0 families
+  in
+  if failures > 0 then Printf.printf "\nbench gate: %d FAILED\n" failures
+  else print_endline "\nbench gate: all rows within their bounds";
+  failures
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let json = List.mem "--json" args in
-  let check_only = List.mem "--check" args in
-  let rec opt_value key = function
-    | [] -> None
-    | k :: v :: _ when k = key -> Some v
-    | _ :: rest -> opt_value key rest
+  let flags, modes =
+    List.partition
+      (fun a -> a = "--json" || a = "--check")
+      (List.tl (Array.to_list Sys.argv))
   in
-  let micro_path = Option.value ~default:"BENCH_micro.json" (opt_value "--micro" args) in
-  let fig9_path = Option.value ~default:"BENCH_fig9.json" (opt_value "--fig9" args) in
-  let fig8_path = Option.value ~default:"BENCH_fig8.json" (opt_value "--fig8" args) in
-  let farm_path = Option.value ~default:"BENCH_farm.json" (opt_value "--farm" args) in
-  (* --farm-big opts the at-scale baseline into the gate (it re-measures
-     a 10^4-request fleet seven ways, so it is not in the default set) *)
-  let farm_big_path =
-    if List.mem "--farm-big" args then Some "BENCH_farm_big.json" else None
+  let json = List.mem "--json" flags in
+  let status =
+    Cgra_util.Pool.with_pool (fun pool ->
+        if Cgra_util.Pool.width pool > 1 then
+          Printf.printf "(parallel sections across %d domains)\n"
+            (Cgra_util.Pool.width pool);
+        match modes with
+        | [] | [ "all" ] ->
+            List.iter (run_family ~pool ~json) families;
+            run_ablation ~pool ();
+            0
+        | [ "ablation" ] ->
+            run_ablation ~pool ();
+            0
+        | [ "gate" ] ->
+            if gate ~pool ~check_only:(List.mem "--check" flags) > 0 then 1
+            else 0
+        | [ m ] when List.exists (fun f -> f.bench = m) families ->
+            run_family ~pool ~json (List.find (fun f -> f.bench = m) families);
+            0
+        | _ ->
+            Printf.eprintf
+              "usage: main.exe [%s | ablation | gate | all] [--json] [--check]\n"
+              (String.concat " | " (List.map (fun f -> f.bench) families));
+            1)
   in
-  let rec drop_opts = function
-    | [] -> []
-    | ("--micro" | "--fig9" | "--fig8" | "--farm") :: _ :: rest -> drop_opts rest
-    | ("--json" | "--check" | "--farm-big") :: rest -> drop_opts rest
-    | a :: rest -> a :: drop_opts rest
-  in
-  let mode = match drop_opts args with [] -> "all" | m :: _ -> m in
-  Cgra_util.Pool.with_pool (fun pool ->
-      if Cgra_util.Pool.width pool > 1 then
-        Printf.printf "(parallel sections across %d domains)\n"
-          (Cgra_util.Pool.width pool);
-      match mode with
-      | "fig8" -> run_fig8 ~pool ~json ()
-      | "fig9" -> run_fig9 ~pool ~replicates:3 ~json ()
-      | "micro" -> run_micro ~json ()
-      | "farm" -> run_farm ~pool ~json ()
-      | "farm-big" -> run_farm_big ~pool ~json ()
-      | "ablation" -> run_ablation ~pool ()
-      | "gate" ->
-          run_gate ~pool ~check_only ~micro_path ~fig9_path ~fig8_path
-            ~farm_path ~farm_big_path ()
-      | "all" ->
-          run_fig8 ~pool ~json ();
-          run_fig9 ~pool ~replicates:3 ~json ();
-          run_farm ~pool ~json ();
-          run_ablation ~pool ();
-          run_micro ~json ()
-      | other ->
-          Printf.eprintf
-            "unknown mode %s (expected fig8 | fig9 | farm | farm-big | \
-             ablation | micro | gate | all; flags: --json, --check, \
-             --farm-big, --micro PATH, --fig9 PATH, --fig8 PATH, --farm \
-             PATH)\n"
-            other;
-          exit 1)
+  exit status

@@ -336,6 +336,8 @@ let need_arg =
     value & opt float 0.875
     & info [ "need" ] ~docv:"F" ~doc:"Fraction of time each thread wants the CGRA.")
 
+let policies = [ Allocator.Halving; Allocator.Repack_equal; Allocator.Cost_halving ]
+
 let policy_arg =
   let doc =
     "Contention policy: $(b,halving) (the paper's), $(b,repack), or $(b,cost) \
@@ -344,9 +346,7 @@ let policy_arg =
   Arg.(
     value
     & opt
-        (enum
-           [ ("halving", Allocator.Halving); ("repack", Allocator.Repack_equal);
-             ("cost", Allocator.Cost_halving) ])
+        (enum (List.map (fun p -> (Allocator.policy_name p, p)) policies))
         Allocator.Halving
     & info [ "policy" ] ~docv:"POLICY" ~doc)
 
@@ -985,11 +985,11 @@ let cmd_farm =
       value
       & opt
           (enum
-             [ ("halving", (Allocator.Halving, Cgra_farm.Farm.Least_loaded));
-               ("repack", (Allocator.Repack_equal, Cgra_farm.Farm.Least_loaded));
-               ("cost", (Allocator.Cost_halving, Cgra_farm.Farm.Least_loaded));
-               ("cost-aware", (Allocator.Cost_halving, Cgra_farm.Farm.Cost_aware));
-             ])
+             (List.map
+                (fun p ->
+                  (Allocator.policy_name p, (p, Cgra_farm.Farm.Least_loaded)))
+                policies
+             @ [ ("cost-aware", (Allocator.Cost_halving, Cgra_farm.Farm.Cost_aware)) ]))
           (Allocator.Halving, Cgra_farm.Farm.Least_loaded)
       & info [ "policy" ] ~docv:"POLICY" ~doc)
   in

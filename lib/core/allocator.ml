@@ -2,6 +2,11 @@ type range = { base : int; len : int }
 
 type policy = Halving | Repack_equal | Cost_halving
 
+let policy_name = function
+  | Halving -> "halving"
+  | Repack_equal -> "repack"
+  | Cost_halving -> "cost"
+
 type seg = { range : range; owner : int option (* None = free *) }
 
 type t = {

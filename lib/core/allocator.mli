@@ -31,6 +31,10 @@ type policy =
           falls back to the largest victim when none is big enough, so a
           grant is never smaller than under [Halving] *)
 
+val policy_name : policy -> string
+(** ["halving"], ["repack"] or ["cost"]: the CLI's and the farm report's
+    spelling.  (The [Os_sim] trace header keeps its own, older one.) *)
+
 type t
 
 val create :

@@ -491,10 +491,7 @@ let render ?(log = false) (r : report) =
   pf
     "  policy %s, dispatch %s, reconfig cost %.0f, queue bound %d, max \
      resident %d\n"
-    (match p.policy with
-    | Allocator.Halving -> "halving"
-    | Allocator.Repack_equal -> "repack"
-    | Allocator.Cost_halving -> "cost")
+    (Allocator.policy_name p.policy)
     (dispatch_name p.dispatch) p.reconfig_cost p.queue_bound p.max_resident;
   pf "  retired %d, rejected %d, makespan %.0f cycles\n" r.retired r.rejected
     r.makespan;

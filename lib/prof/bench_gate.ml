@@ -1,134 +1,118 @@
 module Json = Cgra_trace.Json
 module Table = Cgra_util.Table
 
+type better = Lower | Higher
+type kind = Exact | Measured
+
 type row = {
   name : string;
   value : float;
   domains : int;
   runs : int;
   spread : float;
+  better : better;
+  kind : kind;
+  bound : float;
 }
 
 type doc = { bench : string; unit_ : string; rows : row list }
 
 let ( let* ) = Result.bind
 
-let str_member name v =
+(* the one spelling of each enum, for both reading and writing *)
+let betters = [ ("lower", Lower); ("higher", Higher) ]
+let kinds = [ ("exact", Exact); ("measured", Measured) ]
+let spell table x = fst (List.find (fun (_, y) -> y = x) table)
+
+let field name what conv v =
   match Json.member name v with
-  | Some s -> (
-      match Json.to_str s with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "field %S is not a string" name))
   | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some x -> (
+      match conv x with
+      | Some y -> Ok y
+      | None -> Error (Printf.sprintf "field %S is not %s" name what))
 
-let num_member ?default name v =
-  match (Json.member name v, default) with
-  | Some n, _ -> (
-      match Json.to_float n with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S is not a number" name))
-  | None, Some d -> Ok d
-  | None, None -> Error (Printf.sprintf "missing field %S" name)
+let str name = field name "a string" Json.to_str
 
-(* pool widths and sample counts: positive integers *)
-let count_member ~default name v =
-  match Json.member name v with
-  | None -> Ok default
-  | Some n -> (
-      match Json.to_int n with
-      | Some i when i >= 1 -> Ok i
-      | Some _ | None ->
-          Error (Printf.sprintf "field %S is not a positive integer" name))
+(* pool widths and sample counts *)
+let count name =
+  field name "a positive integer" (fun x ->
+      Option.bind (Json.to_int x) (fun i -> if i >= 1 then Some i else None))
+
+(* An infinite baseline could never fail, and no gated quantity is
+   negative. *)
+let size name =
+  field name "a finite non-negative number" (fun x ->
+      Option.bind (Json.to_float x) (fun f ->
+          if Float.is_finite f && f >= 0.0 then Some f else None))
+
+let enum name table =
+  field name
+    (String.concat " or " (List.map (fun (s, _) -> Printf.sprintf "%S" s) table))
+    (fun x -> Option.bind (Json.to_str x) (fun s -> List.assoc_opt s table))
+
+let row e =
+  let* name = str "name" e in
+  let* value = size "value" e in
+  let* domains = count "domains" e in
+  let* runs = count "runs" e in
+  let* spread = size "spread" e in
+  let* better = enum "better" betters e in
+  let* kind = enum "kind" kinds e in
+  let* bound = size "bound" e in
+  if kind = Measured && bound < 1.0 then
+    Error "field \"bound\" of a measured row is a factor, not below 1"
+  else Ok { name; value; domains; runs; spread; better; kind; bound }
 
 let parse s =
   let* v = Json.parse s in
-  let* bench = str_member "bench" v in
-  let* unit_ = str_member "unit" v in
-  let* doc_domains = count_member ~default:1 "domains" v in
+  let* bench = str "bench" v in
+  let* unit_ = str "unit" v in
   match Json.member "results" v with
   | Some (Json.Arr entries) ->
       let* rows =
         List.fold_left
           (fun acc e ->
             let* acc = acc in
-            let* name = str_member "name" e in
-            let* value = num_member "value" e in
-            let* domains = count_member ~default:doc_domains "domains" e in
-            let* runs = count_member ~default:1 "runs" e in
-            let* spread = num_member ~default:0.0 "spread" e in
-            Ok ({ name; value; domains; runs; spread } :: acc))
+            let* r =
+              Result.map_error
+                (Printf.sprintf "row %d: %s" (List.length acc))
+                (row e)
+            in
+            if List.exists (fun a -> a.name = r.name) acc then
+              Error (Printf.sprintf "duplicate row %S" r.name)
+            else Ok (r :: acc))
           (Ok []) entries
       in
       Ok { bench; unit_; rows = List.rev rows }
   | Some _ -> Error "field \"results\" is not an array"
   | None -> Error "missing field \"results\""
 
-let has_prefix p name =
-  String.length name >= String.length p
-  && String.sub name 0 (String.length p) = p
+let row_json r =
+  let str s = Json.to_string (Json.Str s) in
+  Printf.sprintf
+    "{ \"name\": %s, \"value\": %.3f, \"domains\": %d, \"runs\": %d, \
+     \"spread\": %.1f, \"better\": %s, \"kind\": %s, \"bound\": %s }"
+    (str r.name) r.value r.domains r.runs r.spread
+    (str (spell betters r.better))
+    (str (spell kinds r.kind))
+    (Json.to_string (Json.Num r.bound))
 
-let contains sub name =
-  let n = String.length name and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub name i m = sub || go (i + 1)) in
-  m = 0 || go 0
+type outcome = { base : row; current : float option; ok : bool }
 
-(* Farm sim-rate rows time the coordinator's wall clock (requests per
-   wall-second), so despite the "farm" prefix they are measurements,
-   not deterministic outputs. *)
-let sim_rate name = contains "sim-rate" name
-
-(* All other farm rows are virtual-clock simulation outputs:
-   deterministic down to float formatting, so the budget is a flat
-   epsilon either way. *)
-let deterministic name = has_prefix "farm" name && not (sim_rate name)
-
-(* Fig. 8 geomean rows are deterministic quality scores (percent,
-   higher is better), not wall measurements; farm throughput rows
-   (req/kcycle) likewise gate upward, with a flat epsilon for float
-   formatting.  Sim-rate rows also gate upward — a slower front end is
-   the regression — but as wall measurements, with a jitter ratio. *)
-let higher_is_better name =
-  has_prefix "fig8" name || sim_rate name
-  || (deterministic name && contains "req/" name)
-
-let epsilon name = if deterministic name then 0.001 else 0.05
-
-(* Per-row slowdown budgets.  Everything here is a shared-machine wall
-   measurement, so the budgets are about catching algorithmic
-   regressions (2x-10x), not scheduling noise. *)
-let tolerance name =
-  if sim_rate name then 2.0
-  else if higher_is_better name || deterministic name then 1.0
-  else if has_prefix "compile-sobel-warm" name || has_prefix "compile-suite-warm" name
-  then 4.0 (* microsecond-scale disk reads: highest relative jitter *)
-  else 2.0
-
-type outcome = {
-  o_name : string;
-  baseline : float;
-  current : float option;
-  tol : float;
-  ok : bool;
-}
+let within b c =
+  match (b.kind, b.better) with
+  | Measured, Lower -> c <= b.value *. b.bound
+  | Measured, Higher -> c >= b.value /. b.bound
+  | Exact, Lower -> c <= b.value +. b.bound
+  | Exact, Higher -> c >= b.value -. b.bound
 
 let check ~baseline ~current =
   List.map
     (fun b ->
-      let tol = tolerance b.name in
       match List.find_opt (fun c -> c.name = b.name) current.rows with
-      | None -> { o_name = b.name; baseline = b.value; current = None; tol;
-                  ok = false }
-      | Some c ->
-          let ok =
-            if sim_rate b.name then c.value >= b.value /. tol
-            else if higher_is_better b.name then
-              c.value >= b.value -. epsilon b.name
-            else if deterministic b.name then
-              c.value <= b.value +. epsilon b.name
-            else c.value <= b.value *. tol
-          in
-          { o_name = b.name; baseline = b.value; current = Some c.value; tol;
-            ok })
+      | None -> { base = b; current = None; ok = false }
+      | Some c -> { base = b; current = Some c.value; ok = within b c.value })
     baseline.rows
 
 let failures outcomes =
@@ -136,32 +120,32 @@ let failures outcomes =
 
 let render ~unit_ outcomes =
   let fmt v = Table.fmt_float ~decimals:1 v in
-  let tol_label o =
-    if sim_rate o.o_name then Printf.sprintf ">=base/%.1f" o.tol
-    else if higher_is_better o.o_name then ">=base"
-    else if deterministic o.o_name then "<=base"
-    else Printf.sprintf "%.1fx" o.tol
+  let budget b =
+    match (b.kind, b.better) with
+    | Measured, Lower -> Printf.sprintf "%.1fx" b.bound
+    | Measured, Higher -> Printf.sprintf ">=base/%.1f" b.bound
+    | Exact, Lower -> Printf.sprintf "<=base+%g" b.bound
+    | Exact, Higher -> Printf.sprintf ">=base-%g" b.bound
   in
   let rows =
     List.map
       (fun o ->
+        let b = o.base in
         match o.current with
-        | None ->
-            [ o.o_name; fmt o.baseline; "-"; "-"; tol_label o;
-              "FAIL (missing)" ]
+        | None -> [ b.name; fmt b.value; "-"; "-"; budget b; "FAIL (missing)" ]
         | Some c ->
             [
-              o.o_name;
-              fmt o.baseline;
+              b.name;
+              fmt b.value;
               fmt c;
-              Printf.sprintf "%.2fx" (c /. o.baseline);
-              tol_label o;
+              Printf.sprintf "%.2fx" (c /. b.value);
+              budget b;
               (if o.ok then "pass" else "FAIL");
             ])
       outcomes
   in
   Table.render
     ~header:
-      [ "row"; "baseline " ^ unit_; "current " ^ unit_; "ratio"; "tol";
+      [ "row"; "baseline " ^ unit_; "current " ^ unit_; "ratio"; "bound";
         "verdict" ]
     rows

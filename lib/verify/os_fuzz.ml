@@ -229,10 +229,7 @@ let one_case seed =
             Printf.sprintf "seed %d (%dx%d p%d, %s, %s, rc %g, %d threads): %s"
               seed size size page_pes
               (match mode with Os_sim.Single -> "single" | Os_sim.Multi -> "multi")
-              (match policy with
-              | Allocator.Halving -> "halving"
-              | Allocator.Repack_equal -> "repack"
-              | Allocator.Cost_halving -> "cost")
+              (Allocator.policy_name policy)
               reconfig_cost n_threads e
             :: !failures)
         errs)

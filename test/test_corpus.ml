@@ -96,9 +96,9 @@ let bench =
   "domains": 1,
   "unit": "ns_per_run",
   "results": [
-    { "name": "fold sobel 8x8 to 1 page", "value": 19974.541, "domains": 1, "runs": 5, "spread": 11.8 },
-    { "name": "compile sobel 4x4 (paged)", "value": 19126033.250, "domains": 1, "runs": 5, "spread": 3.1 },
-    { "name": "warm launch sobel", "value": 20311.9, "domains": 4, "runs": 3, "spread": 40.2 }
+    { "name": "fold sobel 8x8 to 1 page", "value": 19974.541, "domains": 1, "runs": 5, "spread": 11.8, "better": "lower", "kind": "measured", "bound": 2 },
+    { "name": "farm load1.0 req/kcycle", "value": 13.856, "domains": 2, "runs": 3, "spread": 0.0, "better": "higher", "kind": "exact", "bound": 0.001 },
+    { "name": "warm launch sobel", "value": 20311.9, "domains": 4, "runs": 3, "spread": 40.2, "better": "lower", "kind": "measured", "bound": 4 }
   ]
 }
 |}
@@ -189,7 +189,6 @@ let parsers_case seed =
     | Error (`Wrong what) -> fail what
     | exception e -> fail ("raised " ^ Printexc.to_string e)
   in
-  let of_result = function Ok _ -> Ok () | Error _ -> Error `Rejected in
   (* JSONL trace: every accepted trace must profile and replay *)
   verdict ~input:"trace" (text_mutation rng (Lazy.force trace_input)) (fun s ->
       match Export.of_jsonl s with
@@ -238,8 +237,20 @@ let parsers_case seed =
             Error
               (`Wrong
                 (Printf.sprintf "%dx%d image with %d contexts" img.rows img.cols n)));
+  (* BENCH file: every accepted row is one the gate can decide *)
   verdict ~input:"bench" (text_mutation rng bench) (fun s ->
-      of_result (Cgra_prof.Bench_gate.parse s));
+      match Cgra_prof.Bench_gate.parse s with
+      | Error _ -> Error `Rejected
+      | Ok d ->
+          let decidable (r : Cgra_prof.Bench_gate.row) =
+            Float.is_finite r.value && r.value >= 0.0 && Float.is_finite r.bound
+            && r.bound >= (if r.kind = Exact then 0.0 else 1.0)
+          in
+          let names = List.map (fun (r : Cgra_prof.Bench_gate.row) -> r.name) d.rows in
+          if not (List.for_all decidable d.rows) then Error (`Wrong "undecidable row")
+          else if List.length (List.sort_uniq compare names) <> List.length names
+          then Error (`Wrong "duplicate row name")
+          else Ok ());
   {
     Corpus.counts =
       [ ("accepted", !accepted); ("rejected", !rejected); ("profiled", !profiled) ];

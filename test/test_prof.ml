@@ -311,30 +311,86 @@ let doc_of_string s =
   | Ok d -> d
   | Error e -> Alcotest.failf "Bench_gate.parse: %s" e
 
-let baseline_json =
-  {|{ "bench": "micro", "domains": 1, "unit": "ns_per_run", "results": [
-      { "name": "fold sobel", "value": 1000.0, "domains": 1, "runs": 5, "spread": 4.0 },
-      { "name": "compile-sobel-warm", "value": 50.0, "domains": 1, "runs": 5, "spread": 30.0 },
-      { "name": "greedy transform", "value": 2000.0, "domains": 1, "runs": 5, "spread": 2.0 } ] }|}
+(* a row's better/kind/bound fields, [bound] as JSON number text *)
+let gate_fields better kind bound =
+  Printf.sprintf {|"better": %S, "kind": %S, "bound": %s|} better kind bound
+
+(* one row with every field; [value] and [spread] are JSON number text *)
+let row_text ?(gate = gate_fields "lower" "measured" "2.0") ?(spread = "1.0")
+    name value =
+  Printf.sprintf
+    {|{ "name": %S, "value": %s, "domains": 1, "runs": 5, "spread": %s, %s }|}
+    name value spread gate
+
+let row_line ?gate name v = row_text ?gate name (Printf.sprintf "%f" v)
+
+let doc_with rows =
+  Printf.sprintf
+    {|{ "bench": "micro", "domains": 1, "unit": "ns_per_run", "results": [ %s ] }|}
+    (String.concat ", " rows)
+
+let warm_gate = gate_fields "lower" "measured" "4.0"
+
+let micro_doc ~fold ~warm ~greedy =
+  doc_of_string
+    (doc_with
+       [ row_line "fold sobel" fold;
+         row_line ~gate:warm_gate "compile-sobel-warm" warm;
+         row_line "greedy transform" greedy ])
+
+let baseline_doc () = micro_doc ~fold:1000.0 ~warm:50.0 ~greedy:2000.0
 
 let current ?(fold = 1100.0) ?(warm = 120.0) ?(greedy = 1900.0) () =
-  doc_of_string
-    (Printf.sprintf
-       {|{ "bench": "micro", "domains": 1, "unit": "ns_per_run", "results": [
-           { "name": "fold sobel", "value": %f, "domains": 1, "runs": 5, "spread": 1.0 },
-           { "name": "compile-sobel-warm", "value": %f, "domains": 1, "runs": 5, "spread": 1.0 },
-           { "name": "greedy transform", "value": %f, "domains": 1, "runs": 5, "spread": 1.0 } ] }|}
-       fold warm greedy)
+  micro_doc ~fold ~warm ~greedy
+
+let refused what s =
+  match Bench_gate.parse s with
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error _ -> ()
+
+(* A full row with one field left out is refused with an error naming
+   that field: nothing is defaulted. *)
+let check_field_required missing =
+  let fields =
+    [ ("name", {|"x"|}); ("value", "1.0"); ("domains", "1"); ("runs", "5");
+      ("spread", "1.0"); ("better", {|"lower"|}); ("kind", {|"measured"|});
+      ("bound", "2.0") ]
+  in
+  let row_without missing =
+    "{ "
+    ^ String.concat ", "
+        (List.filter_map
+           (fun (k, v) ->
+             if k = missing then None else Some (Printf.sprintf "%S: %s" k v))
+           fields)
+    ^ " }"
+  in
+  ignore (doc_of_string (doc_with [ row_without "" ]));
+  match Bench_gate.parse (doc_with [ row_without missing ]) with
+  | Ok _ -> Alcotest.failf "row without %S accepted" missing
+  | Error e ->
+      Alcotest.(check bool) (e ^ " names the field") true
+        (contains ~sub:(Printf.sprintf "%S" missing) e)
 
 let test_gate_tolerances () =
-  Alcotest.check feq "warm rows jitter hardest" 4.0
-    (Bench_gate.tolerance "compile-sobel-warm");
-  Alcotest.check feq "suite warm too" 4.0
-    (Bench_gate.tolerance "compile-suite-warm 8x8");
-  Alcotest.check feq "default" 2.0 (Bench_gate.tolerance "fold sobel")
+  (* the bound is the row's own, whatever its name says: a warm-named
+     row at 2.0 fails a 2.1x slowdown, a fold row at 4.0 absorbs 2.4x *)
+  let gate ~bound name v =
+    let doc v =
+      doc_of_string
+        (doc_with [ row_line ~gate:(gate_fields "lower" "measured" bound) name v ])
+    in
+    Bench_gate.failures
+      (Bench_gate.check ~baseline:(doc 100.0) ~current:(doc v))
+  in
+  Alcotest.(check int) "warm name, 2x bound" 1
+    (gate ~bound:"2.0" "compile-sobel-warm" 210.0);
+  Alcotest.(check int) "fold name, 4x bound" 0 (gate ~bound:"4.0" "fold sobel" 240.0);
+  (* a row that does not state its gate is refused, not defaulted *)
+  List.iter check_field_required [ "better"; "kind"; "bound" ]
 
 let test_gate_passes_in_tolerance () =
-  let baseline = doc_of_string baseline_json in
+  let baseline = baseline_doc () in
   (* within tolerance, an improvement, and a warm row at 2.4x (under its
      4x allowance) all pass *)
   let outcomes = Bench_gate.check ~baseline ~current:(current ()) in
@@ -345,14 +401,14 @@ let test_gate_passes_in_tolerance () =
     (Bench_gate.failures (Bench_gate.check ~baseline ~current:baseline))
 
 let test_gate_fails_inflated_row () =
-  let baseline = doc_of_string baseline_json in
+  let baseline = baseline_doc () in
   let outcomes =
     Bench_gate.check ~baseline ~current:(current ~fold:2100.0 ())
   in
   Alcotest.(check int) "exactly the inflated row fails" 1
     (Bench_gate.failures outcomes);
   let bad = List.find (fun (o : Bench_gate.outcome) -> not o.ok) outcomes in
-  Alcotest.(check string) "the 2.1x row" "fold sobel" bad.o_name;
+  Alcotest.(check string) "the 2.1x row" "fold sobel" bad.base.name;
   let rendered = Bench_gate.render ~unit_:"ns_per_run" outcomes in
   Alcotest.(check bool) "render says FAIL" true (contains ~sub:"FAIL" rendered);
   (* the same 2.1x inflation on a warm row is within its 4x tolerance *)
@@ -361,18 +417,14 @@ let test_gate_fails_inflated_row () =
        (Bench_gate.check ~baseline ~current:(current ~warm:120.0 ())))
 
 let test_gate_missing_row_fails () =
-  let baseline = doc_of_string baseline_json in
-  let current =
-    doc_of_string
-      {|{ "bench": "micro", "domains": 1, "unit": "ns_per_run", "results": [
-          { "name": "fold sobel", "value": 1000.0 } ] }|}
-  in
+  let baseline = baseline_doc () in
+  let current = doc_of_string (doc_with [ row_line "fold sobel" 1000.0 ]) in
   let outcomes = Bench_gate.check ~baseline ~current in
   Alcotest.(check int) "two rows missing" 2 (Bench_gate.failures outcomes);
   List.iter
     (fun (o : Bench_gate.outcome) ->
-      if o.o_name <> "fold sobel" then
-        Alcotest.(check bool) (o.o_name ^ " missing -> fail") false o.ok)
+      if o.base.name <> "fold sobel" then
+        Alcotest.(check bool) (o.base.name ^ " missing -> fail") false o.ok)
     outcomes
 
 let test_bus_pressure_exact_counts () =
@@ -422,24 +474,20 @@ let test_bus_pressure_exact_counts () =
 let test_gate_fig8_higher_is_better () =
   (* fig8 rows are quality scores: improvements pass, any real drop
      fails — the inverse of the wall-clock direction *)
-  Alcotest.(check bool) "fig8 prefix flips direction" true
-    (Bench_gate.higher_is_better "fig8 4x4 p4 geomean");
-  Alcotest.(check bool) "wall rows unchanged" false
-    (Bench_gate.higher_is_better "fold sobel");
-  let baseline =
+  let doc v =
     doc_of_string
-      {|{ "bench": "fig8", "domains": 1, "unit": "percent", "results": [
-          { "name": "fig8 4x4 p4 geomean", "value": 88.159 } ] }|}
+      (doc_with
+         [ row_line
+             ~gate:(gate_fields "higher" "exact" "0.05")
+             "fig8 4x4 p4 geomean" v ])
   in
-  let current v =
-    doc_of_string
-      (Printf.sprintf
-         {|{ "bench": "fig8", "domains": 1, "unit": "percent", "results": [
-             { "name": "fig8 4x4 p4 geomean", "value": %f } ] }|}
-         v)
-  in
+  let baseline = doc 88.159 in
+  Alcotest.(check bool) "fig8 row gates upward" true
+    ((List.hd baseline.rows).better = Bench_gate.Higher);
+  Alcotest.(check bool) "wall rows gate downward" true
+    ((List.hd (baseline_doc ()).rows).better = Bench_gate.Lower);
   let failures v =
-    Bench_gate.failures (Bench_gate.check ~baseline ~current:(current v))
+    Bench_gate.failures (Bench_gate.check ~baseline ~current:(doc v))
   in
   Alcotest.(check int) "self passes" 0 (failures 88.159);
   Alcotest.(check int) "improvement passes" 0 (failures 95.0);
@@ -449,7 +497,7 @@ let test_gate_fig8_higher_is_better () =
      88 * 2.0), so this asserts the direction actually flipped *)
   let rendered =
     Bench_gate.render ~unit_:"percent"
-      (Bench_gate.check ~baseline ~current:(current 82.0))
+      (Bench_gate.check ~baseline ~current:(doc 82.0))
   in
   Alcotest.(check bool) "render marks the drop" true
     (contains ~sub:"FAIL" rendered);
@@ -458,29 +506,27 @@ let test_gate_fig8_higher_is_better () =
 
 let test_gate_farm_deterministic () =
   (* farm rows are virtual-clock outputs: flat-epsilon gating, direction
-     by row — throughput (req/) up, latency quantiles down *)
-  Alcotest.(check bool) "farm throughput gates upward" true
-    (Bench_gate.higher_is_better "farm load1.0 req/kcycle");
-  Alcotest.(check bool) "farm latency gates downward" false
-    (Bench_gate.higher_is_better "farm load1.0 latency p99");
-  Alcotest.(check bool) "farm rows are deterministic" true
-    (Bench_gate.deterministic "farm load1.0 latency p99");
-  let baseline =
+     by row — throughput up, latency quantiles down *)
+  let doc tput p99 =
     doc_of_string
-      {|{ "bench": "farm", "domains": 1, "unit": "mixed", "results": [
-          { "name": "farm load1.0 req/kcycle", "value": 13.856 },
-          { "name": "farm load1.0 latency p99", "value": 464.0 } ] }|}
+      (doc_with
+         [ row_line ~gate:(gate_fields "higher" "exact" "0.001")
+             "farm load1.0 req/kcycle" tput;
+           row_line ~gate:(gate_fields "lower" "exact" "0.001")
+             "farm load1.0 latency p99" p99 ])
   in
-  let current tput p99 =
-    doc_of_string
-      (Printf.sprintf
-         {|{ "bench": "farm", "domains": 1, "unit": "mixed", "results": [
-             { "name": "farm load1.0 req/kcycle", "value": %f },
-             { "name": "farm load1.0 latency p99", "value": %f } ] }|}
-         tput p99)
-  in
+  let baseline = doc 13.856 464.0 in
+  (match baseline.rows with
+  | [ tput; p99 ] ->
+      Alcotest.(check bool) "farm throughput gates upward" true
+        (tput.better = Bench_gate.Higher);
+      Alcotest.(check bool) "farm latency gates downward" true
+        (p99.better = Bench_gate.Lower);
+      Alcotest.(check bool) "farm rows are exact" true
+        (tput.kind = Bench_gate.Exact && p99.kind = Bench_gate.Exact)
+  | _ -> Alcotest.fail "row count");
   let failures tput p99 =
-    Bench_gate.failures (Bench_gate.check ~baseline ~current:(current tput p99))
+    Bench_gate.failures (Bench_gate.check ~baseline ~current:(doc tput p99))
   in
   Alcotest.(check int) "self passes" 0 (failures 13.856 464.0);
   Alcotest.(check int) "improvements pass" 0 (failures 15.0 400.0);
@@ -491,24 +537,144 @@ let test_gate_farm_deterministic () =
   Alcotest.(check int) "latency regression fails" 1 (failures 13.856 465.0);
   let rendered =
     Bench_gate.render ~unit_:"mixed"
-      (Bench_gate.check ~baseline ~current:(current 13.856 465.0))
+      (Bench_gate.check ~baseline ~current:(doc 13.856 465.0))
   in
   Alcotest.(check bool) "render shows the downward budget" true
     (contains ~sub:"<=base" rendered)
 
 let test_gate_parses_old_format () =
-  (* rows written before min-of-N: no runs/spread/per-row domains *)
-  let d =
-    doc_of_string
-      {|{ "bench": "micro", "domains": 4, "unit": "ns_per_run", "results": [
-          { "name": "x", "value": 10.0 } ] }|}
+  (* rows written before every row stated its gate — no runs, spread,
+     per-row domains, better, kind or bound — are refused, and so is a
+     row missing any one of the fields the old format had or defaulted *)
+  refused "old format"
+    {|{ "bench": "micro", "domains": 4, "unit": "ns_per_run", "results": [
+        { "name": "x", "value": 10.0 } ] }|};
+  List.iter check_field_required [ "name"; "value"; "domains"; "runs"; "spread" ]
+
+let test_gate_refuses_hostile_rows () =
+  (* an infinite baseline could never fail: at the parent commit a row
+     with value 1e400 passed a current value of 1e300 *)
+  let gated better kind bound =
+    row_text ~gate:(gate_fields better kind bound) "x" "1"
   in
-  match d.rows with
-  | [ r ] ->
-      Alcotest.(check int) "runs defaults" 1 r.runs;
-      Alcotest.check feq "spread defaults" 0.0 r.spread;
-      Alcotest.(check int) "domains from doc" 4 r.domains
-  | _ -> Alcotest.fail "row count"
+  List.iter
+    (fun (what, rows) -> refused what (doc_with rows))
+    [ ("infinite value", [ row_text "x" "1e400" ]);
+      ("negative value", [ row_text "x" "-1" ]);
+      ("infinite spread", [ row_text ~spread:"1e400" "x" "1" ]);
+      ("negative spread", [ row_text ~spread:"-0.5" "x" "1" ]);
+      ("infinite bound", [ gated "lower" "measured" "1e400" ]);
+      ("negative bound", [ gated "higher" "exact" "-0.001" ]);
+      ("measured bound below 1", [ gated "lower" "measured" "0.5" ]);
+      ("unknown better", [ gated "sideways" "measured" "2" ]);
+      ("unknown kind", [ gated "lower" "guessed" "2" ]);
+      ("duplicate name", [ row_text "x" "1"; row_text "x" "2" ]) ];
+  (* the edges stay legal: an exact bound of 0 and a measured one of 1 *)
+  ignore (doc_of_string (doc_with [ gated "lower" "exact" "0" ]));
+  ignore (doc_of_string (doc_with [ gated "lower" "measured" "1" ]))
+
+(* The parent commit's gate, verbatim: it worked each row's direction and
+   tolerance out of the row's name.  The reference the explicit fields
+   are checked against. *)
+module Name_rules = struct
+  open Bench_gate
+
+  let has_prefix p name =
+    String.length name >= String.length p
+    && String.sub name 0 (String.length p) = p
+
+  let contains sub name =
+    let n = String.length name and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub name i m = sub || go (i + 1)) in
+    m = 0 || go 0
+
+  let sim_rate name = contains "sim-rate" name
+
+  let deterministic name = has_prefix "farm" name && not (sim_rate name)
+
+  let higher_is_better name =
+    has_prefix "fig8" name || sim_rate name
+    || (deterministic name && contains "req/" name)
+
+  let epsilon name = if deterministic name then 0.001 else 0.05
+
+  let tolerance name =
+    if sim_rate name then 2.0
+    else if higher_is_better name || deterministic name then 1.0
+    else if has_prefix "compile-sobel-warm" name || has_prefix "compile-suite-warm" name
+    then 4.0 (* microsecond-scale disk reads: highest relative jitter *)
+    else 2.0
+
+  type outcome = {
+    o_name : string;
+    baseline : float;
+    current : float option;
+    tol : float;
+    ok : bool;
+  }
+
+  let check ~baseline ~current =
+    List.map
+      (fun b ->
+        let tol = tolerance b.name in
+        match List.find_opt (fun c -> c.name = b.name) current.rows with
+        | None -> { o_name = b.name; baseline = b.value; current = None; tol;
+                    ok = false }
+        | Some c ->
+            let ok =
+              if sim_rate b.name then c.value >= b.value /. tol
+              else if higher_is_better b.name then
+                c.value >= b.value -. epsilon b.name
+              else if deterministic b.name then
+                c.value <= b.value +. epsilon b.name
+              else c.value <= b.value *. tol
+            in
+            { o_name = b.name; baseline = b.value; current = Some c.value; tol;
+              ok })
+      baseline.rows
+end
+
+let committed_baselines =
+  [ "BENCH_micro.json"; "BENCH_fig9.json"; "BENCH_fig8.json"; "BENCH_farm.json";
+    "BENCH_farm_big.json" ]
+
+let test_gate_matches_name_rules () =
+  (* every committed row, at current values on both sides of each bound
+     either rule set could have: the fields give the old verdict *)
+  let factors = [ 0.0; 0.5; 1.0; 1.999; 2.0; 2.001; 3.999; 4.0; 4.001; 10.0 ] in
+  let offsets = [ 0.0009; 0.001; 0.0011; 0.049; 0.05; 0.051 ] in
+  let rows = ref 0 in
+  List.iter
+    (fun file ->
+      let doc =
+        doc_of_string
+          (In_channel.with_open_bin (Filename.concat ".." file) In_channel.input_all)
+      in
+      List.iter
+        (fun (b : Bench_gate.row) ->
+          incr rows;
+          let probes =
+            List.map (fun f -> b.value *. f) factors
+            @ List.concat_map (fun d -> [ b.value +. d; b.value -. d ]) offsets
+          in
+          let verdicts =
+            List.map
+              (fun v ->
+                let baseline = { doc with rows = [ b ] } in
+                let current = { doc with rows = [ { b with value = v } ] } in
+                let ok = (List.hd (Bench_gate.check ~baseline ~current)).ok in
+                let ref_ok = (List.hd (Name_rules.check ~baseline ~current)).ok in
+                if ok <> ref_ok then
+                  Alcotest.failf "%s %S at %.17g: fields say %b, names said %b" file
+                    b.name v ok ref_ok;
+                ok)
+              probes
+          in
+          Alcotest.(check bool) (b.name ^ ": probes on both sides") true
+            (List.mem true verdicts && List.mem false verdicts))
+        doc.rows)
+    committed_baselines;
+  Alcotest.(check int) "every committed row probed" 43 !rows
 
 let () =
   Alcotest.run "prof"
@@ -558,5 +724,9 @@ let () =
             test_gate_farm_deterministic;
           Alcotest.test_case "old baseline format" `Quick
             test_gate_parses_old_format;
+          Alcotest.test_case "hostile rows refused" `Quick
+            test_gate_refuses_hostile_rows;
+          Alcotest.test_case "fields match the old name rules" `Quick
+            test_gate_matches_name_rules;
         ] );
     ]
