@@ -83,9 +83,6 @@ let memoize key r =
   Hashtbl.replace cache key r;
   Mutex.unlock cache_lock
 
-let tcount trace name =
-  match trace with Some tr -> Cgra_trace.Trace.count tr name 1.0 | None -> ()
-
 let compile ?(seed = 0) ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
   let key = (fingerprint arch, k.name, seed) in
   let cached =
@@ -97,7 +94,6 @@ let compile ?(seed = 0) ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
   match cached with
   | Some r ->
       Atomic.incr mem_hits;
-      tcount trace "binary.cache.mem_hit";
       r
   | None -> (
       (* Both slow tiers run outside the lock: two domains may briefly
@@ -114,19 +110,16 @@ let compile ?(seed = 0) ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
       match disk with
       | Some b ->
           Atomic.incr disk_hits;
-          tcount trace "binary.cache.disk_hit";
           let r = Ok b in
           memoize key r;
           r
       | None ->
           Atomic.incr compiles;
-          tcount trace "binary.cache.compile";
           let r = compile_uncached ~seed ?pool ?trace arch k in
           (match (r, Atomic.get store) with
           | Ok b, Some tier ->
               tier.tier_save ~seed arch k b;
-              Atomic.incr stores;
-              tcount trace "binary.cache.store"
+              Atomic.incr stores
           | Ok _, None | Error _, _ -> ());
           memoize key r;
           r)

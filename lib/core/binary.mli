@@ -44,8 +44,10 @@ val compile :
     width is not part of the key; both tiers are safe to share across
     domains.  With [pool], both scheduler runs race their (II, attempt)
     ladders across its domains ({!Cgra_mapper.Scheduler.map}).  With
-    [trace], tier outcomes bump the [binary.cache.{mem_hit, disk_hit,
-    compile, store}] counters. *)
+    [trace], a compile that reaches the scheduler passes it to both
+    scheduler runs, which emit their ["sched.race"] spans and counters;
+    a memo or disk hit emits nothing.  The tier outcomes are counted in
+    {!stats}. *)
 
 val compile_suite :
   ?seed:int ->

@@ -220,7 +220,6 @@ module Engine = struct
                     else if after.T.len > before.T.len then T.Expand
                     else T.Move
                   in
-                  T.count e.trace "os.reshapes" 1.0;
                   T.emit_at e.trace ~time:now
                     (T.Reshape
                        {
@@ -285,7 +284,6 @@ module Engine = struct
     e.stalls <- e.stalls + 1;
     Queue.add t.id e.waiters;
     if e.tracing then begin
-      T.count e.trace "os.stalls" 1.0;
       T.emit_at e.trace ~time:now
         (T.Kernel_stall
            { thread = t.id; kernel; queue_depth = Queue.length e.waiters })
@@ -293,7 +291,6 @@ module Engine = struct
 
   and record_grant e now t ~kernel ~base ~pages ~shrunk ~cost ~rate =
     if e.tracing then begin
-      T.count e.trace "os.grants" 1.0;
       T.emit_at e.trace ~time:now
         (T.Kernel_grant
            { thread = t.id; kernel; range = { T.base; len = pages }; shrunk; cost;
@@ -482,10 +479,7 @@ module Engine = struct
       |> List.rev
     in
     let makespan = List.fold_left (fun acc (_, f) -> Float.max acc f) 0.0 finishes in
-    if e.tracing then begin
-      T.count e.trace "os.transformations" (float_of_int e.transformations);
-      T.emit_at e.trace ~time:makespan (T.Run_end { makespan })
-    end;
+    if e.tracing then T.emit_at e.trace ~time:makespan (T.Run_end { makespan });
     {
       makespan;
       finishes;

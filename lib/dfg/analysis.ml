@@ -1,8 +1,15 @@
 let res_mii ~pes ~mem_slots_per_cycle g =
   if pes <= 0 then invalid_arg "Analysis.res_mii: pes must be positive";
-  let n = Graph.n_nodes g in
+  (* A constant is an operand, not an operation: no PE runs a Const. *)
+  let ops =
+    List.length
+      (List.filter
+         (fun (n : Graph.node) ->
+           match n.op with Op.Const _ -> false | _ -> true)
+         (Graph.nodes g))
+  in
   let cdiv a b = (a + b - 1) / b in
-  let compute = cdiv n pes in
+  let compute = cdiv ops pes in
   let mem =
     if mem_slots_per_cycle <= 0 then invalid_arg "Analysis.res_mii: mem slots"
     else cdiv (Graph.mem_node_count g) mem_slots_per_cycle
@@ -51,9 +58,6 @@ let rec_mii_with ~extra g =
     search 1 (max 1 (Graph.n_nodes g + List.length extra))
 
 let rec_mii g = rec_mii_with ~extra:[] g
-
-let mii ~pes ~mem_slots_per_cycle g =
-  max (res_mii ~pes ~mem_slots_per_cycle g) (rec_mii g)
 
 let asap g =
   let n = Graph.n_nodes g in

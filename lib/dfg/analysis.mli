@@ -3,8 +3,9 @@
     Modulo scheduling theory (Rau, MICRO'94): the initiation interval of
     any valid software pipeline is bounded below by
 
-    - [ResMII]: resource pressure — here [ceil (ops / PEs)], plus memory
-      ports: [ceil (mem_ops / total_row_ports)];
+    - [ResMII]: resource pressure — here [ceil (ops / PEs)], counting
+      every node but constants (which no PE runs), plus memory ports:
+      [ceil (mem_ops / total_row_ports)];
     - [RecMII]: recurrence circuits — [max over cycles C of
       ceil (latency(C) / distance(C))] with unit latencies.
 
@@ -23,9 +24,6 @@ val rec_mii_with : extra:(int * int * int) list -> Graph.t -> int
 (** Like {!rec_mii} with additional [(src, dst, distance)] timing
     constraints — the scheduler passes [Memdep.ordering] so that memory
     dependence circuits (e.g. in-place stencil updates) bound the II. *)
-
-val mii : pes:int -> mem_slots_per_cycle:int -> Graph.t -> int
-(** [max res_mii rec_mii]. *)
 
 val feasible_ii : Graph.t -> int -> bool
 (** Whether an II admits a legal schedule w.r.t. recurrences alone. *)

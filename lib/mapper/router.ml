@@ -54,7 +54,7 @@ let e_pe = 3
 
 let e_parent = 4
 
-type strand = { mem_use : int array; row_occ : int array; budget : int array }
+type strand = { mem_use : int array; row_occ : int array; budget : int }
 
 type t = {
   fab : fabric;
@@ -206,7 +206,7 @@ let strand_price t pe time =
   | Some s ->
       let r = t.fab.row.(pe) in
       let k = (r * t.ii) + (time mod t.ii) in
-      let slack = s.budget.(r) - s.mem_use.(k) in
+      let slack = s.budget - s.mem_use.(k) in
       if slack > 0 && t.fab.cols - s.row_occ.(k) <= slack then 1 else 0
 
 (* Offer [pe] as a hop reached at [hops] with [cost] so far, no earlier

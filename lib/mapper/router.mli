@@ -45,7 +45,7 @@ type reach =
 type strand = {
   mem_use : int array;  (** row * ii + slot -> memory ops issued *)
   row_occ : int array;  (** row * ii + slot -> PEs taken *)
-  budget : int array;  (** row -> memory ports *)
+  budget : int;  (** memory ports per row *)
 }
 (** The row-bus state that prices a hop, see {!create}. *)
 

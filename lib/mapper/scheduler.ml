@@ -1,10 +1,6 @@
 open Cgra_arch
 open Cgra_dfg
 
-let log_src = Logs.Src.create "cgra.mapper" ~doc:"CGRA modulo scheduler"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type kind = Unconstrained | Paged
 
 let schedulable_nodes g =
@@ -19,13 +15,10 @@ let mii kind arch g =
     | Unconstrained -> Cgra.pe_count arch
     | Paged -> Page.used_pe_count arch.Cgra.pages
   in
-  let mem_slots_per_cycle = arch.Cgra.grid.Grid.rows * arch.Cgra.mem_ports_per_row in
-  (* Const nodes are not scheduled; correct the resource bound. *)
-  let n_sched = List.length (schedulable_nodes g) in
-  let cdiv a b = (a + b - 1) / b in
   let res =
-    max (cdiv (max 1 n_sched) pes)
-      (cdiv (Graph.mem_node_count g) mem_slots_per_cycle)
+    Analysis.res_mii ~pes
+      ~mem_slots_per_cycle:(arch.Cgra.grid.Grid.rows * arch.Cgra.mem_ports_per_row)
+      g
   in
   let extra = Memdep.as_edge_triples (Memdep.ordering g) in
   max res (Analysis.rec_mii_with ~extra g)
@@ -56,11 +49,8 @@ module Prep = struct
         (* pe index -> boundary-adjacent to the next page (ops with
            unplaced consumers prefer these under the spread personality) *)
     mem_ports : int;
-    port_budget : int array;
-        (* row -> memory-port budget: the per-(row, slot) allowance the
-           bandwidth-aware cost prices against.  Uniform today
-           ([mem_ports_per_row] everywhere), but kept as a table so the
-           cost model already supports heterogeneous rows. *)
+        (* memory ports of every row's bus per slot: the budget [mem_ok]
+           enforces and the bandwidth-aware cost prices against *)
   }
 
   let make kind arch graph =
@@ -115,7 +105,6 @@ module Prep = struct
       candidates;
       boundary;
       mem_ports = arch.Cgra.mem_ports_per_row;
-      port_budget = Array.make grid.Grid.rows arch.Cgra.mem_ports_per_row;
     }
 end
 
@@ -140,9 +129,6 @@ module Attempt = struct
     cancel : unit -> bool;
         (* polled between node placements: [true] once a better race
            candidate has won, making this attempt's outcome irrelevant *)
-    debug : (unit -> string) -> unit;
-        (* failure-diagnostics sink: the direct Logs emitter when running
-           sequentially, a per-attempt buffer when racing *)
     placements : Mapping.placement option array;
     occupied : Bytes.t;  (* pe_index * ii + slot *)
     mem_use : int array;  (* row * ii + slot -> count *)
@@ -161,8 +147,8 @@ module Attempt = struct
     mutable spills_left : int;
   }
 
-  let create ?(spread = false) ?(bus = false) ?(cancel = fun () -> false)
-      ~debug prep ii rng =
+  let create ?(spread = false) ?(bus = false) ?(cancel = fun () -> false) prep ii
+      rng =
     let fabric = prep.Prep.fabric in
     let n_pes = Array.length fabric.Router.coords in
     let rows = prep.Prep.arch.Cgra.grid.Grid.rows in
@@ -171,7 +157,7 @@ module Attempt = struct
     let row_occ = Array.make (rows * ii) 0 in
     let overlay = Array.make (n_pes * ii) 0 in
     let strand =
-      if bus then Some { Router.mem_use; row_occ; budget = prep.Prep.port_budget }
+      if bus then Some { Router.mem_use; row_occ; budget = prep.Prep.mem_ports }
       else None
     in
     {
@@ -181,7 +167,6 @@ module Attempt = struct
       bus;
       rng;
       cancel;
-      debug;
       placements = Array.make (Graph.n_nodes prep.Prep.graph) None;
       occupied;
       mem_use;
@@ -310,9 +295,7 @@ module Attempt = struct
         if v_is_mem then begin
           let row = (fabric t).Router.row.(pe) in
           let used = t.mem_use.(mem_key t row time) in
-          let saturating =
-            if used + 1 >= t.prep.Prep.port_budget.(row) then 1 else 0
-          in
+          let saturating = if used + 1 >= t.prep.Prep.mem_ports then 1 else 0 in
           (4 * used) + (2 * saturating)
         end
         else Router.strand_price t.router pe time
@@ -395,8 +378,9 @@ module Attempt = struct
 
   (* Roll node [u] back out of the schedule: its slot, bus ports, row
      occupancy, and every committed route with [u] as an endpoint.
-     Returns the removed placement and routes so [recommit] can restore
-     the exact state if the spill does not work out. *)
+     Returns the removed placement and routes so [commit] can restore
+     the exact state if the spill does not work out ([u]'s page is
+     already counted in [max_page_used]). *)
   let uncommit t u =
     match t.placements.(u) with
     | None -> None
@@ -412,15 +396,6 @@ module Attempt = struct
         List.iter (fun (r : Mapping.route) -> add_hops t (-1) r.hops) mine;
         t.routes <- keep;
         Some (p, mine)
-
-  let recommit t u (p : Mapping.placement) removed_routes =
-    t.placements.(u) <- Some p;
-    occupy t u 1 p;
-    List.iter
-      (fun (r : Mapping.route) ->
-        add_hops t 1 r.hops;
-        t.routes <- r :: t.routes)
-      removed_routes
 
   (* Modulo scheduling window of node [v] from its placed neighbours —
      data edges and memory ordering constraints alike. *)
@@ -507,15 +482,8 @@ module Attempt = struct
                   | Some _ | None -> best := Some (c, pe, routes))
           done;
           match !best with
-          | Some ((c1, c2, c3, c4, c5), pe, routes) ->
-              let cand = { Mapping.pe = (fabric t).Router.coords.(pe); time } in
-              commit t v cand routes;
-              t.debug (fun () ->
-                  Printf.sprintf
-                    "%s ii=%d: node %d -> pe=(%d,%d) t=%d cost=(%d,%d,%d,%d,%d)"
-                    (Graph.name (graph t))
-                    t.ii v cand.pe.Coord.row cand.pe.Coord.col cand.time c1 c2
-                    c3 c4 c5);
+          | Some (_, pe, routes) ->
+              commit t v { Mapping.pe = (fabric t).Router.coords.(pe); time } routes;
               true
           | None -> try_time (time + 1)
         end
@@ -580,22 +548,15 @@ module Attempt = struct
               | None -> go rest
               | Some (p, removed) ->
                   if place_node t v then begin
-                    if place_node t u then begin
-                      t.debug (fun () ->
-                          Printf.sprintf
-                            "%s ii=%d: spilled node %d to place node %d"
-                            (Graph.name (graph t))
-                            t.ii u v);
-                      true
-                    end
+                    if place_node t u then true
                     else begin
                       ignore (uncommit t v);
-                      recommit t u p removed;
+                      commit t u p removed;
                       go rest
                     end
                   end
                   else begin
-                    recommit t u p removed;
+                    commit t u p removed;
                     go rest
                   end
             end
@@ -604,16 +565,6 @@ module Attempt = struct
     end
 
   let run t =
-    let place v =
-      let ok = place_node t v || try_spill t v in
-      if not ok then
-        t.debug (fun () ->
-            Printf.sprintf "%s ii=%d: no slot for node %d (%s)"
-              (Graph.name (graph t))
-              t.ii v
-              (Op.to_string (Graph.node (graph t) v).op));
-      ok
-    in
     let rec go = function
       | [] ->
           let m =
@@ -626,27 +577,18 @@ module Attempt = struct
               paged = (kind t = Paged);
             }
           in
-          (match Mapping.validate m with
-          | Ok () -> Some m
-          | Error es ->
-              t.debug (fun () ->
-                  Printf.sprintf "%s ii=%d: validation failed: %s"
-                    (Graph.name (graph t))
-                    t.ii (String.concat "; " es));
-              None)
+          (match Mapping.validate m with Ok () -> Some m | Error _ -> None)
       | v :: rest ->
           (* a raced attempt that can no longer win abandons its work;
              its outcome is unobservable, so this cannot change results *)
           if t.cancel () then None
-          else if place v then go rest
+          else if place_node t v || try_spill t v then go rest
           else None
     in
     go t.prep.Prep.order
 end
 
 (* ----- the II / restart ladder --------------------------------------- *)
-
-let debug_sink msg = Log.debug (fun m -> m "%s" (msg ()))
 
 (* Legacy restart attempts per II. *)
 let attempts = 64
@@ -656,6 +598,11 @@ let map ?(seed = 0) ?max_ii ?(bus_aware = true) ?pool
   let start = mii kind arch g in
   let max_ii = Option.value ~default:(start + 40) max_ii in
   let prep = Prep.make kind arch g in
+  (* A one-domain pool spawns no domain, so it needs no shutdown; on it
+     [race_poll] is the lazy sequential scan. *)
+  let pool =
+    match pool with Some p -> p | None -> Cgra_util.Pool.create ~domains:1 ()
+  in
   let launched = Atomic.make 0 in
   let polish_runs = Atomic.make 0 in
   (* With [bus_aware] each II gets two attempt families: indices
@@ -671,70 +618,27 @@ let map ?(seed = 0) ?max_ii ?(bus_aware = true) ?pool
      tax the IIs that fail outright. *)
   let bus_n = if bus_aware then 16 else 0 in
   let per_ii = attempts + bus_n in
-  let one_attempt ?cancel ?(debug = debug_sink) ~bus ~rng_a ~spread ~ii () =
+  let one_attempt ?cancel ~bus ~rng_a ~spread ~ii () =
     let rng =
       Cgra_util.Rng.create
         ~seed:(((seed * 31) + (ii * 1009) + rng_a) lxor 0x5bf03635)
     in
-    Attempt.run (Attempt.create ~spread ~bus ?cancel ~debug prep ii rng)
+    Attempt.run (Attempt.create ~spread ~bus ?cancel prep ii rng)
   in
-  let ladder_attempt ?cancel ?debug ~ii ~a () =
-    let bus = a < bus_n in
-    let al = if a >= bus_n then a - bus_n else a in
-    one_attempt ?cancel ?debug ~bus ~rng_a:al ~spread:(al mod 2 = 1) ~ii ()
-  in
-  (* The (ii, attempt) ladder, in the deterministic priority order: the
-     winner is always the earliest candidate here that succeeds, whether
-     the ladder is walked sequentially or raced across the pool. *)
+  (* The (ii, attempt) ladder, in the deterministic priority order:
+     [race_poll] returns the earliest candidate here that succeeds at
+     any pool width. *)
   let candidates =
     List.concat_map
       (fun i -> List.init per_ii (fun a -> (start + i, a)))
       (List.init (max 0 (max_ii - start + 1)) Fun.id)
   in
   let n_candidates = List.length candidates in
-  (* Per-attempt diagnostics must read as if the ladder ran sequentially:
-     when racing, each attempt logs into its own buffer and the buffers
-     of every candidate at or before the winner are flushed in ladder
-     order afterwards (candidates past the winner are unreachable in a
-     sequential run, so their speculative diagnostics are dropped). *)
-  let debug_on =
-    match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
-  in
-  let scan_sequential () =
-    let rec go = function
-      | [] -> None
-      | (ii, a) :: rest -> (
-          Atomic.incr launched;
-          match ladder_attempt ~ii ~a () with
-          | Some m -> Some ((ii, a), m)
-          | None -> go rest)
-    in
-    go candidates
-  in
-  let scan_raced p =
-    let bufs = Array.make (if debug_on then n_candidates else 0) [] in
-    let eval ~doomed (ii, a) =
-      Atomic.incr launched;
-      let logs = ref [] in
-      let debug =
-        if debug_on then fun msg -> logs := msg () :: !logs else debug_sink
-      in
-      let r = ladder_attempt ~cancel:doomed ~debug ~ii ~a () in
-      if debug_on then bufs.((ii - start) * per_ii + a) <- List.rev !logs;
-      r
-    in
-    let res = Cgra_util.Pool.race_poll p eval candidates in
-    if debug_on then begin
-      let last =
-        match res with
-        | Some ((ii, a), _) -> ((ii - start) * per_ii) + a
-        | None -> n_candidates - 1
-      in
-      for i = 0 to last do
-        List.iter (fun line -> Log.debug (fun m -> m "%s" line)) bufs.(i)
-      done
-    end;
-    res
+  let eval ~doomed (ii, a) =
+    Atomic.incr launched;
+    let bus = a < bus_n in
+    let al = if bus then a else a - bus_n in
+    one_attempt ~cancel:doomed ~bus ~rng_a:al ~spread:(al mod 2 = 1) ~ii ()
   in
   (* Once the minimal feasible II is found, spend a few packing-personality
      attempts reducing the page footprint at that II: unused pages are
@@ -754,29 +658,24 @@ let map ?(seed = 0) ?max_ii ?(bus_aware = true) ?pool
         if Mapping.n_pages_used cand < Mapping.n_pages_used best then cand
         else best
       in
-      match pool with
-      | Some p when Cgra_util.Pool.width p > 1 ->
-          List.fold_left
-            (fun best -> function Some m -> better best m | None -> best)
-            first
-            (Cgra_util.Pool.map p run_one (List.init 8 Fun.id))
-      | Some _ | None ->
-          let rec go best a =
-            if a >= 8 || Mapping.n_pages_used best = 1 then best
-            else
-              match run_one a with
-              | Some m -> go (better best m) (a + 1)
-              | None -> go best (a + 1)
-          in
-          go first 0
+      if Cgra_util.Pool.width pool > 1 then
+        List.fold_left
+          (fun best -> function Some m -> better best m | None -> best)
+          first
+          (Cgra_util.Pool.map pool run_one (List.init 8 Fun.id))
+      else
+        let rec go best a =
+          if a >= 8 || Mapping.n_pages_used best = 1 then best
+          else
+            match run_one a with
+            | Some m -> go (better best m) (a + 1)
+            | None -> go best (a + 1)
+        in
+        go first 0
     end
   in
   Cgra_trace.Trace.with_span trace "sched.race" (fun () ->
-      let res =
-        match pool with
-        | Some p when Cgra_util.Pool.width p > 1 -> scan_raced p
-        | Some _ | None -> scan_sequential ()
-      in
+      let res = Cgra_util.Pool.race_poll pool eval candidates in
       let res = Option.map (fun (w, m) -> (w, polish_pages (fst w) m)) res in
       if Cgra_trace.Trace.enabled trace then begin
         let l = Atomic.get launched in

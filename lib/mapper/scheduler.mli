@@ -37,38 +37,37 @@ val map :
   Cgra_arch.Cgra.t ->
   Cgra_dfg.Graph.t ->
   (Mapping.t, string) result
-(** [map kind arch g] schedules [g] with 64 restart attempts per II.
-    Defaults: [seed 0], [max_ii] = MII + 40.  [Error] only when every II up
-    to [max_ii] fails — which the test-suite treats as a bug for the
-    bundled kernels.
+(** [map kind arch g] schedules [g], escalating the II from {!mii} until
+    an attempt succeeds.  Defaults: [seed 0], [max_ii] = MII + 40.
+    [Error] only when every II up to [max_ii] fails — which the
+    test-suite treats as a bug for the bundled kernels.
 
     [bus_aware] (default [true]) makes the row bus a first-class
-    allocation: each II races a bandwidth-aware attempt family — bus
-    pressure priced into the candidate cost against per-(row, slot) port
-    budgets, routing hops steered off port-saturated slots, and a
-    bounded spill pass that re-times or re-rows the worst memory ops
-    when an attempt gets stuck — ahead of the legacy family, which is
-    replayed byte-identically after it.  The achieved II is therefore
-    monotonically no worse than with [bus_aware:false] (which reproduces
-    the pre-bandwidth scheduler exactly), at the price of up to twice
-    the attempts on IIs that fail entirely.
+    allocation: each II runs 80 restart attempts, 16 of a
+    bandwidth-aware family — bus pressure priced into the candidate cost
+    against the per-(row, slot) port budget, routing hops steered off
+    port-saturated slots, and a bounded spill pass that re-times or
+    re-rows the worst memory ops when an attempt gets stuck — and then
+    the 64 of the legacy family, replayed byte-identically.  The
+    achieved II is therefore monotonically no worse than with
+    [bus_aware:false] (64 legacy attempts per II, which reproduces the
+    pre-bandwidth scheduler exactly), at the price of more attempts on
+    IIs that fail entirely.
 
     [pool] races the (II, attempt) ladder speculatively across the
-    domain pool (see {!Cgra_util.Pool.race_poll}): the winner is always the
+    domain pool (see {!Cgra_util.Pool.race_poll}); without it the ladder
+    is scanned in order on the calling domain.  The winner is always the
     {e lowest} [(ii, attempt)] pair that succeeds, and a success at II
     [k] abandons in-flight work at II [> k].  The returned mapping — and
-    the [Error] text on failure — is bit-identical to the sequential
-    result at any pool width.  Per-attempt debug logging stays coherent:
-    raced attempts buffer their diagnostics, which are re-emitted in
-    ladder order up to the winner.
+    the [Error] text on failure — is bit-identical at any pool width.
 
     [trace] receives a ["sched.race"] span around the search plus
     counters (candidates / launched / cancelled / polish) and a winner
     mark. *)
 
 val mii : kind -> Cgra_arch.Cgra.t -> Cgra_dfg.Graph.t -> int
-(** The lower bound the search starts from ([Analysis.mii] with the
-    fabric's PE and memory-port resources). *)
-
-val log_src : Logs.Src.t
-(** Debug logging source ("cgra.mapper"): per-attempt failure reasons. *)
+(** The lower bound the search starts from: the larger of
+    {!Cgra_dfg.Analysis.res_mii} over the PEs the compiler may use (every
+    PE, or every paged PE) and the fabric's memory ports, and
+    {!Cgra_dfg.Analysis.rec_mii_with} over the memory ordering
+    constraints. *)

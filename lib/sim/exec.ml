@@ -145,10 +145,6 @@ let run ?(trace = Cgra_trace.Trace.null) (m : Mapping.t) mem ~iterations =
           match ev with Fire _ -> (f + 1, h) | Hop _ -> (f, h + 1))
         (0, 0) events
     in
-    T.count trace "exec.cycles" (float_of_int cycles);
-    T.count trace "exec.fired" (float_of_int fired);
-    T.count trace "exec.hops" (float_of_int hops);
-    T.count trace "exec.violations" (float_of_int (List.length violations));
     T.emit trace
       (T.Counter { name = "exec.cycles"; value = float_of_int cycles });
     T.emit trace

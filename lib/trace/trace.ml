@@ -73,15 +73,13 @@ type state = {
   mutable rev_events : event list;
   mutable next_seq : int;
   mutable now : float;
-  totals : (string, float ref) Hashtbl.t;
 }
 
 type t = Null | On of state
 
 let null = Null
 
-let make () =
-  On { rev_events = []; next_seq = 0; now = 0.0; totals = Hashtbl.create 16 }
+let make () = On { rev_events = []; next_seq = 0; now = 0.0 }
 
 let enabled = function Null -> false | On _ -> true
 
@@ -103,20 +101,6 @@ let emit t payload =
 let events = function Null -> [] | On s -> List.rev s.rev_events
 
 let n_events = function Null -> 0 | On s -> s.next_seq
-
-let count t name v =
-  match t with
-  | Null -> ()
-  | On s -> (
-      match Hashtbl.find_opt s.totals name with
-      | Some r -> r := !r +. v
-      | None -> Hashtbl.add s.totals name (ref v))
-
-let counters = function
-  | Null -> []
-  | On s ->
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.totals []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let with_span t name f =
   match t with

@@ -16,8 +16,10 @@
       reproduce the aggregate {e bit for bit} (see {!Replay});
     - {b allocator}: every placement decision with the alternatives that
       were considered;
-    - {b generic}: monotonic counters, timing spans, and marks for
-      instrumenting non-timed layers (checker, executor).
+    - {b generic}: counter events (a named value), timing spans, and
+      marks for instrumenting non-timed layers (scheduler, checker,
+      executor).  A counter is an event like any other; there is no
+      side table of totals.
 
     A trace handle is either {!null} — every emission is a no-op, so
     instrumented code costs one branch when tracing is off — or a
@@ -138,12 +140,6 @@ val events : t -> event list
 (** All events in emission order. *)
 
 val n_events : t -> int
-
-val count : t -> string -> float -> unit
-(** Bump a named monotonic counter (no event is emitted). *)
-
-val counters : t -> (string * float) list
-(** Counter totals, sorted by name. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Emit [Span_begin]/[Span_end] around the call (the end marker is

@@ -198,7 +198,21 @@ let test_analysis_res_mii () =
   Alcotest.(check int) "1 on 16 PEs" 1
     (Analysis.res_mii ~pes:16 ~mem_slots_per_cycle:8 g);
   Alcotest.(check int) "ceil 3/2" 2 (Analysis.res_mii ~pes:2 ~mem_slots_per_cycle:8 g);
-  Alcotest.(check int) "mem bound" 2 (Analysis.res_mii ~pes:16 ~mem_slots_per_cycle:1 g)
+  Alcotest.(check int) "mem bound" 2 (Analysis.res_mii ~pes:16 ~mem_slots_per_cycle:1 g);
+  (* b[i] = a[i] + 3: four nodes, but no PE runs the constant *)
+  let with_const =
+    Graph.create ~name:"add_const"
+      ~ops:
+        [
+          Op.Load { array = "a"; offset = 0; stride = 1 };
+          Op.Const 3;
+          Op.Add;
+          Op.Store { array = "b"; offset = 0; stride = 1 };
+        ]
+      ~edges:[ (0, 2, 0, 0); (1, 2, 1, 0); (2, 3, 0, 0) ]
+  in
+  Alcotest.(check int) "constants take no PE" 1
+    (Analysis.res_mii ~pes:3 ~mem_slots_per_cycle:8 with_const)
 
 let test_analysis_rec_mii () =
   Alcotest.(check int) "acyclic" 1 (Analysis.rec_mii (simple_chain ()));

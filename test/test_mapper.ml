@@ -552,7 +552,7 @@ let reference_find arch ~ii ~occupied ~overlay ~gen ~strand ~paged ~src ~src_tim
     Option.map
       (fun (s : Router.strand) (pe : Coord.t) time ->
         let k = (pe.row * ii) + (time mod ii) in
-        let slack = s.budget.(pe.row) - s.mem_use.(k) in
+        let slack = s.budget - s.mem_use.(k) in
         if slack > 0 && grid.Grid.cols - s.row_occ.(k) <= slack then 1 else 0)
       strand
   in
@@ -616,7 +616,7 @@ let test_router_corpus () =
             {
               Router.mem_use = Array.make (rows * ii) 0;
               row_occ = Array.make (rows * ii) 0;
-              budget = Array.make rows arch.Cgra.mem_ports_per_row;
+              budget = arch.Cgra.mem_ports_per_row;
             }
           in
           let plain = Router.create fabric ~ii ~occupied ~overlay () in
@@ -724,9 +724,9 @@ let test_bus_aware_ii_monotone () =
     grid_fabrics
 
 let test_bus_aware_race_identical () =
-  (* byte-identical results at -j 1/2/4 with the bus-aware family in the
-     raced ladder (the lowest-index-winner contract must survive the
-     doubled per-II attempt space) *)
+  (* byte-identical results from both compilers at -j 1/2/4 with the
+     bus-aware family in the raced ladder (the lowest-index-winner
+     contract must survive the doubled per-II attempt space) *)
   let kernels =
     List.map Cgra_kernels.Kernels.find_exn [ "yuv2rgb"; "swim"; "sobel" ]
   in
@@ -735,21 +735,28 @@ let test_bus_aware_race_identical () =
       let arch = Option.get (Cgra.standard ~size ~page_pes) in
       List.iter
         (fun (k : Cgra_kernels.Kernels.t) ->
-          let seq = map_ok Paged arch k.graph in
+          let seqs =
+            List.map
+              (fun (kind, tag) -> (kind, tag, map_ok kind arch k.graph))
+              [ (Scheduler.Unconstrained, "base"); (Scheduler.Paged, "paged") ]
+          in
           List.iter
             (fun j ->
               Cgra_util.Pool.with_pool ~domains:j (fun pool ->
-                  match Scheduler.map ~pool Paged arch k.graph with
-                  | Error e ->
-                      Alcotest.failf "%s %dx%d p%d -j %d failed: %s" k.name size
-                        size page_pes j e
-                  | Ok raced ->
-                      Alcotest.(check bool)
-                        (Printf.sprintf "%s %dx%d p%d -j %d = sequential" k.name
-                           size size page_pes j)
-                        true
-                        ((seq.Mapping.ii, seq.placements, seq.routes)
-                        = (raced.Mapping.ii, raced.placements, raced.routes))))
+                  List.iter
+                    (fun (kind, tag, seq) ->
+                      match Scheduler.map ~pool kind arch k.graph with
+                      | Error e ->
+                          Alcotest.failf "%s %s %dx%d p%d -j %d failed: %s" k.name
+                            tag size size page_pes j e
+                      | Ok raced ->
+                          Alcotest.(check bool)
+                            (Printf.sprintf "%s %s %dx%d p%d -j %d = sequential"
+                               k.name tag size size page_pes j)
+                            true
+                            ((seq.Mapping.ii, seq.placements, seq.routes)
+                            = (raced.Mapping.ii, raced.placements, raced.routes)))
+                    seqs))
             [ 1; 2; 4 ])
         kernels)
     grid_fabrics

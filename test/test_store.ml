@@ -226,11 +226,7 @@ let test_warm_start_compiles_nothing () =
             | _ -> false)
           (Cgra_trace.Trace.events trace)
       in
-      Alcotest.(check bool) "no sched.race span in a warm start" false raced;
-      Alcotest.(check (list (pair string (float 0.0))))
-        "tier counters surface through the trace"
-        [ ("binary.cache.disk_hit", 11.0) ]
-        (Cgra_trace.Trace.counters trace))
+      Alcotest.(check bool) "no sched.race span in a warm start" false raced)
 
 (* a warm binary is interchangeable with a compiled one *)
 let test_warm_equals_cold () =

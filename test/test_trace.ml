@@ -87,10 +87,8 @@ let test_null_trace_is_silent () =
   let t = T.null in
   Alcotest.(check bool) "disabled" false (T.enabled t);
   T.emit t (T.Mark { name = "x"; detail = "y" });
-  T.count t "c" 1.0;
   T.set_clock t 42.0;
-  Alcotest.(check int) "no events" 0 (T.n_events t);
-  Alcotest.(check (list (pair string (float 0.0)))) "no counters" [] (T.counters t)
+  Alcotest.(check int) "no events" 0 (T.n_events t)
 
 let test_tracing_does_not_change_results () =
   let untraced, _ =
@@ -106,19 +104,18 @@ let test_tracing_does_not_change_results () =
   Alcotest.(check bool) "identical result records" true (untraced = traced)
 
 let test_counters_and_spans () =
+  (* a counter is an event like any other, recorded in emission order *)
   let t = T.make () in
-  T.count t "b" 2.0;
-  T.count t "a" 1.0;
-  T.count t "b" 3.0;
-  Alcotest.(check (list (pair string (float 0.0)))) "sorted totals"
-    [ ("a", 1.0); ("b", 5.0) ]
-    (T.counters t);
+  T.emit t (T.Counter { name = "c"; value = 2.0 });
   (try T.with_span t "s" (fun () -> failwith "boom") with Failure _ -> ());
   match T.events t with
-  | [ { T.payload = T.Span_begin { name = "s" }; _ };
+  | [ { T.payload = T.Counter { name = "c"; value = 2.0 }; _ };
+      { T.payload = T.Span_begin { name = "s" }; _ };
       { T.payload = T.Span_end { name = "s" }; _ } ] ->
       ()
-  | es -> Alcotest.failf "span not closed on exception (%d events)" (List.length es)
+  | es ->
+      Alcotest.failf "counter lost or span not closed on exception (%d events)"
+        (List.length es)
 
 (* ---------- golden determinism ---------- *)
 
