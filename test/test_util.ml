@@ -12,6 +12,28 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* Known answers: the first three outputs are the published splitmix64
+   values for seed 0, and the rest pin what [int], [float] and [split]
+   derive from that stream, so a change to the state's representation
+   cannot move a single draw. *)
+let test_rng_known_answers () =
+  let r = Rng.create ~seed:0 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "splitmix64 seed 0" want (Rng.bits64 r))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ];
+  let r = Rng.create ~seed:0 in
+  Alcotest.(check (list int)) "int draws" [ 7; 720; 1869; 2872; 3773 ]
+    (List.map (Rng.int r) [ 10; 1010; 2010; 3010; 4010 ]);
+  List.iter
+    (fun want -> Alcotest.(check (float 0.0)) "float draw" want (Rng.float r 1.0))
+    [ 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ];
+  let r = Rng.create ~seed:0 in
+  let c = Rng.split r in
+  List.iter
+    (fun want -> Alcotest.(check int64) "split stream" want (Rng.bits64 c))
+    [ 0x568a9b0b1a2c05ecL; 0x44e5b8b147ef718bL ];
+  Alcotest.(check int64) "parent after split" 0x6e789e6aa1b965f4L (Rng.bits64 r)
+
 let test_rng_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   Alcotest.(check bool) "different streams" false (Rng.bits64 a = Rng.bits64 b)
@@ -471,6 +493,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in_bounds;
