@@ -1,25 +1,36 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] record
+   field would store a freshly boxed Int64 on every draw.  With [bits64]
+   inlined, a draw allocates nothing. *)
+type t = Bytes.t
 
-let create ~seed = { state = Int64.of_int seed }
+let get t = Bytes.get_int64_le t 0
 
-let copy t = { state = t.state }
+let set t s = Bytes.set_int64_le t 0 s
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set t s;
+  t
+
+let create ~seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators", OOPSLA 2014. *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix s
 
-let split t =
-  let seed = bits64 t in
-  { state = mix seed }
+let split t = of_state (mix (bits64 t))
 
 let int t bound =
   assert (bound > 0);
