@@ -68,7 +68,8 @@ let reset_stats () =
 let clear_cache () =
   Mutex.lock cache_lock;
   Hashtbl.reset cache;
-  Mutex.unlock cache_lock
+  Mutex.unlock cache_lock;
+  Scheduler.clear_shared ()
 
 let compile_uncached ~seed ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
   match Scheduler.map ~seed ?pool ?trace Unconstrained arch k.graph with

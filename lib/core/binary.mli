@@ -92,4 +92,7 @@ val reset_stats : unit -> unit
 (** Zero the counters (the caches themselves are untouched). *)
 
 val clear_cache : unit -> unit
-(** Drop the in-memory memo (the disk tier, if any, is untouched). *)
+(** Drop the in-memory memo (the disk tier, if any, is untouched) and
+    the scheduler's shared unconstrained searches
+    ({!Cgra_mapper.Scheduler.clear_shared}), so the next compile that
+    misses the disk tier is cold: both its scheduler runs search. *)
