@@ -185,6 +185,28 @@ let output_digest (r : Farm.report) =
        :: hex (Export.jsonl r.Farm.farm_events)
        :: List.map (fun evs -> hex (Export.jsonl evs)) r.Farm.shard_events))
 
+(* Tracing must not change a run, and the two paths differ in code: an
+   untraced run builds no payload at all.  The untraced run of [p] must
+   render, report its steps, leave every request and report every shard
+   exactly as the traced run [traced] did.  [compare] rather than [=]:
+   a request's unset times are NaN. *)
+let check_untraced_matches what p (traced : Farm.report) =
+  let r = run_ok p in
+  Alcotest.(check string) (what ^ ": untraced render") (Farm.render ~log:true traced)
+    (Farm.render ~log:true r);
+  Alcotest.(check string) (what ^ ": untraced render_stats") (Farm.render_stats traced)
+    (Farm.render_stats r);
+  List.iter2
+    (fun (a : Farm.request) b ->
+      if compare a b <> 0 then
+        Alcotest.failf "%s: request r%d ends differently untraced" what a.Farm.rid)
+    traced.Farm.requests r.Farm.requests;
+  List.iter2
+    (fun (a : Farm.shard_report) b ->
+      if compare a b <> 0 then
+        Alcotest.failf "%s: shard %d reports differently untraced" what a.Farm.s_index)
+    traced.Farm.shard_reports r.Farm.shard_reports
+
 (* Small fleets over every policy pair, reconfig costs 0-100, queue
    bounds and max_resident from 1 to 6 and loads up to 4, so requests
    queue, get rejected and get deferred — which the benchmark's
@@ -218,9 +240,10 @@ let corpus_digest = "18bcb90c4f69118bc4ad592887caa78f"
 
 let test_pinned_corpus () =
   let cases =
-    List.map
-      (fun p ->
+    List.mapi
+      (fun i p ->
         let r = run_ok ~traced:true p in
+        check_untraced_matches (Printf.sprintf "case %d" i) p r;
         let queued =
           List.length
             (List.filter
@@ -248,14 +271,14 @@ let big_digests =
 let test_pinned_big_fleet () =
   List.iter
     (fun ((offered_load, dispatch, reconfig_cost), digest) ->
-      let r =
-        run_ok ~traced:true
-          { Farm.big_params with offered_load; dispatch; reconfig_cost }
+      let p = { Farm.big_params with offered_load; dispatch; reconfig_cost } in
+      let r = run_ok ~traced:true p in
+      let what =
+        Printf.sprintf "big fleet, load %g, %s, reconfig cost %g" offered_load
+          (Farm.dispatch_name dispatch) reconfig_cost
       in
-      Alcotest.(check string)
-        (Printf.sprintf "big fleet, load %g, %s, reconfig cost %g" offered_load
-           (Farm.dispatch_name dispatch) reconfig_cost)
-        digest (output_digest r))
+      Alcotest.(check string) what digest (output_digest r);
+      check_untraced_matches what p r)
     big_digests
 
 (* ---------- differential: spans vs front-end accounting ---------- *)
