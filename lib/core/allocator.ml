@@ -13,8 +13,10 @@ type t = {
   total : int;
   policy : policy;
   mutable segs : seg list;  (* sorted by base, covering [0, total) *)
+  mutable free : int;  (* pages in free segments *)
   desired : (int, int) Hashtbl.t;
   trace : Cgra_trace.Trace.t;
+  tracing : bool;
 }
 
 let create ?(policy = Halving) ?(trace = Cgra_trace.Trace.null) ~total_pages () =
@@ -23,36 +25,47 @@ let create ?(policy = Halving) ?(trace = Cgra_trace.Trace.null) ~total_pages () 
     total = total_pages;
     policy;
     segs = [ { range = { base = 0; len = total_pages }; owner = None } ];
+    free = total_pages;
     desired = Hashtbl.create 16;
     trace;
+    tracing = Cgra_trace.Trace.enabled trace;
   }
 
-let normalize segs =
-  (* merge adjacent free segments; keep sorted *)
-  let sorted = List.sort (fun a b -> compare a.range.base b.range.base) segs in
-  let rec merge = function
-    | ({ owner = None; range = r1 } as a) :: { owner = None; range = r2 } :: rest
-      when r1.base + r1.len = r2.base ->
-        merge ({ a with range = { r1 with len = r1.len + r2.len } } :: rest)
-    | s :: rest -> s :: merge rest
-    | [] -> []
-  in
-  merge sorted
+(* Merge adjacent free segments.  Every rewrite below keeps the list in
+   base order, so there is nothing to sort; an unchanged tail is shared,
+   not copied. *)
+let rec normalize segs =
+  match segs with
+  | ({ owner = None; range = r1 } as a) :: { owner = None; range = r2 } :: rest
+    when r1.base + r1.len = r2.base ->
+      normalize ({ a with range = { r1 with len = r1.len + r2.len } } :: rest)
+  | s :: rest ->
+      let rest' = normalize rest in
+      if rest' == rest then segs else s :: rest'
+  | [] -> []
 
-let free_pages t =
-  List.fold_left
-    (fun acc s -> match s.owner with None -> acc + s.range.len | Some _ -> acc)
-    0 t.segs
+(* [segs] with the segment [seg] (physically) replaced by [by]. *)
+let rec replace seg by = function
+  | [] -> []
+  | s :: rest -> if s == seg then by @ rest else s :: replace seg by rest
+
+let is_free s = match s.owner with None -> true | Some _ -> false
+
+let shrinkable s = match s.owner with Some _ -> s.range.len >= 2 | None -> false
+
+let free_pages t = t.free
 
 let clients t =
   List.filter_map
     (fun s -> Option.map (fun o -> (o, s.range)) s.owner)
     t.segs
 
-let allocation t ~client =
-  List.find_map
-    (fun s -> if s.owner = Some client then Some s.range else None)
-    t.segs
+let rec owned_by client = function
+  | [] -> None
+  | { owner = Some o; range } :: _ when o = client -> Some range
+  | _ :: rest -> owned_by client rest
+
+let allocation t ~client = owned_by client t.segs
 
 let shrunk_clients t =
   List.filter
@@ -71,22 +84,36 @@ let carve t ~client ~want seg =
     if take = r.len then []
     else [ { range = { base = r.base + take; len = r.len - take }; owner = None } ]
   in
-  t.segs <-
-    normalize
-      (List.concat_map
-         (fun s -> if s == seg then { range = alloc; owner = Some client } :: rest else [ s ])
-         t.segs);
+  t.segs <- normalize (replace seg ({ range = alloc; owner = Some client } :: rest) t.segs);
+  t.free <- t.free - take;
   alloc
 
-let largest p t =
-  List.fold_left
-    (fun acc s ->
-      if p s then
-        match acc with
-        | Some best when best.range.len >= s.range.len -> acc
-        | Some _ | None -> Some s
-      else acc)
-    None t.segs
+(* The longest segment satisfying [p]; the lowest base among equals. *)
+let rec largest p best = function
+  | [] -> best
+  | s :: rest ->
+      let best =
+        if p s then
+          match best with
+          | Some b when b.range.len >= s.range.len -> best
+          | Some _ | None -> Some s
+        else best
+      in
+      largest p best rest
+
+(* Among the shrinkable segments whose freed half covers [desired], the
+   one with the smallest kept half; the lowest base among equals. *)
+let rec cheapest desired best = function
+  | [] -> best
+  | s :: rest ->
+      let best =
+        if shrinkable s && s.range.len - (s.range.len / 2) >= desired then
+          match best with
+          | Some b when b.range.len / 2 <= s.range.len / 2 -> best
+          | Some _ | None -> Some s
+        else best
+      in
+      cheapest desired best rest
 
 (* Repack every resident plus the newcomer into equal contiguous shares
    (remainder pages spread over the first few, in ring order). *)
@@ -108,79 +135,38 @@ let repack_with t ~client =
     if !base < t.total then
       segs := { range = { base = !base; len = t.total - !base }; owner = None } :: !segs;
     t.segs <- normalize (List.rev !segs);
+    t.free <- t.total - !base;
     allocation t ~client
   end
 
-let trace_range (r : range) =
-  { Cgra_trace.Trace.base = r.base; len = r.len }
+(* Halve [victim] and serve the newcomer from the freed half. *)
+let halve t ~client ~desired victim =
+  let r = victim.range in
+  let keep = r.len / 2 in
+  let kept = { range = { base = r.base; len = keep }; owner = victim.owner } in
+  let freed = { range = { base = r.base + keep; len = r.len - keep }; owner = None } in
+  t.segs <- normalize (replace victim [ kept; freed ] t.segs);
+  t.free <- t.free + freed.range.len;
+  let free_seg =
+    match List.find_opt (fun s -> s.range.base = freed.range.base) t.segs with
+    | Some s -> s
+    | None -> assert false
+  in
+  Some (carve t ~client ~want:desired free_seg)
 
-let request t ~client ~desired =
-  if desired <= 0 then invalid_arg "Allocator.request: desired <= 0";
-  if allocation t ~client <> None then invalid_arg "Allocator.request: duplicate client";
-  Hashtbl.replace t.desired client desired;
-  (* snapshot the alternatives the policy is about to weigh, before the
-     segment list is rewritten *)
-  let considered =
-    if Cgra_trace.Trace.enabled t.trace then
-      List.filter_map
-        (fun s ->
-          match (s.owner, t.policy) with
-          | None, _ -> Some ("free", trace_range s.range)
-          | Some o, Halving when s.range.len >= 2 ->
-              Some (Printf.sprintf "halve c%d" o, trace_range s.range)
-          | Some o, Cost_halving when s.range.len >= 2 ->
-              (* the rewrite cost of halving this victim: the kept half the
-                 PageMaster must re-fold *)
-              Some
-                ( Printf.sprintf "halve c%d cost=%d" o (s.range.len / 2),
-                  trace_range s.range )
-          | Some o, Repack_equal ->
-              Some (Printf.sprintf "repack c%d" o, trace_range s.range)
-          | Some _, (Halving | Cost_halving) -> None)
-        t.segs
-    else []
+(* No free segment: the policy decides whom to shrink. *)
+let contended t ~client ~desired =
+  let shrink = function
+    | Some victim -> halve t ~client ~desired victim
+    | None -> None
   in
-  let decided granted =
-    Cgra_trace.Trace.emit t.trace
-      (Cgra_trace.Trace.Alloc_decision
-         { client; desired; granted = Option.map trace_range granted; considered });
-    granted
-  in
-  let halve victim =
-    let r = victim.range in
-    let keep = r.len / 2 in
-    let kept = { range = { base = r.base; len = keep }; owner = victim.owner } in
-    let freed =
-      { range = { base = r.base + keep; len = r.len - keep }; owner = None }
-    in
-    t.segs <-
-      normalize
-        (List.concat_map
-           (fun s -> if s == victim then [ kept; freed ] else [ s ])
-           t.segs);
-    let free_seg =
-      match List.find_opt (fun s -> s.range.base = freed.range.base) t.segs with
-      | Some s -> s
-      | None -> assert false
-    in
-    Some (carve t ~client ~want:desired free_seg)
-  in
-  let contended () =
+  let granted =
     match t.policy with
-    | Repack_equal -> (
-        match repack_with t ~client with
-        | Some r -> Some r
-        | None ->
-            Hashtbl.remove t.desired client;
-            None)
-    | Halving -> (
+    | Repack_equal -> repack_with t ~client
+    | Halving ->
         (* the paper's policy: shrink the biggest running client to half *)
-        match largest (fun s -> s.owner <> None && s.range.len >= 2) t with
-        | None ->
-            Hashtbl.remove t.desired client;
-            None
-        | Some victim -> halve victim)
-    | Cost_halving -> (
+        shrink (largest shrinkable None t.segs)
+    | Cost_halving ->
         (* cost-aware victim pick: among residents whose freed half would
            cover the request, shrink the one whose kept half — the pages
            the PageMaster must re-fold, i.e. the Reshape cost — is
@@ -188,74 +174,106 @@ let request t ~client ~desired =
            when nobody's freed half is big enough, fall back to the
            classic largest victim so the grant is never smaller than
            under [Halving] *)
-        let shrinkable s = s.owner <> None && s.range.len >= 2 in
-        let sufficient =
-          List.filter
-            (fun s -> shrinkable s && s.range.len - (s.range.len / 2) >= desired)
-            t.segs
-        in
-        let victim =
-          match sufficient with
-          | v :: rest ->
-              Some
-                (List.fold_left
-                   (fun best s ->
-                     if s.range.len / 2 < best.range.len / 2 then s else best)
-                   v rest)
-          | [] -> largest shrinkable t
-        in
-        match victim with
-        | None ->
-            Hashtbl.remove t.desired client;
-            None
-        | Some victim -> halve victim)
+        shrink
+          (match cheapest desired None t.segs with
+          | Some _ as v -> v
+          | None -> largest shrinkable None t.segs)
   in
-  match largest (fun s -> s.owner = None) t with
-  | Some free_seg -> decided (Some (carve t ~client ~want:desired free_seg))
-  | None -> decided (contended ())
+  (match granted with None -> Hashtbl.remove t.desired client | Some _ -> ());
+  granted
+
+let trace_range (r : range) =
+  { Cgra_trace.Trace.base = r.base; len = r.len }
+
+(* The alternatives the policy is about to weigh, as a decision trace
+   records them. *)
+let considered t =
+  List.filter_map
+    (fun s ->
+      match (s.owner, t.policy) with
+      | None, _ -> Some ("free", trace_range s.range)
+      | Some o, Halving when s.range.len >= 2 ->
+          Some (Printf.sprintf "halve c%d" o, trace_range s.range)
+      | Some o, Cost_halving when s.range.len >= 2 ->
+          (* the rewrite cost of halving this victim: the kept half the
+             PageMaster must re-fold *)
+          Some
+            ( Printf.sprintf "halve c%d cost=%d" o (s.range.len / 2),
+              trace_range s.range )
+      | Some o, Repack_equal ->
+          Some (Printf.sprintf "repack c%d" o, trace_range s.range)
+      | Some _, (Halving | Cost_halving) -> None)
+    t.segs
+
+let request t ~client ~desired =
+  if desired <= 0 then invalid_arg "Allocator.request: desired <= 0";
+  (match allocation t ~client with
+  | Some _ -> invalid_arg "Allocator.request: duplicate client"
+  | None -> ());
+  Hashtbl.replace t.desired client desired;
+  (* snapshot the alternatives before the segment list is rewritten *)
+  let considered = if t.tracing then considered t else [] in
+  let granted =
+    match largest is_free None t.segs with
+    | Some free_seg -> Some (carve t ~client ~want:desired free_seg)
+    | None -> contended t ~client ~desired
+  in
+  if t.tracing then
+    Cgra_trace.Trace.emit t.trace
+      (Cgra_trace.Trace.Alloc_decision
+         { client; desired; granted = Option.map trace_range granted; considered });
+  granted
+
+(* [segs] with [client]'s segment freed; the segments after it are
+   shared, not copied. *)
+let rec free_client client = function
+  | [] -> []
+  | ({ owner = Some o; _ } as s) :: rest when o = client ->
+      { s with owner = None } :: rest
+  | s :: rest -> s :: free_client client rest
 
 let release t ~client =
-  if allocation t ~client = None then invalid_arg "Allocator.release: unknown client";
-  Hashtbl.remove t.desired client;
-  t.segs <-
-    normalize
-      (List.map
-         (fun s -> if s.owner = Some client then { s with owner = None } else s)
-         t.segs)
+  match allocation t ~client with
+  | None -> invalid_arg "Allocator.release: unknown client"
+  | Some r ->
+      Hashtbl.remove t.desired client;
+      t.free <- t.free + r.len;
+      t.segs <- normalize (free_client client t.segs)
+
+(* How far a segment's owner is below its desired size (0 when free). *)
+let deficit t s =
+  match s.owner with
+  | None -> 0
+  | Some c -> (
+      match Hashtbl.find t.desired c with
+      | d -> d - s.range.len
+      | exception Not_found -> 0)
+
+(* The first free segment (lowest base) next to a client below its
+   desired size, with that client's segment and deficit: of its two
+   neighbours, the one with the larger deficit, the lower one on ties.
+   Free segments are merged, so both neighbours are clients; [prev] is
+   the segment before the list, or the head itself (a free segment's
+   deficit is 0). *)
+let rec growable t prev = function
+  | [] -> None
+  | ({ owner = None; _ } as free) :: rest ->
+      let left = deficit t prev in
+      let right = match rest with s :: _ -> deficit t s | [] -> 0 in
+      if left > 0 && left >= right then Some (free, prev, left)
+      else if right > 0 then Some (free, List.hd rest, right)
+      else growable t free rest
+  | s :: rest -> growable t s rest
 
 let expand t =
-  let changed = Hashtbl.create 8 in
-  let deficit (c, (r : range)) =
-    match Hashtbl.find_opt t.desired c with Some d -> d - r.len | None -> 0
-  in
-  let rec pass () =
-    (* grow the adjacent client with the largest deficit into each free
-       segment, one step at a time, until stable *)
-    let grow =
-      List.find_map
-        (fun s ->
-          match s.owner with
-          | Some _ -> None
-          | None ->
-              let adjacent =
-                List.filter
-                  (fun (_, (r : range)) ->
-                    r.base + r.len = s.range.base || s.range.base + s.range.len = r.base)
-                  (clients t)
-              in
-              let candidates =
-                List.filter (fun cr -> deficit cr > 0) adjacent
-                |> List.sort (fun a b -> compare (deficit b) (deficit a))
-              in
-              (match candidates with
-              | [] -> None
-              | (c, r) :: _ -> Some (s, c, r)))
-        t.segs
-    in
-    match grow with
-    | None -> ()
-    | Some (free_seg, c, r) ->
-        let take = min (deficit (c, r)) free_seg.range.len in
+  (* grow the adjacent client with the largest deficit into each free
+     segment, one step at a time, until stable *)
+  let rec pass changed =
+    match growable t (List.hd t.segs) t.segs with
+    | None -> changed
+    | Some (free_seg, client_seg, deficit) ->
+        let r = client_seg.range in
+        let take = min deficit free_seg.range.len in
         let before_client = r.base + r.len = free_seg.range.base in
         let new_range =
           if before_client then { base = r.base; len = r.len + take }
@@ -273,17 +291,15 @@ let expand t =
         in
         t.segs <-
           normalize
-            (List.concat_map
-               (fun s ->
-                 if s == free_seg then rest_free
-                 else if s.owner = Some c then [ { range = new_range; owner = Some c } ]
-                 else [ s ])
-               t.segs);
-        Hashtbl.replace changed c ();
-        pass ()
+            (replace client_seg
+               [ { client_seg with range = new_range } ]
+               (replace free_seg rest_free t.segs));
+        t.free <- t.free - take;
+        pass (Option.get client_seg.owner :: changed)
   in
-  pass ();
-  List.filter (fun (c, _) -> Hashtbl.mem changed c) (clients t)
+  match pass [] with
+  | [] -> []
+  | changed -> List.filter (fun (c, _) -> List.mem c changed) (clients t)
 
 let pp ppf t =
   List.iter

@@ -43,7 +43,8 @@ val create :
     {!Cgra_trace.Trace.null}), every {!request} records an
     [Alloc_decision] event carrying the grant and the alternatives the
     policy weighed (free segments, halving victims, repack residents);
-    the driver is expected to keep the collector's clock current. *)
+    the driver is expected to keep the collector's clock current.  Under
+    the null collector no decision payload is built. *)
 
 val request : t -> client:int -> desired:int -> range option
 (** Allocate for a new client wanting [desired] pages (its paged
@@ -66,6 +67,7 @@ val shrunk_clients : t -> (int * range) list
 (** Clients whose current allocation is below their desired size. *)
 
 val free_pages : t -> int
+(** A running count; O(1). *)
 
 val clients : t -> (int * range) list
 (** All allocations, sorted by base. *)

@@ -96,10 +96,8 @@ module Engine : sig
   (** Submitted threads that have not yet finished. *)
 
   val free_pages : t -> int
-
-  val used_page_fraction : t -> float
-  (** Allocated fraction of the fabric, in [0, 1] — the load signal the
-      farm's shard picker reads. *)
+  (** Unallocated pages; O(1).  The farm's shard picker reads the used
+      share, [total - free_pages], as its load signal. *)
 
   val set_on_finish : t -> (int -> float -> unit) -> unit
   (** Called as [f id time] whenever a thread finishes (at
@@ -134,8 +132,9 @@ val run :
     code/data transfer; the ablation benches sweep this to find where the
     argument would break.
 
-    [trace] (default {!Cgra_trace.Trace.null}, which costs one branch per
-    emission point) records the full event timeline: thread arrivals and
+    [trace] (default {!Cgra_trace.Trace.null}: one branch per emission
+    point, in the engine and in its allocator, and no event payload is
+    built) records the full event timeline: thread arrivals and
     finishes, kernel request/grant/stall/release, PageMaster reshapes
     with before/after ranges and cycles charged, allocator decisions,
     and per-interval page-occupancy samples.  The stream is complete:

@@ -96,12 +96,23 @@ type report = {
   shard_events : T.event list list;
 }
 
+(* What every shard of one spec shares, computed once per distinct spec
+   in a run: the compiled suite and the facts the coordinator reads of
+   it. *)
+type fabric = {
+  pages : int;
+  suite : Binary.t list;
+  need : int array;
+      (* pages the binary of [mix.(k)] occupies (its first in suite
+         order; 0 when the suite lacks it, which any shard affords) *)
+  service : float;  (* nominal service cycles, [shard_service_cycles] *)
+  one_page : int;  (* slowest mix kernel's iteration at one page *)
+}
+
 type shard = {
   index : int;
   spec : shard_spec;
-  total_pages : int;
-  suite : Binary.t list;
-  pages_by_kernel : (string * int) list;
+  fabric : fabric;
   engine : Os_sim.Engine.t;
   strace : T.t;
   mutable steps : int;
@@ -152,6 +163,26 @@ let shard_service_cycles suite =
    posts the same event forever. *)
 let max_virtual_time = 0x1p53
 
+let fabric_of arch suite =
+  {
+    pages = Cgra_arch.Cgra.n_pages arch;
+    suite;
+    need =
+      Array.map
+        (fun name ->
+          match List.find_opt (fun (b : Binary.t) -> b.name = name) suite with
+          | Some b -> Binary.pages_used b
+          | None -> 0)
+        mix;
+    service = shard_service_cycles suite;
+    one_page =
+      List.fold_left
+        (fun acc (b : Binary.t) ->
+          if Array.mem b.name mix then max acc (Binary.iteration_cycles b ~pages:1)
+          else acc)
+        0 suite;
+  }
+
 (* An upper bound on the run's last event.  After the last arrival some
    shard always holds a kernel (an empty shard takes any queued
    request), and that kernel either progresses, no slower than one page
@@ -162,18 +193,8 @@ let max_virtual_time = 0x1p53
    release.  So each request adds at most its one-page service time
    plus those stalls. *)
 let time_bound p shards requests =
-  let one_page =
-    List.fold_left
-      (fun acc s ->
-        List.fold_left
-          (fun acc (b : Binary.t) ->
-            if Array.mem b.name mix then
-              max acc (Binary.iteration_cycles b ~pages:1)
-            else acc)
-          acc s.suite)
-      0 shards
-  in
-  let max_pages = List.fold_left (fun acc s -> max acc s.total_pages) 0 shards in
+  let one_page = List.fold_left (fun acc s -> max acc s.fabric.one_page) 0 shards in
+  let max_pages = List.fold_left (fun acc s -> max acc s.fabric.pages) 0 shards in
   let stalls = p.reconfig_cost *. float_of_int ((2 * max_pages) + 1) in
   Array.fold_left
     (fun acc r -> acc +. float_of_int (r.iterations * one_page) +. stalls)
@@ -184,9 +205,12 @@ let run ?pool ?(traced = false) p =
   let* () = validate p in
   let ftrace = if traced then T.make () else T.null in
   let* shards =
-    let rec build i acc = function
-      | [] -> Ok (List.rev acc)
-      | spec :: rest -> (
+    (* one compile and one [fabric] per distinct spec, in fleet order *)
+    let fabrics = ref [] in
+    let fabric spec =
+      match List.assoc_opt spec !fabrics with
+      | Some f -> Ok f
+      | None -> (
           match Cgra_arch.Cgra.standard ~size:spec.size ~page_pes:spec.page_pes with
           | None ->
               Error
@@ -194,50 +218,47 @@ let run ?pool ?(traced = false) p =
                    spec.size spec.size spec.page_pes)
           | Some arch ->
               let* suite = Binary.compile_suite ~seed:p.seed ?pool arch in
-              let strace = if traced then T.make () else T.null in
-              let engine =
-                Os_sim.Engine.create ~policy:p.policy
-                  ~reconfig_cost:p.reconfig_cost ~trace:strace ~suite
-                  ~total_pages:(Cgra_arch.Cgra.n_pages arch) ~mode:Os_sim.Multi ()
-              in
-              build (i + 1)
-                ({ index = i; spec; total_pages = Cgra_arch.Cgra.n_pages arch;
-                   suite;
-                   pages_by_kernel =
-                     List.map
-                       (fun (b : Binary.t) -> (b.name, Binary.pages_used b))
-                       suite;
-                   engine; strace; steps = 0; served = 0; busy_cycles = 0.0 }
-                :: acc)
-                rest)
+              let f = fabric_of arch suite in
+              fabrics := (spec, f) :: !fabrics;
+              Ok f)
+    in
+    let rec build i acc = function
+      | [] -> Ok (List.rev acc)
+      | spec :: rest ->
+          let* f = fabric spec in
+          let strace = if traced then T.make () else T.null in
+          let engine =
+            Os_sim.Engine.create ~policy:p.policy ~reconfig_cost:p.reconfig_cost
+              ~trace:strace ~suite:f.suite ~total_pages:f.pages ~mode:Os_sim.Multi ()
+          in
+          build (i + 1)
+            ({ index = i; spec; fabric = f; engine; strace; steps = 0; served = 0;
+               busy_cycles = 0.0 }
+            :: acc)
+            rest
     in
     build 0 [] p.fleet
   in
   (* open-loop Poisson-style arrivals on the virtual clock *)
   let rng = Cgra_util.Rng.create ~seed:p.seed in
   let capacity =
-    List.fold_left (fun acc s -> acc +. (1.0 /. shard_service_cycles s.suite))
-      0.0 shards
+    List.fold_left (fun acc s -> acc +. (1.0 /. s.fabric.service)) 0.0 shards
   in
   let rate = p.offered_load *. capacity in
+  (* each request's kernel as an index into [mix] *)
+  let kinds = Array.make p.n_requests 0 in
+  let clock = ref 0.0 in
   let requests =
-    let rec gen i t acc =
-      if i = p.n_requests then Array.of_list (List.rev acc)
-      else begin
-        let t = t +. Cgra_util.Rng.exponential rng ~mean:(1.0 /. rate) in
+    (* [Array.init] calls its function in index order *)
+    Array.init p.n_requests (fun i ->
+        clock := !clock +. Cgra_util.Rng.exponential rng ~mean:(1.0 /. rate);
         let tenant = Cgra_util.Rng.int rng p.n_tenants in
-        let kernel = mix.(Cgra_util.Rng.int rng (Array.length mix)) in
-        let iterations =
-          Cgra_util.Rng.int_in rng min_iterations max_iterations
-        in
-        gen (i + 1) t
-          ({ rid = i; tenant; kernel; iterations; arrival = t; shard = -1;
-             dispatched = Float.nan; resident_at = Float.nan;
-             retired_at = Float.nan; terminal = None }
-          :: acc)
-      end
-    in
-    gen 0 0.0 []
+        let kind = Cgra_util.Rng.int rng (Array.length mix) in
+        let iterations = Cgra_util.Rng.int_in rng min_iterations max_iterations in
+        kinds.(i) <- kind;
+        { rid = i; tenant; kernel = mix.(kind); iterations; arrival = !clock;
+          shard = -1; dispatched = Float.nan; resident_at = Float.nan;
+          retired_at = Float.nan; terminal = None })
   in
   let* () =
     if time_bound p shards requests < max_virtual_time then Ok ()
@@ -248,11 +269,14 @@ let run ?pool ?(traced = false) p =
             virtual cycles, past which a float no longer resolves one cycle"
            p.offered_load p.reconfig_cost)
   in
-  T.emit_at ftrace ~time:0.0
-    (T.Farm_begin
-       { shards = List.length shards; tenants = p.n_tenants;
-         queue_bound = p.queue_bound; max_resident = p.max_resident;
-         requests = p.n_requests });
+  (* every farm_* payload is built only when tracing: an untraced run
+     pays one branch per emission point *)
+  if traced then
+    T.emit_at ftrace ~time:0.0
+      (T.Farm_begin
+         { shards = List.length shards; tenants = p.n_tenants;
+           queue_bound = p.queue_bound; max_resident = p.max_resident;
+           requests = p.n_requests });
   let shard_arr = Array.of_list shards in
   let queues = Array.init p.n_tenants (fun _ -> Queue.create ()) in
   let latency_h = Hist.create () in
@@ -265,7 +289,8 @@ let run ?pool ?(traced = false) p =
     let r = requests.(rid) in
     if Float.is_nan r.resident_at then begin
       r.resident_at <- time;
-      T.emit_at ftrace ~time (T.Farm_resident { req = rid; shard = shard_idx })
+      if traced then
+        T.emit_at ftrace ~time (T.Farm_resident { req = rid; shard = shard_idx })
     end
   in
   let process_finish rid time =
@@ -279,10 +304,11 @@ let run ?pool ?(traced = false) p =
     rev_log := (rid, r.tenant, r.shard, time) :: !rev_log;
     Hist.observe latency_h (time -. r.arrival);
     Hist.observe queue_wait_h (r.dispatched -. r.arrival);
-    T.emit_at ftrace ~time
-      (T.Farm_retire
-         { req = rid; tenant = r.tenant; shard = r.shard;
-           latency = time -. r.arrival })
+    if traced then
+      T.emit_at ftrace ~time
+        (T.Farm_retire
+           { req = rid; tenant = r.tenant; shard = r.shard;
+             latency = time -. r.arrival })
   in
   (* Engine callbacks fire while the coordinator steps or submits to a
      shard; they only touch front-end accounting, never an engine. *)
@@ -307,47 +333,49 @@ let run ?pool ?(traced = false) p =
      for pages to free up), queueing is the cheaper move and the grant is
      deferred to a later step.  At [reconfig_cost = 0] the estimate is
      always 0, so the policy degenerates to [Least_loaded] exactly. *)
-  let affordable s (r : request) now =
+  let affordable s kind now =
     match p.dispatch with
     | Least_loaded -> true
-    | Cost_aware -> (
-        match List.assoc_opt r.kernel s.pages_by_kernel with
-        | None -> true
-        | Some need ->
-            let free = Os_sim.Engine.free_pages s.engine in
-            if free >= need then true
-            else
-              let reshape =
-                p.reconfig_cost *. float_of_int (need - free)
-              in
-              let wake =
-                match Os_sim.Engine.next_event s.engine with
-                | Some t -> t -. now
-                | None -> 0.0
-              in
-              reshape <= wake)
+    | Cost_aware ->
+        let need = s.fabric.need.(kind) in
+        let free = Os_sim.Engine.free_pages s.engine in
+        if free >= need then true
+        else
+          let reshape = p.reconfig_cost *. float_of_int (need - free) in
+          let wake =
+            match Os_sim.Engine.next_event s.engine with
+            | Some t -> t -. now
+            | None -> 0.0
+          in
+          reshape <= wake
   in
   (* One pass over the fleet: among the shards below [max_resident] that
-     can afford [r], the one with the fewest in-flight requests, then the
-     least allocated fabric, then the lowest index — all deterministic
-     signals.  [affordable] only reads engine state, so it is asked only
-     of a shard that would beat the best so far.  [Full] when no shard
-     is below [max_resident]: that capacity is fleet-wide. *)
-  let pick (r : request) now =
+     can afford a request for [mix.(kind)], the one with the fewest
+     in-flight requests, then the least allocated fabric, then the lowest
+     index — all deterministic signals.  The allocated shares compare as
+     integers, [u1 * t2 < u2 * t1]: pages never exceed 256 per shard, so
+     two different fractions differ far more than a double rounds, and
+     this orders shards exactly as their rounded quotients would.
+     [affordable] only reads engine state, so it is asked only of a
+     shard that would beat the best so far.  [Full] when no shard is
+     below [max_resident]: that capacity is fleet-wide. *)
+  let pick kind now =
     let full = ref true and best = ref (-1) in
-    let best_n = ref max_int and best_used = ref infinity in
+    let best_n = ref max_int and best_used = ref 0 and best_pages = ref 1 in
     for i = 0 to Array.length shard_arr - 1 do
       let s = shard_arr.(i) in
       let n = Os_sim.Engine.in_flight s.engine in
       if n < p.max_resident then begin
         full := false;
-        let used = Os_sim.Engine.used_page_fraction s.engine in
-        if (n < !best_n || (n = !best_n && Float.compare used !best_used < 0))
-           && affordable s r now
+        let pages = s.fabric.pages in
+        let used = pages - Os_sim.Engine.free_pages s.engine in
+        if (n < !best_n || (n = !best_n && used * !best_pages < !best_used * pages))
+           && affordable s kind now
         then begin
           best := i;
           best_n := n;
-          best_used := used
+          best_used := used;
+          best_pages := pages
         end
       end
     done;
@@ -356,8 +384,9 @@ let run ?pool ?(traced = false) p =
   let dispatch r (s : shard) now =
     r.shard <- s.index;
     r.dispatched <- now;
-    T.emit_at ftrace ~time:now
-      (T.Farm_admit { req = r.rid; tenant = r.tenant; shard = s.index });
+    if traced then
+      T.emit_at ftrace ~time:now
+        (T.Farm_admit { req = r.rid; tenant = r.tenant; shard = s.index });
     (* a submit can grant pages synchronously: the grant callback then
        surfaces the residency now, in admission order *)
     Os_sim.Engine.submit s.engine ~at:now
@@ -368,36 +397,47 @@ let run ?pool ?(traced = false) p =
       };
     refresh s
   in
-  (* drain tenant queues (tenant order, FIFO within a tenant) while some
+  (* Drain tenant queues (tenant order, FIFO within a tenant) while some
      shard has admission capacity; a tenant whose head request is
      deferred by the cost model is skipped, not popped, so per-tenant
-     FIFO order is preserved *)
-  let rec try_dispatch now =
-    let rec scan tid =
-      if tid < p.n_tenants then
-        if Queue.is_empty queues.(tid) then scan (tid + 1)
+     FIFO order is preserved.  [pick] reads a request only through its
+     kernel, and a pass changes nothing until it dispatches, so a pass
+     asks [pick] at most once per kernel: one [Deferred] holds for every
+     later tenant whose head request wants that kernel. *)
+  let deferred = Array.make (Array.length mix) false in
+  let rec scan tid now =
+    if tid < p.n_tenants then
+      if Queue.is_empty queues.(tid) then scan (tid + 1) now
+      else
+        let kind = kinds.((Queue.peek queues.(tid)).rid) in
+        if deferred.(kind) then scan (tid + 1) now
         else
-          match pick (Queue.peek queues.(tid)) now with
+          match pick kind now with
           | Full -> ()
-          | Deferred -> scan (tid + 1)
+          | Deferred ->
+              deferred.(kind) <- true;
+              scan (tid + 1) now
           | Shard s ->
               dispatch (Queue.take queues.(tid)) s now;
               try_dispatch now
-    in
-    scan 0
+  and try_dispatch now =
+    Array.fill deferred 0 (Array.length deferred) false;
+    scan 0 now
   in
   let admit (r : request) =
-    T.emit_at ftrace ~time:r.arrival
-      (T.Farm_request
-         { req = r.rid; tenant = r.tenant; kernel = r.kernel;
-           iterations = r.iterations });
+    if traced then
+      T.emit_at ftrace ~time:r.arrival
+        (T.Farm_request
+           { req = r.rid; tenant = r.tenant; kernel = r.kernel;
+             iterations = r.iterations });
     let q = queues.(r.tenant) in
     if Queue.length q >= p.queue_bound then begin
       r.terminal <- Some Rejected;
       incr rejected;
-      T.emit_at ftrace ~time:r.arrival
-        (T.Farm_reject
-           { req = r.rid; tenant = r.tenant; queue_depth = Queue.length q })
+      if traced then
+        T.emit_at ftrace ~time:r.arrival
+          (T.Farm_reject
+             { req = r.rid; tenant = r.tenant; queue_depth = Queue.length q })
     end
     else Queue.add r q
   in
@@ -439,15 +479,16 @@ let run ?pool ?(traced = false) p =
         if Float.is_nan r.retired_at then acc else Float.max acc r.retired_at)
       0.0 requests
   in
-  T.emit_at ftrace ~time:makespan
-    (T.Farm_end { makespan; retired = !retired; rejected = !rejected });
+  if traced then
+    T.emit_at ftrace ~time:makespan
+      (T.Farm_end { makespan; retired = !retired; rejected = !rejected });
   let shard_reports =
     List.map
       (fun s ->
         {
           s_index = s.index;
           s_spec = s.spec;
-          s_pages = s.total_pages;
+          s_pages = s.fabric.pages;
           s_served = s.served;
           s_busy_cycles = s.busy_cycles;
           s_steps = s.steps;

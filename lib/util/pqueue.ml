@@ -1,54 +1,73 @@
-(* Pairing heap with an insertion sequence number for deterministic
-   tie-breaking. *)
+(* Binary min-heap in a growable array.  Each entry keeps its push
+   sequence number, and ties between equal priorities go to the lower
+   one, so the pop order is the one total order (priority, push order)
+   whatever the heap's shape. *)
 
-type ('p, 'a) node = { prio : 'p; seq : int; value : 'a; children : ('p, 'a) node list }
+type ('p, 'a) entry = { prio : 'p; seq : int; value : 'a }
 
 type ('p, 'a) t = {
   cmp : 'p -> 'p -> int;
-  root : ('p, 'a) node option;
-  next_seq : int;
-  count : int;
+  mutable heap : ('p, 'a) entry array;  (* [0, size) is the heap *)
+  mutable size : int;
+  mutable next_seq : int;
 }
 
-let empty ~cmp = { cmp; root = None; next_seq = 0; count = 0 }
+let create ~cmp = { cmp; heap = [||]; size = 0; next_seq = 0 }
 
-let is_empty t = t.root = None
+let is_empty t = t.size = 0
 
-let size t = t.count
+let size t = t.size
 
-let node_le cmp a b =
-  let c = cmp a.prio b.prio in
-  if c <> 0 then c < 0 else a.seq <= b.seq
+let before t a b =
+  let c = t.cmp a.prio b.prio in
+  c < 0 || (c = 0 && a.seq < b.seq)
 
-let meld cmp a b =
-  if node_le cmp a b then { a with children = b :: a.children }
-  else { b with children = a :: b.children }
+(* Move [e] up from the hole at [i] until its parent comes before it. *)
+let rec sift_up t i e =
+  if i = 0 then t.heap.(0) <- e
+  else
+    let parent = (i - 1) / 2 in
+    let p = t.heap.(parent) in
+    if before t e p then begin
+      t.heap.(i) <- p;
+      sift_up t parent e
+    end
+    else t.heap.(i) <- e
+
+(* Move [e] down from the hole at [i] until no child comes before it. *)
+let rec sift_down t i e =
+  let l = (2 * i) + 1 in
+  if l >= t.size then t.heap.(i) <- e
+  else
+    let r = l + 1 in
+    let c = if r < t.size && before t t.heap.(r) t.heap.(l) then r else l in
+    let child = t.heap.(c) in
+    if before t child e then begin
+      t.heap.(i) <- child;
+      sift_down t c e
+    end
+    else t.heap.(i) <- e
 
 let push t prio value =
-  let n = { prio; seq = t.next_seq; value; children = [] } in
-  let root = match t.root with None -> n | Some r -> meld t.cmp r n in
-  { t with root = Some root; next_seq = t.next_seq + 1; count = t.count + 1 }
+  let e = { prio; seq = t.next_seq; value } in
+  t.next_seq <- t.next_seq + 1;
+  if t.size = Array.length t.heap then begin
+    (* the new entry fills the unused slots: there is no other value of
+       type ['a] to fill them with *)
+    let bigger = Array.make (max 16 (2 * t.size)) e in
+    Array.blit t.heap 0 bigger 0 t.size;
+    t.heap <- bigger
+  end;
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1) e
 
-let rec merge_pairs cmp = function
-  | [] -> None
-  | [ n ] -> Some n
-  | a :: b :: rest -> (
-      let ab = meld cmp a b in
-      match merge_pairs cmp rest with None -> Some ab | Some r -> Some (meld cmp ab r))
+let min_prio t =
+  if t.size = 0 then invalid_arg "Pqueue.min_prio: empty queue";
+  t.heap.(0).prio
 
-let pop t =
-  match t.root with
-  | None -> None
-  | Some r ->
-      let rest = { t with root = merge_pairs t.cmp r.children; count = t.count - 1 } in
-      Some ((r.prio, r.value), rest)
-
-let peek t = match t.root with None -> None | Some r -> Some (r.prio, r.value)
-
-let of_list ~cmp xs = List.fold_left (fun q (p, x) -> push q p x) (empty ~cmp) xs
-
-let to_sorted_list t =
-  let rec go acc q =
-    match pop q with None -> List.rev acc | Some (px, q') -> go (px :: acc) q'
-  in
-  go [] t
+let pop_min t =
+  if t.size = 0 then invalid_arg "Pqueue.pop_min: empty queue";
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then sift_down t 0 t.heap.(t.size);
+  top.value

@@ -1,31 +1,31 @@
-(** Purely functional min-priority queue (pairing heap).
+(** Mutable min-priority queue (binary heap in a growable array).
 
-    Used by the discrete-event system simulator ([Cgra_core.Os_sim]).
-    Priorities are compared with a user-supplied total order; ties are
-    broken by insertion sequence so event processing is deterministic. *)
+    The event queue of the discrete-event system simulator
+    ([Cgra_core.Os_sim.Engine]).  Priorities are compared with a
+    user-supplied total order; ties are broken by push order, so the pop
+    order is the total order (priority, push order) and event processing
+    is deterministic.  Reading the minimum allocates nothing; a push
+    allocates its entry. *)
 
 type ('p, 'a) t
 (** Queue with priorities ['p] and payloads ['a]. *)
 
-val empty : cmp:('p -> 'p -> int) -> ('p, 'a) t
-(** Empty queue ordered by [cmp]. *)
+val create : cmp:('p -> 'p -> int) -> ('p, 'a) t
+(** An empty queue ordered by [cmp]. *)
 
 val is_empty : ('p, 'a) t -> bool
 
 val size : ('p, 'a) t -> int
-(** Number of elements; O(1). *)
+(** Number of entries; O(1). *)
 
-val push : ('p, 'a) t -> 'p -> 'a -> ('p, 'a) t
-(** [push q p x] inserts [x] with priority [p]; O(1). *)
+val push : ('p, 'a) t -> 'p -> 'a -> unit
+(** [push q p x] inserts [x] with priority [p]; O(log n). *)
 
-val pop : ('p, 'a) t -> (('p * 'a) * ('p, 'a) t) option
-(** Removes a minimum-priority element; among equal priorities the earliest
-    insertion wins.  O(log n) amortized. *)
+val min_prio : ('p, 'a) t -> 'p
+(** The smallest priority; O(1).  Raises [Invalid_argument] when the
+    queue is empty. *)
 
-val peek : ('p, 'a) t -> ('p * 'a) option
-(** Minimum-priority element without removing it. *)
-
-val of_list : cmp:('p -> 'p -> int) -> ('p * 'a) list -> ('p, 'a) t
-
-val to_sorted_list : ('p, 'a) t -> ('p * 'a) list
-(** All elements in popping order; consumes O(n log n) time. *)
+val pop_min : ('p, 'a) t -> 'a
+(** Removes the entry {!min_prio} names (among equal priorities, the
+    earliest pushed) and returns its payload; O(log n).  Raises
+    [Invalid_argument] when the queue is empty. *)

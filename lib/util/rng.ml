@@ -41,7 +41,10 @@ let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t bound =
+(* Inlined into [exponential] (the farm draws one per request) the
+   result stays unboxed there; a float returned to another module is
+   still boxed, since the dev build compiles with [-opaque]. *)
+let[@inline] float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (x /. 9007199254740992.0 (* 2^53 *))
 

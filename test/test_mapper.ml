@@ -413,7 +413,9 @@ let test_router_respects_occupancy () =
   | None -> Alcotest.fail "router should find a detour"
 
 (* The closure-driven router the int-indexed one replaced, verbatim: the
-   reference the corpus below compares against. *)
+   reference the corpus below compares against.  Its queue is the
+   pairing heap it was written against ([Pairing_heap], the copy of the
+   old [Cgra_util.Pqueue]). *)
 module Reference_router = struct
   let earliest_free ~ii ~free pe ~lower ~deadline =
     (* Scanning one full II window suffices: slots repeat modulo ii. *)
@@ -475,7 +477,7 @@ module Reference_router = struct
          every cost is 0 and the search degenerates to the original
          (hops, time) order, expansion for expansion. *)
       let hop_cost = match hop_cost with Some f -> f | None -> fun _ _ -> 0 in
-      let module Pq = Cgra_util.Pqueue in
+      let module Pq = Pairing_heap in
       let n = Grid.pe_count grid in
       (* pe index -> (hops, cost, time) already expanded with *)
       let best_h = Array.make n max_int in

@@ -122,54 +122,115 @@ let test_rng_exponential_mean () =
 
 (* ---------- Pqueue ---------- *)
 
-let int_q () = Pqueue.empty ~cmp:Int.compare
+let int_q () = Pqueue.create ~cmp:Int.compare
+
+let push_all q xs = List.iter (fun (p, x) -> Pqueue.push q p x) xs
+
+(* every entry in popping order, emptying [q] *)
+let drain q =
+  let rec go acc =
+    if Pqueue.is_empty q then List.rev acc
+    else
+      let p = Pqueue.min_prio q in
+      go ((p, Pqueue.pop_min q) :: acc)
+  in
+  go []
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let test_pqueue_empty () =
   let q = int_q () in
   Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek none" true (Pqueue.peek q = None)
+  Alcotest.(check bool) "pop raises" true (raises_invalid (fun () -> Pqueue.pop_min q));
+  Alcotest.(check bool) "min raises" true (raises_invalid (fun () -> Pqueue.min_prio q))
 
 let test_pqueue_sorted () =
-  let q = List.fold_left (fun q p -> Pqueue.push q p p) (int_q ()) [ 5; 1; 4; 1; 3 ] in
-  let order = List.map fst (Pqueue.to_sorted_list q) in
+  let q = int_q () in
+  push_all q (List.map (fun p -> (p, p)) [ 5; 1; 4; 1; 3 ]);
+  let order = List.map fst (drain q) in
   Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] order
 
 let test_pqueue_fifo_ties () =
   let q = int_q () in
-  let q = Pqueue.push q 1 "first" in
-  let q = Pqueue.push q 1 "second" in
-  let q = Pqueue.push q 0 "zero" in
-  let q = Pqueue.push q 1 "third" in
-  let vals = List.map snd (Pqueue.to_sorted_list q) in
+  push_all q [ (1, "first"); (1, "second"); (0, "zero"); (1, "third") ];
+  let vals = List.map snd (drain q) in
   Alcotest.(check (list string)) "ties in insertion order"
     [ "zero"; "first"; "second"; "third" ] vals
 
 let test_pqueue_size () =
   let q = int_q () in
   check_int "empty size" 0 (Pqueue.size q);
-  let q = Pqueue.push (Pqueue.push q 2 ()) 1 () in
+  push_all q [ (2, ()); (1, ()) ];
   check_int "two" 2 (Pqueue.size q);
-  match Pqueue.pop q with
-  | Some (_, q') -> check_int "one after pop" 1 (Pqueue.size q')
-  | None -> Alcotest.fail "pop"
+  Pqueue.pop_min q;
+  check_int "one after pop" 1 (Pqueue.size q)
 
 let test_pqueue_peek_stable () =
-  let q = Pqueue.of_list ~cmp:Int.compare [ (3, "c"); (1, "a"); (2, "b") ] in
-  (match Pqueue.peek q with
-  | Some (p, v) ->
-      check_int "min prio" 1 p;
-      Alcotest.(check string) "min value" "a" v
-  | None -> Alcotest.fail "peek");
-  check_int "peek does not consume" 3 (Pqueue.size q)
+  let q = int_q () in
+  push_all q [ (3, "c"); (1, "a"); (2, "b") ];
+  check_int "min prio" 1 (Pqueue.min_prio q);
+  check_int "peek does not consume" 3 (Pqueue.size q);
+  Alcotest.(check string) "min value" "a" (Pqueue.pop_min q)
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing order" ~count:200
     QCheck.(list small_int)
     (fun xs ->
-      let q = Pqueue.of_list ~cmp:Int.compare (List.map (fun x -> (x, x)) xs) in
-      let popped = List.map fst (Pqueue.to_sorted_list q) in
+      let q = int_q () in
+      push_all q (List.map (fun x -> (x, x)) xs);
+      let popped = List.map fst (drain q) in
       popped = List.sort compare xs)
+
+(* The array heap against the pairing heap it replaced ([Pairing_heap],
+   a verbatim copy): seeded runs of interleaved pushes and pops over a
+   few distinct priorities, so most pops choose among equal priorities
+   and only the push order decides.  Both must pop the same (priority,
+   value) sequence and agree on the size after every operation. *)
+let test_pqueue_matches_pairing_heap () =
+  let ties = ref 0 and pops = ref 0 in
+  let run (type p) ~(cmp : p -> p -> int) ~(prio : Rng.t -> p) seed =
+    let rng = Rng.create ~seed in
+    let q = Pqueue.create ~cmp and r = ref (Pairing_heap.empty ~cmp) in
+    let pop_both op =
+      match Pairing_heap.pop !r with
+      | None -> Alcotest.failf "seed %d op %d: the reference is empty" seed op
+      | Some ((p, v), rest) ->
+          r := rest;
+          incr pops;
+          let got_p = Pqueue.min_prio q in
+          let got_v = Pqueue.pop_min q in
+          if cmp got_p p <> 0 || got_v <> v then
+            Alcotest.failf "seed %d op %d: popped value %d, the reference %d" seed op
+              got_v v;
+          (* a tie: an entry of the same priority is still queued *)
+          if (not (Pqueue.is_empty q)) && cmp (Pqueue.min_prio q) p = 0 then incr ties
+    in
+    for op = 0 to 299 do
+      (* pushes outweigh pops, so the heap grows past its first array *)
+      if Rng.int rng 5 < 3 || Pqueue.is_empty q then begin
+        let p = prio rng in
+        Pqueue.push q p op;
+        r := Pairing_heap.push !r p op
+      end
+      else pop_both op;
+      if Pqueue.size q <> Pairing_heap.size !r then
+        Alcotest.failf "seed %d op %d: sizes differ" seed op
+    done;
+    while not (Pqueue.is_empty q) do
+      pop_both 300
+    done;
+    if not (Pairing_heap.is_empty !r) then
+      Alcotest.failf "seed %d: the reference has entries left" seed
+  in
+  for seed = 0 to 99 do
+    run ~cmp:Int.compare ~prio:(fun rng -> Rng.int rng 4) seed;
+    (* the engine's own priorities: float event times *)
+    run ~cmp:Float.compare
+      ~prio:(fun rng -> float_of_int (Rng.int rng 6) *. 0.5)
+      (seed + 1000)
+  done;
+  Alcotest.(check bool) "most pops break a tie" true (2 * !ties > !pops)
 
 (* ---------- Stats ---------- *)
 
@@ -514,6 +575,8 @@ let () =
           Alcotest.test_case "size" `Quick test_pqueue_size;
           Alcotest.test_case "peek stable" `Quick test_pqueue_peek_stable;
           QCheck_alcotest.to_alcotest prop_pqueue_sorted;
+          Alcotest.test_case "matches the pairing heap" `Quick
+            test_pqueue_matches_pairing_heap;
         ] );
       ( "stats",
         [
