@@ -463,6 +463,37 @@ let farm_big_rate_row ~quiet =
       row.value row.runs row.spread row.domains;
   row
 
+(* Minor words the host allocates per simulated request, in one warm
+   Farm.run (a first run at the seed compiles its suite) on the
+   deployment benchmark's two farm configurations, both with unbounded
+   queues: load 1.0 with least-loaded dispatch, and load 1.25 with
+   cost-aware dispatch at reconfig cost 100.  Mean of seeds 0-3, on a
+   one-domain pool so every word is counted in this domain.  Printed
+   only: no gate holds it and no BENCH file records it. *)
+let farm_big_words () =
+  let module F = Cgra_farm.Farm in
+  let nominal = { F.big_params with queue_bound = F.big_params.n_requests } in
+  let overload =
+    { nominal with offered_load = 1.25; reconfig_cost = 100.0; dispatch = F.Cost_aware }
+  in
+  Cgra_util.Pool.with_pool ~domains:1 (fun pool ->
+      let words p =
+        Cgra_util.Stats.mean
+          (List.map
+             (fun seed ->
+               let p = { p with F.seed } in
+               ignore (farm_run ~pool p);
+               let before = Gc.minor_words () in
+               ignore (farm_run ~pool p);
+               (Gc.minor_words () -. before) /. float_of_int p.n_requests)
+             [ 0; 1; 2; 3 ])
+      in
+      Printf.printf
+        "\nMinor words per request (one warm run, mean of seeds 0-3, unbounded \
+         queues): load 1.0 least-loaded %.1f, load 1.25 cost-aware reconfig \
+         cost 100 %.1f\n"
+        (words nominal) (words overload))
+
 (* ----- ablations (design choices DESIGN.md calls out) ----- *)
 
 let run_ablation ~pool () =
@@ -551,7 +582,9 @@ let families =
           ("seed", string_of_int big.seed) ];
       rows =
         (fun ~pool ~quiet ->
-          farm_big_quality_rows ~pool ~quiet @ [ farm_big_rate_row ~quiet ]);
+          let rows = farm_big_quality_rows ~pool ~quiet @ [ farm_big_rate_row ~quiet ] in
+          if not quiet then farm_big_words ();
+          rows);
     };
   ]
 

@@ -88,7 +88,8 @@ module Engine = struct
     mutable live : thread_rec array;
         (* [0, n_live): unfinished, submission order — resync walks it *)
     mutable n_live : int;
-    ids : (int, unit) Hashtbl.t;  (* every submitted id *)
+    ids : Cgra_util.Int_set.t;  (* every submitted id *)
+    mutable synced_moves : int;  (* [Allocator.moves] at the last resync walk *)
     waiters : thread_rec Queue.t;
     mutable cgra_busy_single : bool;
     mutable transformations : int;
@@ -147,7 +148,8 @@ module Engine = struct
       threads = Queue.create ();
       live = [||];
       n_live = 0;
-      ids = Hashtbl.create 16;
+      ids = Cgra_util.Int_set.create ();
+      synced_moves = 0;
       waiters = Queue.create ();
       cgra_busy_single = false;
       transformations = 0;
@@ -234,48 +236,55 @@ module Engine = struct
   (* Multi mode: after any allocator change, refresh every running
      kernel whose allocation moved (a PageMaster shrink or expand).  The
      walk keeps submission order: it posts events, and equal-time events
-     pop in posting order. *)
+     pop in posting order.  After a walk every running kernel matches its
+     allocation, and a newcomer starts from its own grant, so until the
+     allocator rewrites a resident's range again (its move count rises)
+     a walk would find nothing and is skipped. *)
   let resync e now =
-    for i = 0 to e.n_live - 1 do
-      let t = e.live.(i) in
-      match t.state with
-      | On_cgra k -> (
-          match Allocator.allocation e.alloc ~client:t.id with
-          | Some r when r.Allocator.len <> k.pages || r.Allocator.base <> k.base ->
-              settle e now t;
-              let rate = rate_for k.kernel r.Allocator.len in
-              if e.tracing then begin
-                let before = { T.base = k.base; len = k.pages } in
-                let after = { T.base = r.Allocator.base; len = r.Allocator.len } in
-                let kind =
-                  if after.T.len < before.T.len then T.Shrink
-                  else if after.T.len > before.T.len then T.Expand
-                  else T.Move
-                in
-                T.emit_at e.trace ~time:now
-                  (T.Reshape
-                     {
-                       thread = t.id;
-                       kind;
-                       before;
-                       after;
-                       pages_rewritten = after.T.len;
-                       cost = e.reconfig_cost;
-                       rate;
-                     })
-              end;
-              k.pages <- r.Allocator.len;
-              k.base <- r.Allocator.base;
-              k.rate <- rate;
-              e.transformations <- e.transformations + 1;
-              (* the kernel makes no progress while being reshaped *)
-              k.last_update <- now +. e.reconfig_cost;
-              post e
-                (now +. e.reconfig_cost +. (Float.max 0.0 k.iters_left *. k.rate))
-                t
-          | Some _ | None -> ())
-      | On_cpu _ | Waiting _ | Done _ -> ()
-    done
+    let moves = Allocator.moves e.alloc in
+    if moves <> e.synced_moves then begin
+      e.synced_moves <- moves;
+      for i = 0 to e.n_live - 1 do
+        let t = e.live.(i) in
+        match t.state with
+        | On_cgra k -> (
+            match Allocator.allocation e.alloc ~client:t.id with
+            | Some r when r.Allocator.len <> k.pages || r.Allocator.base <> k.base ->
+                settle e now t;
+                let rate = rate_for k.kernel r.Allocator.len in
+                if e.tracing then begin
+                  let before = { T.base = k.base; len = k.pages } in
+                  let after = { T.base = r.Allocator.base; len = r.Allocator.len } in
+                  let kind =
+                    if after.T.len < before.T.len then T.Shrink
+                    else if after.T.len > before.T.len then T.Expand
+                    else T.Move
+                  in
+                  T.emit_at e.trace ~time:now
+                    (T.Reshape
+                       {
+                         thread = t.id;
+                         kind;
+                         before;
+                         after;
+                         pages_rewritten = after.T.len;
+                         cost = e.reconfig_cost;
+                         rate;
+                       })
+                end;
+                k.pages <- r.Allocator.len;
+                k.base <- r.Allocator.base;
+                k.rate <- rate;
+                e.transformations <- e.transformations + 1;
+                (* the kernel makes no progress while being reshaped *)
+                k.last_update <- now +. e.reconfig_cost;
+                post e
+                  (now +. e.reconfig_cost +. (Float.max 0.0 k.iters_left *. k.rate))
+                  t
+            | Some _ | None -> ())
+        | On_cpu _ | Waiting _ | Done _ -> ()
+      done
+    end
 
   let rec advance e now t segments =
     match segments with
@@ -422,7 +431,7 @@ module Engine = struct
        vacuous and the kernel's remaining time NaN: drain would spin *)
     if not (Float.is_finite at) then
       invalid_arg "Os_sim.Engine.submit: non-finite arrival time";
-    if Hashtbl.mem e.ids spec.id then
+    if Cgra_util.Int_set.mem e.ids spec.id then
       invalid_arg "Os_sim.Engine.submit: duplicate thread id";
     (* Enforce the monotonic-submission contract instead of silently
        producing a run that never happened: an arrival below the horizon
@@ -438,7 +447,7 @@ module Engine = struct
     let t = { id = spec.id; state = Done at; gen = 0 } in
     Queue.add t e.threads;
     add_live e t;
-    Hashtbl.replace e.ids t.id ();
+    Cgra_util.Int_set.add e.ids t.id;
     e.unfinished <- e.unfinished + 1;
     if e.tracing then
       T.emit_at e.trace ~time:at
@@ -446,8 +455,8 @@ module Engine = struct
     advance e at t spec.segments
 
   let next_event e =
-    if Cgra_util.Pqueue.is_empty e.queue then None
-    else Some (Cgra_util.Pqueue.min_prio e.queue)
+    if Cgra_util.Pqueue.is_empty e.queue then infinity
+    else Cgra_util.Pqueue.min_prio e.queue
 
   let step e =
     if Cgra_util.Pqueue.is_empty e.queue then false

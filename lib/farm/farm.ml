@@ -317,13 +317,20 @@ let run ?pool ?(traced = false) p =
       Os_sim.Engine.set_on_grant s.engine (process_grant s.index);
       Os_sim.Engine.set_on_finish s.engine process_finish)
     shards;
-  (* Each shard's next internal event (infinity when idle).  Only a step
-     or a submit changes a shard's event queue, so only those refresh
-     its entry. *)
-  let next_at = Array.make (Array.length shard_arr) infinity in
+  (* What the coordinator reads of each shard: its next internal event
+     (infinity when idle), its in-flight requests and its allocated
+     pages.  Only a step or a submit changes an engine, and each is
+     followed by [refresh], so the loop and [pick] read these arrays
+     instead of asking every engine. *)
+  let n_shards = Array.length shard_arr in
+  let next_at = Array.make n_shards infinity in
+  let in_flight = Array.make n_shards 0 in
+  let used = Array.make n_shards 0 in
   let refresh s =
-    next_at.(s.index) <-
-      Option.value ~default:infinity (Os_sim.Engine.next_event s.engine)
+    let i = s.index in
+    next_at.(i) <- Os_sim.Engine.next_event s.engine;
+    in_flight.(i) <- Os_sim.Engine.in_flight s.engine;
+    used.(i) <- s.fabric.pages - Os_sim.Engine.free_pages s.engine
   in
   (* Cost-aware deferral: dispatching a request whose binary does not fit
      in the shard's free pages forces the allocator to shrink residents —
@@ -338,15 +345,12 @@ let run ?pool ?(traced = false) p =
     | Least_loaded -> true
     | Cost_aware ->
         let need = s.fabric.need.(kind) in
-        let free = Os_sim.Engine.free_pages s.engine in
+        let free = s.fabric.pages - used.(s.index) in
         if free >= need then true
         else
           let reshape = p.reconfig_cost *. float_of_int (need - free) in
-          let wake =
-            match Os_sim.Engine.next_event s.engine with
-            | Some t -> t -. now
-            | None -> 0.0
-          in
+          let next = next_at.(s.index) in
+          let wake = if next = infinity then 0.0 else next -. now in
           reshape <= wake
   in
   (* One pass over the fleet: among the shards below [max_resident] that
@@ -356,25 +360,24 @@ let run ?pool ?(traced = false) p =
      integers, [u1 * t2 < u2 * t1]: pages never exceed 256 per shard, so
      two different fractions differ far more than a double rounds, and
      this orders shards exactly as their rounded quotients would.
-     [affordable] only reads engine state, so it is asked only of a
-     shard that would beat the best so far.  [Full] when no shard is
+     [affordable] has no side effect, so it is asked only of a shard
+     that would beat the best so far.  [Full] when no shard is
      below [max_resident]: that capacity is fleet-wide. *)
   let pick kind now =
     let full = ref true and best = ref (-1) in
     let best_n = ref max_int and best_used = ref 0 and best_pages = ref 1 in
-    for i = 0 to Array.length shard_arr - 1 do
-      let s = shard_arr.(i) in
-      let n = Os_sim.Engine.in_flight s.engine in
+    for i = 0 to n_shards - 1 do
+      let n = in_flight.(i) in
       if n < p.max_resident then begin
         full := false;
-        let pages = s.fabric.pages in
-        let used = pages - Os_sim.Engine.free_pages s.engine in
-        if (n < !best_n || (n = !best_n && used * !best_pages < !best_used * pages))
+        let s = shard_arr.(i) in
+        let pages = s.fabric.pages and u = used.(i) in
+        if (n < !best_n || (n = !best_n && u * !best_pages < !best_used * pages))
            && affordable s kind now
         then begin
           best := i;
           best_n := n;
-          best_used := used;
+          best_used := u;
           best_pages := pages
         end
       end

@@ -9,13 +9,19 @@ module Hist : sig
       so any recorded value is attributed with under 6.25% relative
       error, and values that {e are} bucket lower bounds (dyadic
       rationals such as integers up to 2{^20}, or exact cycle counts)
-      are reported exactly.  Negative observations clamp to the zero
-      bucket. *)
+      are reported exactly.  Zero and negative observations (including
+      [neg_infinity]) share one bucket with lower bound 0, below every
+      other; [infinity] has a bucket of its own with lower bound
+      [infinity], above every finite one.  A NaN is refused.  Buckets are
+      counted in an array indexed by bucket, so an observation hashes
+      nothing. *)
 
   type t
 
   val create : unit -> t
   val observe : t -> float -> unit
+  (** Raises [Invalid_argument] on a NaN, before counting anything. *)
+
   val count : t -> int
   val sum : t -> float
   val mean : t -> float

@@ -76,6 +76,167 @@ let test_hist_empty () =
   Alcotest.check feq "mean" 0.0 (Hist.mean h);
   Alcotest.check feq "quantile" 0.0 (Hist.quantile h 50.0)
 
+(* ---------- Hist against the hashtable histogram it replaced ---------- *)
+
+(* A verbatim copy of the histogram as it was before its buckets moved
+   into an array: one hashtable entry per bucket key, quantiles by
+   sorting the keys.  The reference for finite observations. *)
+module Reference_hist = struct
+  (* Bucket key for v > 0: frexp gives v = m * 2^ex with m in [0.5,1);
+     2m-1 in [0,1) selects one of 16 linear sub-buckets, so the key is
+     ex*16 + sub and the bucket's lower bound is 2^(ex-1) * (1+sub/16).
+     Both maps are exact for dyadic values, which is what makes quantile
+     answers exact at bucket edges (integers, cycle counts). *)
+
+  type t = {
+    buckets : (int, int ref) Hashtbl.t;
+    mutable n : int;
+    mutable total : float;
+    mutable vmin : float;
+    mutable vmax : float;
+  }
+
+  let zero_key = min_int
+
+  let create () =
+    { buckets = Hashtbl.create 16; n = 0; total = 0.0; vmin = infinity;
+      vmax = neg_infinity }
+
+  let bucket_key v =
+    if v <= 0.0 then zero_key
+    else
+      let m, ex = Float.frexp v in
+      let sub = int_of_float (Float.floor (((2.0 *. m) -. 1.0) *. 16.0)) in
+      let sub = if sub < 0 then 0 else if sub > 15 then 15 else sub in
+      (ex * 16) + sub
+
+  let bucket_lower key =
+    if key = zero_key then 0.0
+    else
+      let ex = if key >= 0 then key / 16 else (key - 15) / 16 in
+      let sub = key - (ex * 16) in
+      Float.ldexp (1.0 +. (float_of_int sub /. 16.0)) (ex - 1)
+
+  let add_bucket t key c =
+    match Hashtbl.find_opt t.buckets key with
+    | Some r -> r := !r + c
+    | None -> Hashtbl.add t.buckets key (ref c)
+
+  let observe t v =
+    add_bucket t (bucket_key v) 1;
+    t.n <- t.n + 1;
+    t.total <- t.total +. v;
+    if v < t.vmin then t.vmin <- v;
+    if v > t.vmax then t.vmax <- v
+
+  let count t = t.n
+  let sum t = t.total
+  let mean t = if t.n = 0 then 0.0 else t.total /. float_of_int t.n
+  let min_value t = if t.n = 0 then 0.0 else t.vmin
+  let max_value t = if t.n = 0 then 0.0 else t.vmax
+
+  let quantile t p =
+    if t.n = 0 then 0.0
+    else begin
+      let rank =
+        max 1 (int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.n)))
+      in
+      let keys =
+        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.buckets [])
+      in
+      let rec walk cum = function
+        | [] -> t.vmax
+        | k :: rest ->
+            let cum = cum + !(Hashtbl.find t.buckets k) in
+            if cum >= rank then bucket_lower k else walk cum rest
+      in
+      Float.min t.vmax (Float.max t.vmin (walk 0 keys))
+    end
+end
+
+(* Seeded sequences of zero, negatives, subnormals, integers and values
+   from 1e-300 to 1e300, in random order so the bucket array grows
+   toward both ends: every reading must equal the reference's bit for
+   bit. *)
+let test_hist_matches_reference () =
+  let module Rng = Cgra_util.Rng in
+  let bits = Int64.bits_of_float in
+  let ps = [ 0.0; 0.1; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ] in
+  let draw rng =
+    match Rng.int rng 7 with
+    | 0 -> if Rng.bool rng then 0.0 else -0.0
+    | 1 -> -.Float.ldexp (1.0 +. Rng.float rng 1.0) (Rng.int_in rng (-20) 40)
+    | 2 -> Float.ldexp (Rng.float rng 1.0) (-1022 - Rng.int rng 52)
+    | 3 -> float_of_int (Rng.int rng 100_000)
+    | 4 -> Float.ldexp (1.0 +. Rng.float rng 1.0) (Rng.int_in rng (-996) 996)
+    | 5 -> Rng.choose rng [| 1e-300; 1e300; Float.min_float; Float.max_float |]
+    | _ -> Float.ldexp (float_of_int (Rng.int_in rng 1 64)) (Rng.int_in rng (-8) 8)
+  in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let h = Hist.create () and r = Reference_hist.create () in
+      let check i =
+        let same what a b =
+          if bits a <> bits b then
+            Alcotest.failf "seed %d, after %d observations: %s %h, reference %h"
+              seed i what a b
+        in
+        if Hist.count h <> Reference_hist.count r then
+          Alcotest.failf "seed %d: count differs" seed;
+        same "sum" (Hist.sum h) (Reference_hist.sum r);
+        same "mean" (Hist.mean h) (Reference_hist.mean r);
+        same "min" (Hist.min_value h) (Reference_hist.min_value r);
+        same "max" (Hist.max_value h) (Reference_hist.max_value r);
+        List.iter
+          (fun p ->
+            same (Printf.sprintf "p%g" p) (Hist.quantile h p)
+              (Reference_hist.quantile r p))
+          ps
+      in
+      let n = 1 + Rng.int rng 300 in
+      for i = 1 to n do
+        let v = draw rng in
+        Hist.observe h v;
+        Reference_hist.observe r v;
+        if i mod 16 = 0 || i = n then check i
+      done)
+    (List.init 200 Fun.id)
+
+(* +infinity counts in a top bucket whose lower bound is infinity: seven
+   infinities after 1, 2 and 3 put the median among them.  A NaN is
+   refused and leaves the histogram as it was. *)
+let test_hist_non_finite () =
+  let h = Hist.create () in
+  List.iter (Hist.observe h) [ 1.0; 2.0; 3.0 ];
+  for _ = 1 to 7 do
+    Hist.observe h infinity
+  done;
+  Alcotest.(check int) "n" 10 (Hist.count h);
+  Alcotest.check feq "p10" 1.0 (Hist.quantile h 10.0);
+  Alcotest.check feq "p30" 3.0 (Hist.quantile h 30.0);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Printf.sprintf "p%g is infinity" p) true
+        (Hist.quantile h p = infinity))
+    [ 40.0; 50.0; 90.0; 99.0; 100.0 ];
+  Alcotest.(check bool) "max" true (Hist.max_value h = infinity);
+  let top = Hist.create () in
+  Hist.observe top infinity;
+  Alcotest.(check bool) "a lone infinity" true (Hist.quantile top 50.0 = infinity);
+  let below = Hist.create () in
+  List.iter (Hist.observe below) [ neg_infinity; 1.0 ];
+  Alcotest.check feq "neg_infinity clamps to the zero bucket" 0.0
+    (Hist.quantile below 50.0);
+  let n = Hist.create () in
+  Hist.observe n 1000.0;
+  (match Hist.observe n Float.nan with
+  | () -> Alcotest.fail "NaN accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "NaN not counted" 1 (Hist.count n);
+  Alcotest.check feq "sum untouched" 1000.0 (Hist.sum n);
+  Alcotest.check feq "p99" 1000.0 (Hist.quantile n 99.0)
+
 (* ---------- profile on a fixed-seed traced fig9-style run ---------- *)
 
 let arch_4x4 = lazy (Option.get (Cgra.standard ~size:4 ~page_pes:4))
@@ -634,9 +795,14 @@ module Name_rules = struct
       baseline.rows
 end
 
+(* The committed baselines, as the test's [deps] copy them beside the
+   directory that holds this executable: found from the executable, so
+   the suite runs from any working directory. *)
 let committed_baselines =
-  [ "BENCH_micro.json"; "BENCH_fig9.json"; "BENCH_fig8.json"; "BENCH_farm.json";
-    "BENCH_farm_big.json" ]
+  List.map
+    (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)))
+    [ "BENCH_micro.json"; "BENCH_fig9.json"; "BENCH_fig8.json"; "BENCH_farm.json";
+      "BENCH_farm_big.json" ]
 
 let test_gate_matches_name_rules () =
   (* every committed row, at current values on both sides of each bound
@@ -646,10 +812,7 @@ let test_gate_matches_name_rules () =
   let rows = ref 0 in
   List.iter
     (fun file ->
-      let doc =
-        doc_of_string
-          (In_channel.with_open_bin (Filename.concat ".." file) In_channel.input_all)
-      in
+      let doc = doc_of_string (In_channel.with_open_bin file In_channel.input_all) in
       List.iter
         (fun (b : Bench_gate.row) ->
           incr rows;
@@ -688,6 +851,10 @@ let () =
           Alcotest.test_case "zero and negative clamp" `Quick
             test_hist_zero_and_negative;
           Alcotest.test_case "empty" `Quick test_hist_empty;
+          Alcotest.test_case "matches the hashtable reference" `Quick
+            test_hist_matches_reference;
+          Alcotest.test_case "infinity on top, NaN refused" `Quick
+            test_hist_non_finite;
         ] );
       ( "profile",
         [

@@ -525,9 +525,10 @@ let test_alloc_random_sequences () =
    duplicate requests and unknown releases mixed in.  After every
    operation the return value (or the raised error), [clients] (sorted
    by base), [shrunk_clients], [free_pages] and the traced
-   [Alloc_decision] stream must equal the reference's.  A second,
-   untraced allocator fed the same operations must agree too: tracing
-   never changes a decision. *)
+   [Alloc_decision] stream must equal the reference's, and [moves] must
+   have risen if the operation changed a resident client's range.  A
+   second, untraced allocator fed the same operations must agree too:
+   tracing never changes a decision. *)
 let test_alloc_matches_reference () =
   let module T = Cgra_trace.Trace in
   let module R = Reference_allocator in
@@ -559,6 +560,8 @@ let test_alloc_matches_reference () =
         in
         let live = List.map fst (R.clients reference) in
         let pick () = List.nth live (Rng.int rng (List.length live)) in
+        let resident al = (Allocator.clients al, Allocator.moves al) in
+        let before = resident al and before_quiet = resident quiet in
         (match Rng.int rng 10 with
         | k when k < 5 || live = [] ->
             (* a fresh client, now and then a live one again *)
@@ -592,6 +595,21 @@ let test_alloc_matches_reference () =
         same "shrunk_clients" want_shrunk (shrunk al) (shrunk quiet);
         same "free_pages" (R.free_pages reference) (Allocator.free_pages al)
           (Allocator.free_pages quiet);
+        (* a client resident before the operation whose range it changed
+           was moved: the move count rose *)
+        let counted al (clients, moves) =
+          let moved =
+            List.exists
+              (fun (c, r) ->
+                match Allocator.allocation al ~client:c with
+                | Some r' -> r' <> r
+                | None -> false)
+              clients
+          in
+          if moved && Allocator.moves al <= moves then fail "the move count"
+        in
+        counted al before;
+        counted quiet before_quiet;
         if T.events trace <> T.events rtrace then fail "the Alloc_decision stream"
       done)
     (List.init 300 Fun.id);
@@ -991,13 +1009,12 @@ let test_engine_rejects_out_of_order_submit () =
    with Invalid_argument _ -> ());
   (* ... and so must an arrival beyond a still-pending internal event:
      the caller has to settle the engine up to [at] first *)
-  (match Os_sim.Engine.next_event e with
-  | None -> Alcotest.fail "submitted kernel thread queued no event"
-  | Some te -> (
-      try
-        Os_sim.Engine.submit e ~at:(te +. 1000.0) (kernel_thread 3);
-        Alcotest.fail "submit past a pending event did not raise"
-      with Invalid_argument _ -> ()));
+  let te = Os_sim.Engine.next_event e in
+  if te = infinity then Alcotest.fail "submitted kernel thread queued no event";
+  (try
+     Os_sim.Engine.submit e ~at:(te +. 1000.0) (kernel_thread 3);
+     Alcotest.fail "submit past a pending event did not raise"
+   with Invalid_argument _ -> ());
   (* the failed submits left the engine usable: thread 1 still drains *)
   Os_sim.Engine.drain e;
   Alcotest.(check int) "only the valid thread ran" 1
@@ -1066,7 +1083,7 @@ let test_engine_drain_empty () =
   let e = fresh_engine () in
   (* draining an engine with nothing submitted is a no-op, not an error *)
   Os_sim.Engine.drain e;
-  Alcotest.(check bool) "still idle" true (Os_sim.Engine.next_event e = None);
+  Alcotest.(check bool) "still idle" true (Os_sim.Engine.next_event e = infinity);
   Alcotest.(check int) "nothing in flight" 0 (Os_sim.Engine.in_flight e);
   let r = Os_sim.Engine.result e in
   Alcotest.(check int) "no finishes" 0 (List.length r.Os_sim.finishes);
@@ -1078,23 +1095,20 @@ let test_engine_run_until_inclusive () =
      have consumed every event landing on that instant *)
   let e = fresh_engine () in
   Os_sim.Engine.submit e ~at:0.0 (kernel_thread 1);
-  match Os_sim.Engine.next_event e with
-  | None -> Alcotest.fail "submitted kernel thread queued no event"
-  | Some te ->
-      Alcotest.(check bool) "first iteration lands after time 0" true (te > 0.0);
-      (* a bound strictly before the event leaves it pending *)
-      Os_sim.Engine.run_until e (te /. 2.0);
-      Alcotest.(check (option (float 0.0))) "strictly-before bound is exclusive"
-        (Some te) (Os_sim.Engine.next_event e);
-      (* a bound exactly at the event consumes it *)
-      Os_sim.Engine.run_until e te;
-      (match Os_sim.Engine.next_event e with
-      | Some te' when te' <= te ->
-          Alcotest.failf "event at the bound survived run_until (next %g <= %g)"
-            te' te
-      | Some _ | None -> ());
-      Os_sim.Engine.drain e;
-      Alcotest.(check int) "thread finished" 0 (Os_sim.Engine.in_flight e)
+  let te = Os_sim.Engine.next_event e in
+  if te = infinity then Alcotest.fail "submitted kernel thread queued no event";
+  Alcotest.(check bool) "first iteration lands after time 0" true (te > 0.0);
+  (* a bound strictly before the event leaves it pending *)
+  Os_sim.Engine.run_until e (te /. 2.0);
+  Alcotest.(check (float 0.0)) "strictly-before bound is exclusive" te
+    (Os_sim.Engine.next_event e);
+  (* a bound exactly at the event consumes it *)
+  Os_sim.Engine.run_until e te;
+  let te' = Os_sim.Engine.next_event e in
+  if te' <= te then
+    Alcotest.failf "event at the bound survived run_until (next %g <= %g)" te' te;
+  Os_sim.Engine.drain e;
+  Alcotest.(check int) "thread finished" 0 (Os_sim.Engine.in_flight e)
 
 let () =
   Alcotest.run "runtime"

@@ -548,6 +548,44 @@ let test_table_fmt () =
   Alcotest.(check string) "float decimals" "3.14" (Table.fmt_float ~decimals:2 3.14159);
   Alcotest.(check string) "percent" "99.5%" (Table.fmt_percent 99.5)
 
+(* ---------- Int_set ---------- *)
+
+(* Seeded add and mem sequences against the standard library's set:
+   small ids, ids stepping by large powers of two (one home slot for a
+   weak hash), negatives, [min_int] (the empty-slot marker) and
+   [max_int], with repeats, across several doublings. *)
+let test_int_set_matches_set () =
+  let module S = Set.Make (Int) in
+  let module Rng = Cgra_util.Rng in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let t = Cgra_util.Int_set.create () and r = ref S.empty in
+      let draw () =
+        match Rng.int rng 5 with
+        | 0 -> Rng.int rng 64
+        | 1 -> Rng.int rng 64 lsl 40
+        | 2 -> -Rng.int rng 1000
+        | 3 -> Rng.choose rng [| min_int; max_int; min_int + 1; max_int - 1; 0 |]
+        | _ -> Int64.to_int (Rng.bits64 rng)
+      in
+      for op = 1 to 400 do
+        let x = draw () in
+        if Rng.bool rng then begin
+          Cgra_util.Int_set.add t x;
+          r := S.add x !r
+        end;
+        let y = if Rng.bool rng then x else draw () in
+        if Cgra_util.Int_set.mem t y <> S.mem y !r then
+          Alcotest.failf "seed %d, op %d: mem %d differs" seed op y
+      done;
+      S.iter
+        (fun x ->
+          if not (Cgra_util.Int_set.mem t x) then
+            Alcotest.failf "seed %d: member %d lost" seed x)
+        !r)
+    (List.init 100 Fun.id)
+
 let () =
   Alcotest.run "util"
     [
@@ -578,6 +616,8 @@ let () =
           Alcotest.test_case "matches the pairing heap" `Quick
             test_pqueue_matches_pairing_heap;
         ] );
+      ( "int_set",
+        [ Alcotest.test_case "matches Set" `Quick test_int_set_matches_set ] );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
