@@ -86,7 +86,8 @@ module Engine = struct
     alloc : Allocator.t;
     threads : thread_rec Queue.t;  (* submission order — result reports it *)
     mutable live : thread_rec array;
-        (* [0, n_live): unfinished, submission order — resync walks it *)
+        (* [0, n_live): unfinished, submission order — resync walks it,
+           in_flight counts it *)
     mutable n_live : int;
     ids : Cgra_util.Int_set.t;  (* every submitted id *)
     mutable synced_moves : int;  (* [Allocator.moves] at the last resync walk *)
@@ -97,7 +98,6 @@ module Engine = struct
     mutable busy_page_cycles : float;
     mutable total_ops : float;
     queue : (float, event) Cgra_util.Pqueue.t;  (* by (time, post order) *)
-    mutable unfinished : int;
     mutable horizon : float;  (* latest stepped-event or submit time *)
     mutable on_finish : int -> float -> unit;
     mutable on_grant : int -> float -> unit;
@@ -157,7 +157,6 @@ module Engine = struct
       busy_page_cycles = 0.0;
       total_ops = 0.0;
       queue = Cgra_util.Pqueue.create ~cmp:Float.compare;
-      unfinished = 0;
       horizon = neg_infinity;
       on_finish = (fun _ _ -> ());
       on_grant = (fun _ _ -> ());
@@ -290,7 +289,6 @@ module Engine = struct
     match segments with
     | [] ->
         t.state <- Done now;
-        e.unfinished <- e.unfinished - 1;
         remove_live e t;
         if e.tracing then
           T.emit_at e.trace ~time:now (T.Thread_finish { thread = t.id });
@@ -448,7 +446,6 @@ module Engine = struct
     Queue.add t e.threads;
     add_live e t;
     Cgra_util.Int_set.add e.ids t.id;
-    e.unfinished <- e.unfinished + 1;
     if e.tracing then
       T.emit_at e.trace ~time:at
         (T.Thread_arrival { thread = t.id; segments = List.length spec.segments });
@@ -486,7 +483,7 @@ module Engine = struct
 
   let rec drain e = if step e then drain e
 
-  let in_flight e = e.unfinished
+  let in_flight e = e.n_live
   let free_pages e = Allocator.free_pages e.alloc
 
   let result e =

@@ -112,9 +112,8 @@ module Engine : sig
 
   val result : t -> result_t
   (** Aggregate over every submitted thread, in submission order; also
-      emits the closing [os.transformations] counter and [Run_end] event
-      when tracing.  Raises [Invalid_argument] if any thread is
-      unfinished (drain first). *)
+      emits the closing [Run_end] event when tracing.  Raises
+      [Invalid_argument] if any thread is unfinished (drain first). *)
 end
 
 val run :
