@@ -18,8 +18,6 @@ let neighbors t c =
       if in_bounds t n then Some n else None)
     Coord.all_dirs
 
-let adjacent t a b = in_bounds t a && in_bounds t b && Coord.adjacent a b
-
 let all_pes t =
   List.concat_map
     (fun row -> List.init t.cols (fun col -> Coord.make ~row ~col))

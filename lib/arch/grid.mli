@@ -19,9 +19,6 @@ val in_bounds : t -> Coord.t -> bool
 val neighbors : t -> Coord.t -> Coord.t list
 (** In-bounds mesh neighbours, in N/E/S/W order. *)
 
-val adjacent : t -> Coord.t -> Coord.t -> bool
-(** Mesh adjacency of two in-bounds coordinates. *)
-
 val all_pes : t -> Coord.t list
 (** Row-major enumeration. *)
 

@@ -25,11 +25,3 @@ let total_cpu t =
   List.fold_left
     (fun acc -> function Cpu c -> acc + c | Kernel _ -> acc)
     0 t.segments
-
-let pp ppf t =
-  Format.fprintf ppf "thread %d:" t.id;
-  List.iter
-    (function
-      | Cpu c -> Format.fprintf ppf " cpu(%d)" c
-      | Kernel { kernel; iterations } -> Format.fprintf ppf " %s(%d)" kernel iterations)
-    t.segments

@@ -19,5 +19,3 @@ val cgra_iterations : t -> (string * int) list
 (** Total iterations requested per kernel. *)
 
 val total_cpu : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -31,8 +31,6 @@ let store t name i v =
   let arr = get t name in
   arr.(wrap (Array.length arr) i) <- v
 
-let mem t name = Hashtbl.mem t name
-
 let names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
 
 let equal a b =
@@ -51,15 +49,3 @@ let diff a b =
             (fun i -> if ra.(i) <> rb.(i) then Some (name, i, ra.(i), rb.(i)) else None)
             (List.init n Fun.id))
     (names a)
-
-let pp ppf t =
-  List.iter
-    (fun name ->
-      let arr = get t name in
-      Format.fprintf ppf "%s[%d]: " name (Array.length arr);
-      Array.iteri
-        (fun i v -> if i < 16 then Format.fprintf ppf "%d " v)
-        arr;
-      if Array.length arr > 16 then Format.fprintf ppf "...";
-      Format.pp_print_newline ppf ())
-    (names t)

@@ -21,8 +21,6 @@ val store : t -> string -> int -> int -> unit
 
 val get : t -> string -> int array
 
-val mem : t -> string -> bool
-
 val names : t -> string list
 (** Sorted. *)
 
@@ -31,5 +29,3 @@ val equal : t -> t -> bool
 val diff : t -> t -> (string * int * int * int) list
 (** [(array, index, v_left, v_right)] for every differing cell — the
     simulator's failure report. *)
-
-val pp : Format.formatter -> t -> unit
