@@ -31,10 +31,9 @@ let pp ppf t =
 (* The canonical identity is deliberately not [pp]: pretty-printers are
    free to re-wrap or re-word, while this string is a pinned contract
    (golden-tested) that persistent cache keys are derived from.  Bump the
-   leading version if the encoding ever has to change shape.  Every store
-   load derives it, so it is written digit by digit: [Printf] and
-   [string_of_int] both interpret a format at run time, which costs
-   several times as much. *)
+   leading version if the encoding ever has to change shape.  It is
+   written digit by digit: [Printf] and [string_of_int] both interpret a
+   format at run time, which costs several times as much. *)
 let rec add_int b n =
   if n < 0 then Buffer.add_string b (string_of_int n)
   else begin
@@ -42,7 +41,7 @@ let rec add_int b n =
     Buffer.add_char b (Char.chr (Char.code '0' + (n mod 10)))
   end
 
-let fingerprint t =
+let build_fingerprint t =
   let b = Buffer.create 64 in
   let str = Buffer.add_string b and int = add_int b in
   str "cgra-v1;grid=";
@@ -63,3 +62,36 @@ let fingerprint t =
   str ";memports=";
   int t.mem_ports_per_row;
   Buffer.contents b
+
+(* Same fingerprint: every field it encodes is equal. *)
+let same_identity a b =
+  a.grid.Grid.rows = b.grid.Grid.rows
+  && a.grid.Grid.cols = b.grid.Grid.cols
+  && a.rf_capacity = b.rf_capacity
+  && a.mem_ports_per_row = b.mem_ports_per_row
+  &&
+  match (a.pages.Page.shape, b.pages.Page.shape) with
+  | Page.Rect x, Page.Rect y -> x.tile_rows = y.tile_rows && x.tile_cols = y.tile_cols
+  | Page.Band x, Page.Band y -> x.size = y.size
+  | (Page.Rect _ | Page.Band _), _ -> false
+
+(* A warm launch asks for the fingerprint twice (the compile memo's key,
+   then the store's), each time of an arch its caller may have just
+   built.  So each domain keeps the fingerprints it built last, found by
+   content: at most [recent_cap], newest first, and no lock. *)
+let recent_cap = 16
+
+let recent = Domain.DLS.new_key (fun () -> ref [])
+
+let rec find_recent t = function
+  | [] -> ""
+  | (a, fp) :: rest -> if same_identity a t then fp else find_recent t rest
+
+let fingerprint t =
+  let recent = Domain.DLS.get recent in
+  match find_recent t !recent with
+  | "" ->
+      let fp = build_fingerprint t in
+      recent := (t, fp) :: List.filteri (fun i _ -> i < recent_cap - 1) !recent;
+      fp
+  | fp -> fp

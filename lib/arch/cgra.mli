@@ -41,4 +41,6 @@ val fingerprint : t -> string
     (whose wording and line-wrapping are free to change), this string is
     a pinned, golden-tested contract: compile caches and the on-disk
     binary store derive their keys from it, so its shape may only change
-    together with the leading version tag. *)
+    together with the leading version tag.  Each domain remembers the
+    last 16 it built, found by comparing the fields they encode, so an
+    equal arch built afresh costs a lookup. *)

@@ -21,8 +21,6 @@ val flip_cols : t
 
 val equal : t -> t -> bool
 
-val is_identity : t -> bool
-
 val swaps_axes : t -> bool
 (** True for the four elements involving a 90-degree component; these are
     only legal on square tiles. *)

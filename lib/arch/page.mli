@@ -59,9 +59,6 @@ val is_square_tile : t -> bool
 (** True for [Rect] shapes with square tiles (full D4 mirroring
     available). *)
 
-val tile_origin : t -> int -> Coord.t option
-(** Top-left corner of a page's tile ([Rect] only). *)
-
 val local_of : t -> int -> Coord.t -> Coord.t option
 (** Tile-local coordinate of a global PE within the given page ([Rect]
     only; [None] if the PE is not in the page or the shape is [Band]). *)

@@ -1,5 +1,32 @@
 open Cgra_arch
 
+(* Where PE [i] of source page [src_base + n] lands under each of the
+   [k] candidate orientations, written to [img] from [off]: each
+   cross-step endpoint is relocated once per orientation, not once per
+   pair of them. *)
+let relocate_all (tb : Page.tables) ~src_base ~n ~dst i img off =
+  if i < 0 || i >= Array.length tb.page_of || tb.page_of.(i) <> src_base + n then
+    invalid_arg (Printf.sprintf "Mirror.solve: PE %d not in page %d" i (src_base + n));
+  (* [Page.move] written out (see [Transform.visit]), with the PE's
+     local index and the page's first slot read once *)
+  let local = tb.local_of.(i) and first = dst * tb.page_size in
+  for o = 0 to Array.length tb.orients - 1 do
+    img.(off + o) <- tb.pe_at.(first + tb.act.(o).(local))
+  done
+
+(* Same PE or mesh neighbours: register-file reach. *)
+let near (coord : Coord.t array) i j =
+  let a = coord.(i) and b = coord.(j) in
+  abs (a.row - b.row) + abs (a.col - b.col) <= 1
+
+(* Orientation [p] of one page and [o] of the next satisfy the steps
+   crossing between them when every transferred value stays within
+   register-file reach: [ia] and [ib] hold the steps' producer and reader
+   images, [k] per step. *)
+let compatible coord ia ib k p o =
+  let rec go off = off >= Array.length ia || (near coord ia.(off + p) ib.(off + o) && go (off + k)) in
+  go 0
+
 let solve (tb : Page.tables) ~src_base ~n_used ~s ~base ~cross_steps =
   if n_used <= 0 then Some [||]
   else begin
@@ -14,45 +41,44 @@ let solve (tb : Page.tables) ~src_base ~n_used ~s ~base ~cross_steps =
     in
     check_page (dst 0);
     check_page (dst (n_used - 1));
-    (* Where PE [i] of source page [n] lands under each candidate
-       orientation: each cross-step endpoint is relocated once per
-       orientation, not once per pair of them. *)
-    let images n i =
-      if i < 0 || i >= Array.length tb.page_of || tb.page_of.(i) <> src_base + n then
-        invalid_arg
-          (Printf.sprintf "Mirror.solve: PE %d not in page %d" i (src_base + n));
-      Array.init k (fun o -> tb.coord.(Page.move tb ~orient:o ~dst_page:(dst n) i))
-    in
-    let steps =
-      Array.init (n_used - 1) (fun n ->
-          List.map (fun (a, b) -> (images n a, images (n + 1) b)) cross_steps.(n))
-    in
-    (* Same PE or mesh neighbours: register-file reach. *)
-    let near (a : Coord.t) (b : Coord.t) = abs (a.row - b.row) + abs (a.col - b.col) <= 1 in
-    (* A pair (o_n, o_next) satisfies the steps crossing page n -> n+1 when
-       every transferred value stays within register-file reach. *)
-    let pair_ok n o_n o_next =
-      List.for_all (fun (a, b) -> near a.(o_n) b.(o_next)) steps.(n)
-    in
-    (* DP over the page path: [pred.(n).(o)] is the first orientation of
-       page n-1, in candidate order, that is feasible and compatible with
-       [o] on page n; [-1] when [o] is infeasible on page n.  Page 0
+    (* [ia.(n)] and [ib.(n)]: the images of the producers and readers of
+       the steps crossing page n -> n+1, in list order.  A step's reader
+       is checked before its producer. *)
+    let ia = Array.make (n_used - 1) [||] and ib = Array.make (n_used - 1) [||] in
+    for n = 0 to n_used - 2 do
+      let m = List.length cross_steps.(n) in
+      let a_img = Array.make (m * k) 0 and b_img = Array.make (m * k) 0 in
+      List.iteri
+        (fun j (a, b) ->
+          relocate_all tb ~src_base ~n:(n + 1) ~dst:(dst (n + 1)) b b_img (j * k);
+          relocate_all tb ~src_base ~n ~dst:(dst n) a a_img (j * k))
+        cross_steps.(n);
+      ia.(n) <- a_img;
+      ib.(n) <- b_img
+    done;
+    (* DP over the page path: [pred.(n * k + o)] is the first orientation
+       of page n-1, in candidate order, that is feasible and compatible
+       with [o] on page n; [-1] when [o] is infeasible on page n.  Page 0
        admits every candidate ([k] marks that). *)
-    let pred = Array.make_matrix n_used k (-1) in
-    Array.fill pred.(0) 0 k k;
+    let pred = Array.make (n_used * k) (-1) in
+    Array.fill pred 0 k k;
     for n = 1 to n_used - 1 do
+      let a_img = ia.(n - 1) and b_img = ib.(n - 1) in
       for o = 0 to k - 1 do
-        let rec first p =
-          if p = k then -1
-          else if pred.(n - 1).(p) >= 0 && pair_ok (n - 1) p o then p
-          else first (p + 1)
-        in
-        pred.(n).(o) <- first 0
+        let p = ref 0 in
+        while
+          !p < k
+          && not (pred.(((n - 1) * k) + !p) >= 0 && compatible tb.coord a_img b_img k !p o)
+        do
+          incr p
+        done;
+        if !p < k then pred.((n * k) + o) <- !p
       done
     done;
+    let last_row = (n_used - 1) * k in
     let rec first_feasible o =
       if o = k then None
-      else if pred.(n_used - 1).(o) >= 0 then Some o
+      else if pred.(last_row + o) >= 0 then Some o
       else first_feasible (o + 1)
     in
     match first_feasible 0 with
@@ -62,7 +88,7 @@ let solve (tb : Page.tables) ~src_base ~n_used ~s ~base ~cross_steps =
         (* walk back through the witnesses *)
         let rec back n o =
           result.(n) <- o;
-          if n > 0 then back (n - 1) pred.(n).(o)
+          if n > 0 then back (n - 1) pred.((n * k) + o)
         in
         back (n_used - 1) last;
         Some result

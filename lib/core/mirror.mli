@@ -22,8 +22,10 @@
     step's two endpoints are relocated once per candidate orientation of
     their page ([k <= 8]), and the DP then compares the images: at most
     [k^2] pair checks per page boundary, each over that boundary's steps,
-    so a solve costs O(k * steps + k^2 * pages * steps) int operations
-    and allocates only the [k]-entry image of each endpoint. *)
+    so a solve costs O(k * steps + k^2 * pages * steps) int operations.
+    It allocates two flat int arrays per boundary (the [k] images of
+    each endpoint of its steps) and the [pages * k] DP table, and no
+    closure per pair check. *)
 
 val solve :
   Cgra_arch.Page.tables ->

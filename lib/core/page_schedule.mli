@@ -15,8 +15,6 @@ type t = {
 
 val of_mapping : Cgra_mapper.Mapping.t -> t
 
-val slot_empty : t -> page:int -> slot:int -> bool
-
 val occupancy : t -> float
 (** Fraction of page-slots holding at least one operation or hop. *)
 

@@ -50,10 +50,6 @@ val max_distance : t -> int
 val topo_order : t -> int list
 (** Topological order of the zero-distance subgraph. *)
 
-val validate_spec :
-  name:string -> ops:Op.t array -> edges:edge list -> (unit, string) result
-(** The validation behind {!create}, usable to test rejection cases. *)
-
 val equal_structure : t -> t -> bool
 (** Same ops and edge set (names may differ). *)
 

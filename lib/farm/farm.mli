@@ -43,10 +43,6 @@ module Hist := Cgra_prof.Metrics.Hist
 
 type shard_spec = { size : int; page_pes : int }
 
-val default_fleet : shard_spec list
-(** The mixed fleet of the committed benchmark: 4x4, 6x6, 8x8, all with
-    4-PE pages. *)
-
 type dispatch =
   | Least_loaded
       (** fewest in-flight, least-allocated, lowest index — always
@@ -75,26 +71,21 @@ type params = {
 }
 
 val default_params : params
-(** The committed-benchmark configuration: the default fleet, 4 tenants,
+(** The committed-benchmark configuration: a mixed fleet of 4x4, 6x6 and
+    8x8 shards, all with 4-PE pages, 4 tenants,
     200 requests, load 1.0, bound 8, resident 8, seed 0, [Cost_halving],
     [Least_loaded] dispatch. *)
 
-val big_fleet : shard_spec list
-(** The at-scale fleet: eight shards each of 4x4, 6x6 and 8x8 (24
-    shards, three unique architectures to compile). *)
-
 val big_params : params
-(** [default_params] on {!big_fleet} with 8 tenants and 10,000 requests
-    — the [BENCH_farm_big.json] / [make farm-big] configuration. *)
+(** [default_params] on the at-scale fleet, eight shards each of 4x4,
+    6x6 and 8x8 (24 shards, three unique architectures to compile), with
+    8 tenants and 10,000 requests — the [BENCH_farm_big.json] / [make
+    farm-big] configuration. *)
 
 val mix : string array
 (** The request kernel mix (mpeg, yuv2rgb, sobel — the video-serving
-    story of the paper's introduction). *)
-
-val min_iterations : int
-
-val max_iterations : int
-(** Request sizes are uniform in [[min_iterations, max_iterations]]. *)
+    story of the paper's introduction).  Request sizes are uniform in
+    40–120 iterations. *)
 
 type terminal = Retired | Rejected
 

@@ -51,7 +51,7 @@ type reader = { data : string; mutable pos : int }
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-let r_int r =
+let r_int_long r =
   let v = ref 0 and shift = ref 0 and more = ref true in
   while !more do
     if r.pos >= String.length r.data then corrupt "truncated varint";
@@ -63,6 +63,16 @@ let r_int r =
     more := byte land 0x80 <> 0
   done;
   (!v lsr 1) lxor (- (!v land 1))
+
+(* Most fields are small: a one-byte varint skips the loop. *)
+let r_int r =
+  let pos = r.pos in
+  if pos < String.length r.data && Char.code (String.unsafe_get r.data pos) < 0x80 then begin
+    let v = Char.code (String.unsafe_get r.data pos) in
+    r.pos <- pos + 1;
+    (v lsr 1) lxor (- (v land 1))
+  end
+  else r_int_long r
 
 let r_str r =
   let n = r_int r in
@@ -206,14 +216,16 @@ let w_placement b (p : Mapping.placement) =
   w_int b p.pe.Coord.col;
   w_int b p.time
 
-let r_placement ~(arch : Cgra.t) r : Mapping.placement =
+(* Bounds are checked on the raw ints, without a call into [Grid] or
+   [Coord] per placement and hop (see [Transform.visit]), and a PE off
+   the grid allocates nothing. *)
+let r_placement (grid : Grid.t) r : Mapping.placement =
   let row = r_int r in
   let col = r_int r in
   let time = r_int r in
-  let pe = Coord.make ~row ~col in
-  if not (Grid.in_bounds arch.grid pe) then
-    corrupt "PE (%d,%d) outside the %dx%d grid" row col arch.grid.rows arch.grid.cols;
-  { pe; time }
+  if row < 0 || row >= grid.rows || col < 0 || col >= grid.cols then
+    corrupt "PE (%d,%d) outside the %dx%d grid" row col grid.rows grid.cols;
+  { pe = { Coord.row; col }; time }
 
 let w_mapping b (m : Mapping.t) =
   w_int b m.Mapping.ii;
@@ -229,7 +241,36 @@ let w_mapping b (m : Mapping.t) =
       w_list b w_placement route.hops)
     m.Mapping.routes
 
-let r_mapping ~arch ~graph r : Mapping.t =
+(* The graph's own record for a routed edge, compared field by field:
+   [Error] when [src] has no such out-edge. *)
+let rec find_succ ~src ~dst ~operand ~distance = function
+  | [] -> corrupt "route for edge %d->%d absent from the graph" src dst
+  | (e : Graph.edge) :: rest ->
+      if e.src = src && e.dst = dst && e.operand = operand && e.distance = distance then e
+      else find_succ ~src ~dst ~operand ~distance rest
+
+let r_count r =
+  let n = r_int r in
+  if n < 0 then corrupt "negative list length %d" n;
+  n
+
+let rec r_hops grid r n acc =
+  if n = 0 then List.rev acc else r_hops grid r (n - 1) (r_placement grid r :: acc)
+
+let r_route ~graph ~n grid r : Mapping.route =
+  let src = r_int r in
+  let dst = r_int r in
+  let operand = r_int r in
+  let distance = r_int r in
+  if src < 0 || src >= n then corrupt "route for edge %d->%d absent from the graph" src dst;
+  let edge = find_succ ~src ~dst ~operand ~distance (Graph.succs graph src) in
+  { Mapping.edge; hops = r_hops grid r (r_count r) [] }
+
+let rec r_routes ~graph ~n grid r k acc =
+  if k = 0 then List.rev acc
+  else r_routes ~graph ~n grid r (k - 1) (r_route ~graph ~n grid r :: acc)
+
+let r_mapping ~(arch : Cgra.t) ~graph r : Mapping.t =
   let ii = r_int r in
   if ii < 1 then corrupt "ii %d < 1" ii;
   let paged = r_bool r in
@@ -237,28 +278,20 @@ let r_mapping ~arch ~graph r : Mapping.t =
   if n <> Graph.n_nodes graph then
     corrupt "placement count %d does not match the %d-node graph" n
       (Graph.n_nodes graph);
+  let grid = arch.grid in
   (* only a constant, folded into its consumers' immediates, may be
      unplaced *)
-  let placements =
-    Array.init n (fun v ->
-        let p = r_opt r (r_placement ~arch) in
-        (match (p, (Graph.node graph v).op) with
-        | Some _, _ | None, Op.Const _ -> ()
-        | None, _ -> corrupt "non-constant node %d unplaced" v);
-        p)
-  in
-  let routes =
-    r_list r (fun r ->
-        let src = r_int r in
-        let dst = r_int r in
-        let operand = r_int r in
-        let distance = r_int r in
-        let edge = { Graph.src; dst; operand; distance } in
-        if src < 0 || src >= n || not (List.mem edge (Graph.succs graph src)) then
-          corrupt "route for edge %d->%d absent from the graph" src dst;
-        let hops = r_list r (r_placement ~arch) in
-        { Mapping.edge; hops })
-  in
+  let placements = Array.make n None in
+  for v = 0 to n - 1 do
+    match r_int r with
+    | 1 -> placements.(v) <- Some (r_placement grid r)
+    | 0 -> (
+        match (Graph.node graph v).op with
+        | Op.Const _ -> ()
+        | _ -> corrupt "non-constant node %d unplaced" v)
+    | tag -> corrupt "bad option tag %d" tag
+  done;
+  let routes = r_routes ~graph ~n grid r (r_count r) [] in
   { Mapping.arch; graph; ii; placements; routes; paged }
 
 let mapping_bytes m =

@@ -30,14 +30,11 @@ val format_version : int
 
 (** {1 Canonical kernel identity} *)
 
-val graph_bytes : Cgra_dfg.Graph.t -> string
-(** Canonical encoding of a kernel DFG: name, per-node operations in id
-    order, and the edge list in definition order.  Two structurally
-    identical graphs encode identically; this is what {!graph_digest}
-    hashes, not any pretty-printed rendering. *)
-
 val graph_digest : Cgra_dfg.Graph.t -> string
-(** MD5 of {!graph_bytes}, in hex — the kernel component of persistent
+(** MD5, in hex, of the kernel DFG's canonical encoding: its name, the
+    per-node operations in id order, and the edge list in definition
+    order, so two structurally identical graphs digest identically
+    whatever any pretty-printer says.  The kernel component of persistent
     cache keys.  Computed once per graph value and remembered while the
     graph is alive; safe to call from any domain. *)
 

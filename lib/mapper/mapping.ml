@@ -30,17 +30,45 @@ let all_occupants t =
   in
   ops @ hops
 
-let pages_used t =
-  let module S = Set.Make (Int) in
-  List.fold_left
-    (fun acc (_, p) ->
-      match Page.page_of_pe t.arch.Cgra.pages p.pe with
-      | Some pg -> S.add pg acc
-      | None -> acc)
-    S.empty (all_occupants t)
-  |> S.elements
+(* Marks the page of an occupant on an in-bounds PE; remainder PEs and
+   PEs off the grid belong to no page. *)
+let mark_page (tb : Page.tables) grid used (p : placement) =
+  if Grid.in_bounds grid p.pe then begin
+    let pg = tb.page_of.(Grid.index grid p.pe) in
+    if pg >= 0 then used.(pg) <- true
+  end
 
-let n_pages_used t = List.length (pages_used t)
+let rec mark_hops tb grid used = function
+  | [] -> ()
+  | h :: rest ->
+      mark_page tb grid used h;
+      mark_hops tb grid used rest
+
+let rec mark_routes tb grid used = function
+  | [] -> ()
+  | r :: rest ->
+      mark_hops tb grid used r.hops;
+      mark_routes tb grid used rest
+
+(* One bool per fabric page: does an op or a routing hop sit on it. *)
+let page_marks t =
+  let pages = t.arch.Cgra.pages and grid = t.arch.Cgra.grid in
+  let tb = Page.tables pages in
+  let used = Array.make (Page.n_pages pages) false in
+  for v = 0 to Array.length t.placements - 1 do
+    match t.placements.(v) with Some p -> mark_page tb grid used p | None -> ()
+  done;
+  mark_routes tb grid used t.routes;
+  used
+
+let rec marked used pg acc =
+  if pg < 0 then acc else marked used (pg - 1) (if used.(pg) then pg :: acc else acc)
+
+let pages_used t =
+  let used = page_marks t in
+  marked used (Array.length used - 1) []
+
+let n_pages_used t = Array.fold_left (fun n u -> if u then n + 1 else n) 0 (page_marks t)
 
 let schedule_length t =
   1
@@ -59,18 +87,33 @@ let consumer_read_time t (e : Graph.edge) =
 
 let is_const t v = match (Graph.node t.graph v).op with Op.Const _ -> true | _ -> false
 
+let same_edge (a : Graph.edge) (b : Graph.edge) =
+  a.src = b.src && a.dst = b.dst && a.operand = b.operand && a.distance = b.distance
+
 (* Each edge's route, found through its consumer: a node has one
    incoming edge per operand, so a bucket holds a handful of routes.
    Buckets keep [t.routes]' order, so the first route listed for an edge
    is the one found. *)
-let route_index t =
+let route_buckets t =
   let by_dst = Array.make (Graph.n_nodes t.graph) [] in
   List.iter
     (fun r ->
       let d = r.edge.Graph.dst in
       if d >= 0 && d < Array.length by_dst then by_dst.(d) <- r :: by_dst.(d))
     (List.rev t.routes);
-  fun (e : Graph.edge) -> List.find_opt (fun r -> r.edge = e) by_dst.(e.dst)
+  by_dst
+
+let rec route_in (e : Graph.edge) = function
+  | [] -> None
+  | r :: rest -> if same_edge r.edge e then Some r else route_in e rest
+
+let rec hops_in (e : Graph.edge) = function
+  | [] -> []
+  | r :: rest -> if same_edge r.edge e then r.hops else hops_in e rest
+
+let route_index t =
+  let by_dst = route_buckets t in
+  fun (e : Graph.edge) -> route_in e by_dst.(e.dst)
 
 let hops_of route_for e = match route_for e with None -> [] | Some r -> r.hops
 
@@ -91,20 +134,25 @@ let cross_adjacent t a b =
   && (Page.is_rect t.arch.Cgra.pages
      || abs (Grid.serp_index t.arch.Cgra.grid a - Grid.serp_index t.arch.Cgra.grid b) = 1)
 
-let steps t =
-  let route_for = route_index t in
-  List.concat_map
+let rec chain f last prev = function
+  | [] -> f prev last
+  | h :: rest ->
+      f prev h;
+      chain f last h rest
+
+let iter_steps t f =
+  let by_dst = route_buckets t in
+  List.iter
     (fun (e : Graph.edge) ->
-      if is_const t e.src then []
-      else
+      if not (is_const t e.src) then
         let pu = placement_exn t e.src and pv = placement_exn t e.dst in
-        let hops = hops_of route_for e in
-        let rec chain prev acc = function
-          | [] -> List.rev ((prev, pv) :: acc)
-          | h :: rest -> chain h ((prev, h) :: acc) rest
-        in
-        chain pu [] hops)
+        chain f pv pu (hops_in e by_dst.(e.dst)))
     (Graph.edges t.graph)
+
+let steps t =
+  let acc = ref [] in
+  iter_steps t (fun a b -> acc := (a, b) :: !acc);
+  List.rev !acc
 
 type value_key =
   | Produced of int

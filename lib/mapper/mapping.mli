@@ -76,6 +76,10 @@ val steps : t -> (placement * placement) list
     orientations so each step's PEs stay within register-file reach after
     the transformation. *)
 
+val iter_steps : t -> (placement -> placement -> unit) -> unit
+(** [iter_steps t f] calls [f a b] on every step of {!steps}, in the
+    same order, without building the list. *)
+
 type value_key =
   | Produced of int  (** a node's result, by node id *)
   | Relayed of Cgra_dfg.Graph.edge * int  (** a routing hop's copy *)

@@ -16,12 +16,9 @@ val text : Analyze.report -> string
     row-bus contention, stall attribution (with a TOTAL row), reshape
     accounting, per-thread latency quantiles, and trailing counters. *)
 
-val bus_pressure_json : Analyze.bus_pressure -> Cgra_trace.Json.value
-(** Stable (sorted-key) JSON object for one mapping's exact per-(row,
-    slot) port-demand table. *)
-
 val bus_pressure_json_string : Analyze.bus_pressure -> string
-(** [Json.to_string (bus_pressure_json b)] plus a trailing newline. *)
+(** Stable (sorted-key) JSON object for one mapping's exact per-(row,
+    slot) port-demand table, plus a trailing newline. *)
 
 val bus_pressure_text : Analyze.bus_pressure -> string
 (** One aligned table: a row per row bus, a column per modulo slot,

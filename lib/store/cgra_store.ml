@@ -68,10 +68,38 @@ let rel_path_of_hash hash = Filename.concat (String.sub hash 0 2) (hash ^ extens
 (* One artifact's identity and address, derived once per load or save. *)
 type key = { arch_fp : string; kernel_digest : string; seed : int; rel_path : string }
 
+(* The relative path of each (fingerprint, digest, seed) this domain has
+   derived, so a repeated load skips the concat, the MD5 and the hex
+   encoding.  Keyed on content, since callers build equal archs afresh;
+   it holds addresses only, never artifact bytes.  One table per domain
+   needs no lock, and a table that reaches [paths_cap] entries is
+   emptied. *)
+module Paths = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.seed = b.seed && String.equal a.kernel_digest b.kernel_digest
+    && String.equal a.arch_fp b.arch_fp
+
+  let hash k = Hashtbl.hash k.kernel_digest + (31 * Hashtbl.hash k.arch_fp) + (961 * k.seed)
+end)
+
+let paths_cap = 4096
+
+let paths = Domain.DLS.new_key (fun () -> Paths.create 64)
+
 let key_of ~seed arch (k : Cgra_kernels.Kernels.t) =
   let arch_fp = Binary.fingerprint arch and kernel_digest = Codec.graph_digest k.graph in
-  let hash = key_hash ~version:Codec.format_version ~arch_fp ~kernel_digest ~seed in
-  { arch_fp; kernel_digest; seed; rel_path = rel_path_of_hash hash }
+  let probe = { arch_fp; kernel_digest; seed; rel_path = "" } in
+  let memo = Domain.DLS.get paths in
+  match Paths.find_opt memo probe with
+  | Some rel_path -> { probe with rel_path }
+  | None ->
+      let hash = key_hash ~version:Codec.format_version ~arch_fp ~kernel_digest ~seed in
+      let rel_path = rel_path_of_hash hash in
+      if Paths.length memo >= paths_cap then Paths.reset memo;
+      Paths.replace memo probe rel_path;
+      { probe with rel_path }
 
 let path_for t ~seed arch k = Filename.concat t.root (key_of ~seed arch k).rel_path
 
@@ -100,7 +128,7 @@ type header = {
    and the payload digest.  Key/version judgement is left to callers
    ([load] compares against its expectation, [scan] classifies). *)
 let parse_artifact content =
-  if String.length content < 4 || String.sub content 0 4 <> magic then
+  if not (String.starts_with ~prefix:magic content) then
     Error "bad magic"
   else
     match
@@ -118,16 +146,39 @@ let parse_artifact content =
     | r -> r
     | exception Wire.Corrupt e -> Error e
 
+(* What reading an artifact's path found. *)
+type read = Contents of string | Not_regular | Unreadable
+
+(* [n] bytes from [fd], or [None] when the file ends first or a read
+   fails. *)
+let read_exactly fd n =
+  let buf = Bytes.create n in
+  let rec go off =
+    if off = n then Some (Bytes.unsafe_to_string buf)
+    else
+      match Unix.read fd buf off (n - off) with
+      | 0 -> None
+      | got -> go (off + got)
+      | exception Unix.Unix_error _ -> None
+  in
+  go 0
+
+(* One open, one [fstat] and one read sized by it.  The open does not
+   block, so a FIFO at an artifact's path is refused at once instead of
+   waiting for a writer; only a regular file is read. *)
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> Some s
-          | exception (Sys_error _ | End_of_file) -> None)
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> Unreadable
+  | fd ->
+      let r =
+        match Unix.fstat fd with
+        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> (
+            match read_exactly fd st_size with Some s -> Contents s | None -> Unreadable)
+        | _ -> Not_regular
+        | exception Unix.Unix_error _ -> Unreadable
+      in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      r
 
 (* ----- load / save ----- *)
 
@@ -155,10 +206,10 @@ let decode ~seed arch k content = decode_keyed (key_of ~seed arch k) arch k cont
 let load t ~seed arch (k : Cgra_kernels.Kernels.t) =
   let key = key_of ~seed arch k in
   match read_file (Filename.concat t.root key.rel_path) with
-  | None ->
+  | Unreadable | Not_regular ->
       Atomic.incr t.load_misses;
       None
-  | Some content -> (
+  | Contents content -> (
       match decode_keyed key arch k content with
       | Ok b ->
           Atomic.incr t.load_hits;
@@ -233,8 +284,9 @@ let artifact_files t =
 
 let status_of t rel =
   match read_file (Filename.concat t.root rel) with
-  | None -> Corrupt "unreadable"
-  | Some content -> (
+  | Unreadable -> Corrupt "unreadable"
+  | Not_regular -> Corrupt "not a regular file"
+  | Contents content -> (
       match parse_artifact content with
       | Error e -> Corrupt e
       | Ok h ->

@@ -38,15 +38,23 @@ val path_for :
 val load :
   t -> seed:int -> Cgra_arch.Cgra.t -> Cgra_kernels.Kernels.t ->
   Cgra_core.Binary.t option
-(** [None] when the artifact is absent — or present but fails any of:
-    magic/version word, key match (arch fingerprint, kernel digest,
-    seed), payload digest, payload decode, or kernel-name match.
-    Rejections bump {!counters}[.rejects] and are indistinguishable
-    from misses to the caller, which recompiles.  Every load reads the
-    file and runs every check; only the key is derived once per load
-    and serves both the path and the header comparison (the graph
-    digest inside it is computed once per graph,
-    {!Cgra_isa.Codec.graph_digest}). *)
+(** [None] when the artifact is absent or is not a regular file — or
+    is present but fails any of: magic/version word, key match (arch
+    fingerprint, kernel digest, seed), payload digest, payload decode,
+    or kernel-name match.  Rejections bump {!counters}[.rejects] and are
+    indistinguishable from misses to the caller, which recompiles.
+
+    Every load opens, reads and checks the file: it opens without
+    blocking, [fstat]s the descriptor, refuses anything but a regular
+    file (a FIFO, a directory, a device: a miss), and reads the file in
+    one read sized by the [fstat].  Nothing caches artifact contents or
+    decoded binaries.  Only the key is derived once per load and serves
+    both the path and the header comparison: the graph digest inside it
+    is computed once per graph ({!Cgra_isa.Codec.graph_digest}), and
+    each domain remembers the relative path of each (arch fingerprint,
+    graph digest, seed) it has derived, up to a few thousand of them.
+    That memo holds addresses, never artifact contents, and is keyed on
+    content, so an equal arch built afresh finds its entry. *)
 
 val decode :
   seed:int -> Cgra_arch.Cgra.t -> Cgra_kernels.Kernels.t -> string ->
@@ -91,7 +99,10 @@ type artifact_status =
 val scan : t -> (string * artifact_status) list
 (** Audit every [*.cgrabin] under the store root: re-check magic,
     version, payload digest, and that the file sits at the path its key
-    hashes to.  Paths are relative to {!dir}, sorted. *)
+    hashes to.  A path that is not a regular file is
+    [Corrupt "not a regular file"], and one that cannot be read
+    [Corrupt "unreadable"]; neither blocks.  Paths are relative to
+    {!dir}, sorted. *)
 
 type stats = {
   artifacts : int;

@@ -14,11 +14,10 @@
       queue-depth totals become counter tracks.  Timestamps are CGRA
       cycles (displayed as microseconds — the unit label is cosmetic). *)
 
-val event_json : Trace.event -> Json.value
-(** Flat object: [{"seq":…,"t":…,"kind":…, …payload fields}]. *)
-
 val jsonl : Trace.event list -> string
-(** One {!event_json} per line, trailing newline included. *)
+(** One flat JSON object per event and line
+    ([{"seq":…,"t":…,"kind":…, …payload fields}]), trailing newline
+    included. *)
 
 val chrome : ?process_name:string -> Trace.event list -> string
 (** A complete [{"traceEvents": […], …}] document.  Every entry carries
@@ -27,14 +26,10 @@ val chrome : ?process_name:string -> Trace.event list -> string
 val kinds : Trace.event list -> string list
 (** Distinct {!Trace.kind_name}s present, sorted. *)
 
-val event_of_json : Json.value -> (Trace.event, string) result
-(** Total inverse of {!event_json}: rebuild a typed event from one JSONL
-    object.  Unknown kinds, missing fields, and wrong field types are
-    [Error]s, never exceptions. *)
-
 val of_jsonl : string -> (Trace.event list, string) result
 (** Parse a whole JSONL document (as produced by {!jsonl}) back into
     events, skipping blank lines.  [Export.of_jsonl (Export.jsonl es)]
-    returns [Ok es] for any event list.  Errors carry the 1-based line
-    number.  This is what lets [cgra_tool profile] analyze archived
+    returns [Ok es] for any event list.  Unknown kinds, missing fields,
+    and wrong field types are [Error]s carrying the 1-based line number,
+    never exceptions.  This is what lets [cgra_tool profile] analyze archived
     traces post-hoc. *)

@@ -70,6 +70,50 @@ let test_fingerprint_is_canonical () =
     "distinct archs, distinct keys" true
     (Cgra.fingerprint (arch 4 4) <> Cgra.fingerprint (arch 8 4))
 
+(* Each domain remembers recent fingerprints, found by content.  Archs
+   that differ in one encoded field each, asked in turn over more rounds
+   than the memo holds, each with an equal arch built afresh, must get
+   the fingerprint written out here. *)
+let test_fingerprint_memo () =
+  let expect ~rows ~cols ~pages ~rf ~ports =
+    Printf.sprintf "cgra-v1;grid=%d,%d;pages=%s;rf=%d;memports=%d" rows cols pages rf ports
+  in
+  let cases =
+    List.concat_map
+      (fun rf ->
+        List.concat_map
+          (fun ports ->
+            [
+              ( (fun () ->
+                  Cgra.make ~rf_capacity:rf ~mem_ports_per_row:ports
+                    (Page.rect (Grid.square 4) ~tile_rows:2 ~tile_cols:2)),
+                expect ~rows:4 ~cols:4 ~pages:"rect:2,2" ~rf ~ports );
+              ( (fun () ->
+                  Cgra.make ~rf_capacity:rf ~mem_ports_per_row:ports
+                    (Page.rect (Grid.square 4) ~tile_rows:1 ~tile_cols:2)),
+                expect ~rows:4 ~cols:4 ~pages:"rect:1,2" ~rf ~ports );
+              ( (fun () ->
+                  Cgra.make ~rf_capacity:rf ~mem_ports_per_row:ports
+                    (Page.rect (Grid.make ~rows:4 ~cols:8) ~tile_rows:2 ~tile_cols:2)),
+                expect ~rows:4 ~cols:8 ~pages:"rect:2,2" ~rf ~ports );
+              ( (fun () ->
+                  Cgra.make ~rf_capacity:rf ~mem_ports_per_row:ports
+                    (Page.band (Grid.square 4) ~size:4)),
+                expect ~rows:4 ~cols:4 ~pages:"band:4" ~rf ~ports );
+              ( (fun () ->
+                  Cgra.make ~rf_capacity:rf ~mem_ports_per_row:ports
+                    (Page.band (Grid.square 4) ~size:2)),
+                expect ~rows:4 ~cols:4 ~pages:"band:2" ~rf ~ports );
+            ])
+          [ 1; 2 ])
+      [ 16; 17; 24 ]
+  in
+  for _ = 1 to 3 do
+    List.iter
+      (fun (make, want) -> Alcotest.(check string) want want (Cgra.fingerprint (make ())))
+      cases
+  done
+
 let test_graph_digest () =
   let k name = (Cgra_kernels.Kernels.find_exn name).graph in
   Alcotest.(check string)
@@ -103,6 +147,40 @@ let test_artifact_path_golden () =
           ((4, 2, "histeq", 0), "af/af083234c171bb834bb62c69057f92f2.cgrabin");
           ((6, 4, "wavelet", -3), "c8/c85cd3fc65bc98b8f2beffb304344579.cgrabin");
         ])
+
+(* The path of a key, derived from scratch as the store did before it
+   remembered paths: MD5 of the version, fingerprint, digest and seed. *)
+let reference_rel_path ~seed a (k : Cgra_kernels.Kernels.t) =
+  let hash =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "|"
+            [
+              string_of_int Codec.format_version;
+              Cgra.fingerprint a;
+              Codec.graph_digest k.graph;
+              string_of_int seed;
+            ]))
+  in
+  Filename.concat (String.sub hash 0 2) (hash ^ ".cgrabin")
+
+(* Each domain remembers a bounded number of derived paths.  Over more
+   keys than it holds, asked twice, with an equal arch built afresh each
+   time, every path is the one derived from scratch. *)
+let test_path_memo () =
+  let store = Cgra_store.open_ (fresh_dir ()) in
+  Fun.protect
+    ~finally:(fun () -> rm_rf (Cgra_store.dir store))
+    (fun () ->
+      let k = Cgra_kernels.Kernels.find_exn "sor" in
+      for _ = 1 to 2 do
+        for seed = -10 to 5_000 do
+          let a = arch 6 4 in
+          let want = Filename.concat (Cgra_store.dir store) (reference_rel_path ~seed a k) in
+          let got = Cgra_store.path_for store ~seed a k in
+          if got <> want then Alcotest.failf "seed %d: %s, want %s" seed got want
+        done
+      done)
 
 (* ----- serialization round-trips ----- *)
 
@@ -459,6 +537,370 @@ let test_key_separation () =
         "own key hits" true
         (Cgra_store.load store ~seed:0 a4 k <> None))
 
+(* ----- a FIFO at an artifact's path ----- *)
+
+(* Opening a FIFO for reading waits for a writer.  A load must refuse it
+   at once, as a miss, and the audit must call it corrupt.  Each call
+   runs under an alarm: a call that blocks is cut off after two seconds
+   and fails the case instead of hanging the suite. *)
+let test_fifo_artifact () =
+  with_store (fun store ->
+      let a = arch 4 4 in
+      let k = Cgra_kernels.Kernels.find_exn "mpeg" in
+      let path = Cgra_store.path_for store ~seed:0 a k in
+      let dir = Cgra_store.dir store in
+      let rel = String.sub path (String.length dir + 1) (String.length path - String.length dir - 1) in
+      Unix.mkdir (Filename.dirname path) 0o755;
+      Unix.mkfifo path 0o644;
+      let fired = ref false in
+      let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> fired := true)) in
+      let bounded what f =
+        ignore (Unix.alarm 2);
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        let waited = Unix.gettimeofday () -. t0 in
+        ignore (Unix.alarm 0);
+        if !fired || waited > 1.0 then Alcotest.failf "%s blocked on the FIFO (%.1f s)" what waited;
+        r
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Unix.alarm 0);
+          Sys.set_signal Sys.sigalrm previous)
+        (fun () ->
+          Alcotest.(check bool) "load misses" true
+            (bounded "load" (fun () -> Cgra_store.load store ~seed:0 a k) = None);
+          let c = Cgra_store.counters store in
+          Alcotest.(check int) "counted as a miss" 1 c.Cgra_store.load_misses;
+          Alcotest.(check int) "not as a reject" 0 c.Cgra_store.rejects;
+          Alcotest.(check bool) "scan calls it corrupt" true
+            (bounded "scan" (fun () -> Cgra_store.scan store)
+            = [ (rel, Cgra_store.Corrupt "not a regular file") ]);
+          Alcotest.(check int) "stats count it corrupt" 1
+            (bounded "stats" (fun () -> Cgra_store.stats store)).Cgra_store.corrupt;
+          (* a compile through the store falls back to the scheduler and
+             publishes over the FIFO, which then loads *)
+          Cgra_store.install store;
+          Binary.clear_cache ();
+          Binary.reset_stats ();
+          ignore (bounded "compile" (fun () -> compile_ok a k));
+          Alcotest.(check int) "recompiled" 1 (Binary.stats ()).Binary.compiles;
+          Alcotest.(check bool) "published artifact loads" true
+            (bounded "reload" (fun () -> Cgra_store.load store ~seed:0 a k) <> None);
+          Unix.unlink path;
+          Unix.mkfifo path 0o644;
+          Alcotest.(check bool) "gc removes the FIFO" true
+            (bounded "gc" (fun () -> Cgra_store.gc store) = (1, 0));
+          Alcotest.(check bool) "gone" false (Sys.file_exists path)))
+
+(* ----- the decoder's differential oracle ----- *)
+
+(* The artifact decoder as it was before the launch path was rewritten:
+   [parse_artifact], [decode_keyed] and the codec's [r_mapping], copied
+   verbatim with the primitive readers they call, so the reference shares
+   no decoding code with the store.  [decode_keyed]'s one call into the
+   codec goes to the copy of [binary_of_payload] here. *)
+module Reference = struct
+  open Cgra_dfg
+  open Cgra_mapper
+
+  exception Corrupt of string
+
+  type reader = { data : string; mutable pos : int }
+
+  let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+
+  let r_int r =
+    let v = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      if r.pos >= String.length r.data then corrupt "truncated varint";
+      if !shift > 62 then corrupt "varint overflow";
+      let byte = Char.code r.data.[r.pos] in
+      r.pos <- r.pos + 1;
+      v := !v lor ((byte land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := byte land 0x80 <> 0
+    done;
+    (!v lsr 1) lxor (- (!v land 1))
+
+  let r_str r =
+    let n = r_int r in
+    (* compared without adding, so a huge length cannot wrap past the check *)
+    if n < 0 || n > String.length r.data - r.pos then corrupt "truncated string";
+    let s = String.sub r.data r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  let r_bool r = match r_int r with 0 -> false | 1 -> true | n -> corrupt "bad bool %d" n
+
+  let r_list r f =
+    let n = r_int r in
+    if n < 0 then corrupt "negative list length %d" n;
+    List.init n (fun _ -> f r)
+
+  let r_opt r f = match r_int r with 0 -> None | 1 -> Some (f r) | n -> corrupt "bad option tag %d" n
+
+  let finish r v =
+    if r.pos <> String.length r.data then corrupt "trailing garbage (%d of %d bytes read)" r.pos (String.length r.data);
+    v
+
+  let decoding what f s =
+    match f { data = s; pos = 0 } with
+    | v -> Ok v
+    | exception Corrupt e -> Error (Printf.sprintf "%s: %s" what e)
+
+  module Wire = struct
+    let reader ?(pos = 0) data = { data; pos }
+
+    let r_int = r_int
+
+    let r_str = r_str
+
+    exception Corrupt = Corrupt
+
+    let at_end r = r.pos = String.length r.data
+  end
+
+  let r_placement ~(arch : Cgra.t) r : Mapping.placement =
+    let row = r_int r in
+    let col = r_int r in
+    let time = r_int r in
+    let pe = Coord.make ~row ~col in
+    if not (Grid.in_bounds arch.grid pe) then
+      corrupt "PE (%d,%d) outside the %dx%d grid" row col arch.grid.rows arch.grid.cols;
+    { pe; time }
+
+  let r_mapping ~arch ~graph r : Mapping.t =
+    let ii = r_int r in
+    if ii < 1 then corrupt "ii %d < 1" ii;
+    let paged = r_bool r in
+    let n = r_int r in
+    if n <> Graph.n_nodes graph then
+      corrupt "placement count %d does not match the %d-node graph" n
+        (Graph.n_nodes graph);
+    (* only a constant, folded into its consumers' immediates, may be
+       unplaced *)
+    let placements =
+      Array.init n (fun v ->
+          let p = r_opt r (r_placement ~arch) in
+          (match (p, (Graph.node graph v).op) with
+          | Some _, _ | None, Op.Const _ -> ()
+          | None, _ -> corrupt "non-constant node %d unplaced" v);
+          p)
+    in
+    let routes =
+      r_list r (fun r ->
+          let src = r_int r in
+          let dst = r_int r in
+          let operand = r_int r in
+          let distance = r_int r in
+          let edge = { Graph.src; dst; operand; distance } in
+          if src < 0 || src >= n || not (List.mem edge (Graph.succs graph src)) then
+            corrupt "route for edge %d->%d absent from the graph" src dst;
+          let hops = r_list r (r_placement ~arch) in
+          { Mapping.edge; hops })
+    in
+    { Mapping.arch; graph; ii; placements; routes; paged }
+
+  let binary_of_payload ~arch ~graph s =
+    decoding "binary" (fun r ->
+        let name = r_str r in
+        let base = r_mapping ~arch ~graph r in
+        let paged = r_mapping ~arch ~graph r in
+        finish r (name, base, paged))
+      s
+
+  let magic = "CGRB"
+
+  type key = { arch_fp : string; kernel_digest : string; seed : int; rel_path : string }
+
+  type header = {
+    version : int;
+    arch_fp : string;
+    kernel_digest : string;
+    seed : int;
+    payload : string;
+  }
+
+  (* Parse and integrity-check one artifact file's bytes: magic, framing,
+     and the payload digest.  Key/version judgement is left to callers
+     ([load] compares against its expectation, [scan] classifies). *)
+  let parse_artifact content =
+    if String.length content < 4 || String.sub content 0 4 <> magic then
+      Error "bad magic"
+    else
+      match
+        let r = Wire.reader ~pos:4 content in
+        let version = Wire.r_int r in
+        let arch_fp = Wire.r_str r in
+        let kernel_digest = Wire.r_str r in
+        let seed = Wire.r_int r in
+        let payload = Wire.r_str r in
+        let digest = Wire.r_str r in
+        if not (Wire.at_end r) then Error "trailing garbage"
+        else if Digest.string payload <> digest then Error "payload digest mismatch"
+        else Ok { version; arch_fp; kernel_digest; seed; payload }
+      with
+      | r -> r
+      | exception Wire.Corrupt e -> Error e
+
+  let decode_keyed (key : key) arch (k : Cgra_kernels.Kernels.t) content =
+    match parse_artifact content with
+    | Error _ as e -> e
+    | Ok h ->
+        if h.version <> Codec.format_version then
+          Error (Printf.sprintf "format version %d (want %d)" h.version
+                   Codec.format_version)
+        else if h.arch_fp <> key.arch_fp then Error "arch fingerprint mismatch"
+        else if h.kernel_digest <> key.kernel_digest then
+          Error "kernel digest mismatch"
+        else if h.seed <> key.seed then Error "seed mismatch"
+        else (
+          match binary_of_payload ~arch ~graph:k.graph h.payload with
+          | Error _ as e -> e
+          | Ok (name, _, _) when name <> k.name ->
+              Error (Printf.sprintf "artifact names kernel %s, not %s" name k.name)
+          | Ok (name, base, paged) ->
+              Ok { Binary.name; graph = k.graph; base; paged })
+
+  let decode ~seed arch (k : Cgra_kernels.Kernels.t) content =
+    let key =
+      {
+        arch_fp = Cgra.fingerprint arch;
+        kernel_digest = Codec.graph_digest k.graph;
+        seed;
+        rel_path = "";
+      }
+    in
+    decode_keyed key arch k content
+end
+
+(* Every (fabric, page size) of the Fig. 8 grid, as archs. *)
+let grid_archs =
+  List.concat_map
+    (fun size ->
+      List.filter_map
+        (fun page_pes -> Cgra.standard ~size ~page_pes)
+        Experiments.page_sizes)
+    Experiments.cgra_sizes
+
+(* Each artifact of [archs] x the suite x [seeds], as the store writes
+   it, then single-byte mutations at every offset and truncations at
+   every length.  A mutation or truncation inside the payload is re-framed
+   with the payload's MD5 recomputed, so the payload decoder runs instead
+   of the digest check alone; outside it, the raw bytes are decoded.  The
+   store's decoder must give the reference's verdict on every input: [Ok]
+   with byte-equal mappings, or the same [Error] text.  Returns the
+   number of inputs, of [Ok]s, and of [Error]s raised inside the payload
+   decoder. *)
+let decoder_oracle ~archs ~seeds =
+  let inputs = ref 0 and oks = ref 0 and in_payload = ref 0 in
+  let rng = Cgra_util.Rng.create ~seed:17 in
+  with_store (fun store ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (a : Cgra.t) ->
+              List.iter
+                (fun (k : Cgra_kernels.Kernels.t) ->
+                  let b =
+                    match Binary.compile ~seed a k with
+                    | Ok b -> b
+                    | Error e -> Alcotest.failf "compile %s: %s" k.name e
+                  in
+                  Cgra_store.save store ~seed a k b;
+                  let content =
+                    let ic = open_in_bin (Cgra_store.path_for store ~seed a k) in
+                    Fun.protect
+                      ~finally:(fun () -> close_in ic)
+                      (fun () -> really_input_string ic (in_channel_length ic))
+                  in
+                  (* the header before the payload, and the payload: the
+                     artifact must be exactly [frame payload] *)
+                  let payload =
+                    Codec.binary_payload ~name:b.Binary.name ~base:b.Binary.base
+                      ~paged:b.Binary.paged
+                  in
+                  let prefix =
+                    let b = Buffer.create 128 in
+                    Buffer.add_string b "CGRB";
+                    Codec.Wire.w_int b Codec.format_version;
+                    Codec.Wire.w_str b (Cgra.fingerprint a);
+                    Codec.Wire.w_str b (Codec.graph_digest k.graph);
+                    Codec.Wire.w_int b seed;
+                    Buffer.contents b
+                  in
+                  let frame payload =
+                    let b = Buffer.create (String.length content + 16) in
+                    Buffer.add_string b prefix;
+                    Codec.Wire.w_str b payload;
+                    Codec.Wire.w_str b (Digest.string payload);
+                    Buffer.contents b
+                  in
+                  if frame payload <> content then
+                    Alcotest.failf "%s: the store frames artifacts differently" k.name;
+                  (* where the payload's bytes sit in [content] *)
+                  let start =
+                    let b = Buffer.create 16 in
+                    Codec.Wire.w_int b (String.length payload);
+                    String.length prefix + Buffer.length b
+                  in
+                  let stop = start + String.length payload in
+                  let what = Printf.sprintf "%s on %s, seed %d" k.name (Cgra.fingerprint a) seed in
+                  let check input =
+                    incr inputs;
+                    let got = Cgra_store.decode ~seed a k input
+                    and want = Reference.decode ~seed a k input in
+                    match (got, want) with
+                    | Ok g, Ok w ->
+                        incr oks;
+                        if
+                          not
+                            (g.Binary.name = w.Binary.name
+                            && Codec.mapping_bytes g.Binary.base = Codec.mapping_bytes w.Binary.base
+                            && Codec.mapping_bytes g.Binary.paged
+                               = Codec.mapping_bytes w.Binary.paged)
+                        then Alcotest.failf "%s: decoded mappings differ" what
+                    | Error g, Error w ->
+                        if g <> w then Alcotest.failf "%s: error %S, reference %S" what g w;
+                        if String.starts_with ~prefix:"binary: " g then incr in_payload
+                    | Ok _, Error w -> Alcotest.failf "%s: only the reference fails: %s" what w
+                    | Error g, Ok _ -> Alcotest.failf "%s: only the store fails: %s" what g
+                  in
+                  check content;
+                  let mutate s i =
+                    let b = Bytes.of_string s in
+                    let x = 1 + Cgra_util.Rng.int rng 255 in
+                    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+                    Bytes.to_string b
+                  in
+                  for i = 0 to String.length content - 1 do
+                    if i >= start && i < stop then begin
+                      check (frame (mutate payload (i - start)));
+                      check (frame (String.sub payload 0 (i - start)))
+                    end
+                    else check (mutate content i);
+                    check (String.sub content 0 i)
+                  done)
+                Cgra_kernels.Kernels.all)
+            archs)
+        seeds);
+  (!inputs, !oks, !in_payload)
+
+let test_decoder_oracle_smoke () =
+  let inputs, oks, in_payload = decoder_oracle ~archs:[ arch 4 4 ] ~seeds:[ 0 ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d inputs: %d decode, %d fail in the payload decoder" inputs oks in_payload)
+    true
+    (oks > 11 && in_payload > 0)
+
+let test_decoder_oracle_grid () =
+  let inputs, oks, in_payload = decoder_oracle ~archs:grid_archs ~seeds:[ 0; 1 ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d inputs: %d decode, %d fail in the payload decoder" inputs oks in_payload)
+    true
+    (oks > 176 && in_payload > 0)
+
 (* ----- compile_suite short-circuits on the first failure ----- *)
 
 let test_suite_short_circuit () =
@@ -495,8 +937,10 @@ let () =
           Alcotest.test_case "golden fingerprints" `Quick test_fingerprint_golden;
           Alcotest.test_case "canonical, not pretty-printed" `Quick
             test_fingerprint_is_canonical;
+          Alcotest.test_case "remembered fingerprints" `Quick test_fingerprint_memo;
           Alcotest.test_case "graph digest" `Quick test_graph_digest;
           Alcotest.test_case "golden artifact paths" `Quick test_artifact_path_golden;
+          Alcotest.test_case "remembered paths are the derived ones" `Quick test_path_memo;
         ] );
       ( "roundtrip",
         [
@@ -523,6 +967,14 @@ let () =
           Alcotest.test_case "hostile codec bytes" `Quick test_hostile_codec_bytes;
           Alcotest.test_case "crafted placements, valid digest" `Quick
             test_crafted_placements;
+          Alcotest.test_case "FIFO at an artifact's path" `Quick test_fifo_artifact;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "decoder matches the reference, smoke slice" `Quick
+            test_decoder_oracle_smoke;
+          Alcotest.test_case "decoder matches the reference, Fig. 8 grid" `Quick
+            test_decoder_oracle_grid;
         ] );
       ( "audit",
         [

@@ -514,6 +514,82 @@ let test_fold_matches_reference () =
     [ 0; 1 ];
   Alcotest.(check int) "folds compared" 40_590 !folds
 
+(* [Mapping.pages_used] and [n_pages_used] as they were before they
+   marked a bool per page, copied verbatim: every occupant listed, then
+   their pages collected in an [Int] set. *)
+module Reference_pages = struct
+  open Mapping
+
+  let all_occupants t =
+    let ops =
+      Array.to_list t.placements
+      |> List.mapi (fun v p -> Option.map (fun p -> (`Op v, p)) p)
+      |> List.filter_map Fun.id
+    in
+    let hops =
+      List.concat_map (fun r -> List.map (fun h -> (`Hop r.edge, h)) r.hops) t.routes
+    in
+    ops @ hops
+
+  let pages_used t =
+    let module S = Set.Make (Int) in
+    List.fold_left
+      (fun acc (_, p) ->
+        match Page.page_of_pe t.arch.Cgra.pages p.pe with
+        | Some pg -> S.add pg acc
+        | None -> acc)
+      S.empty (all_occupants t)
+    |> S.elements
+
+  let n_pages_used t = List.length (pages_used t)
+end
+
+(* Both mappings of every (fabric, kernel) pair of the Fig. 8 grid at
+   seeds 0 and 1, and every fold of each paged one to every target page
+   count at every base page: the page list and count the reference gives. *)
+let test_pages_used_matches_reference () =
+  let mappings = ref 0 in
+  let check what (m : Mapping.t) =
+    incr mappings;
+    if Mapping.pages_used m <> Reference_pages.pages_used m then
+      Alcotest.failf "%s: pages used differ" what;
+    if Mapping.n_pages_used m <> Reference_pages.n_pages_used m then
+      Alcotest.failf "%s: page counts differ" what
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun size ->
+          List.iter
+            (fun page_pes ->
+              match Cgra.standard ~size ~page_pes with
+              | None -> ()
+              | Some a ->
+                  let n_pages = Cgra.n_pages a in
+                  List.iter
+                    (fun (k : Cgra_kernels.Kernels.t) ->
+                      let b =
+                        match Binary.compile ~seed a k with
+                        | Ok b -> b
+                        | Error e -> Alcotest.failf "compile %s: %s" k.name e
+                      in
+                      let what = Printf.sprintf "%s %dx%d/p%d seed %d" k.name size size page_pes seed in
+                      check (what ^ " base") b.base;
+                      check (what ^ " paged") b.paged;
+                      for target = 1 to n_pages do
+                        for base = 0 to n_pages - 1 do
+                          match Transform.fold ~base_page:base ~target_pages:target b.paged with
+                          | Ok sh ->
+                              check (Printf.sprintf "%s, %d pages at %d" what target base) sh.mapping
+                          | Error _ -> ()
+                        done
+                      done)
+                    Cgra_kernels.Kernels.all)
+            Experiments.page_sizes)
+        Experiments.cgra_sizes)
+    [ 0; 1 ];
+  Alcotest.(check bool) (Printf.sprintf "%d mappings compared" !mappings) true (!mappings > 176 * 2)
+
 (* ---------- total on hostile mappings ---------- *)
 
 (* A band fabric leaves PEs outside every page (6x6 with 8-PE pages: 4
@@ -625,6 +701,8 @@ let () =
           Alcotest.test_case "orientations length" `Quick test_orientations_length;
           Alcotest.test_case "matches the reference fold on the Fig. 8 grid" `Slow
             test_fold_matches_reference;
+          Alcotest.test_case "pages used match the reference on the Fig. 8 grid" `Slow
+            test_pages_used_matches_reference;
           Alcotest.test_case "bad occupants are errors" `Quick
             test_fold_rejects_bad_occupants;
         ] );
