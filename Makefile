@@ -28,8 +28,8 @@ ci: all fmt test smoke
 # row states its own gate ("better", "kind", "bound").  BENCH_micro
 # rows carry a per-row "domains" field: the sequential rows are
 # single-domain per-call latencies, and the "(paged, -j 4)" rows time the
-# same compiles with the scheduler ladder raced across a 4-domain pool
-# (clamped to physical cores).  BENCH_fig9 uses every core, so compare
+# same compiles with each II level of the scheduler ladder raced across a
+# 4-domain pool (clamped to physical cores).  BENCH_fig9 uses every core, so compare
 # wall-clock only across hosts with the same CGRA_DOMAINS.
 bench-json:
 	dune build bench/main.exe

@@ -63,17 +63,12 @@ let build_fingerprint t =
   int t.mem_ports_per_row;
   Buffer.contents b
 
-(* Same fingerprint: every field it encodes is equal. *)
+(* Same fingerprint: every field it encodes is equal ([grid] is the
+   pages' grid). *)
 let same_identity a b =
-  a.grid.Grid.rows = b.grid.Grid.rows
-  && a.grid.Grid.cols = b.grid.Grid.cols
-  && a.rf_capacity = b.rf_capacity
+  a.rf_capacity = b.rf_capacity
   && a.mem_ports_per_row = b.mem_ports_per_row
-  &&
-  match (a.pages.Page.shape, b.pages.Page.shape) with
-  | Page.Rect x, Page.Rect y -> x.tile_rows = y.tile_rows && x.tile_cols = y.tile_cols
-  | Page.Band x, Page.Band y -> x.size = y.size
-  | (Page.Rect _ | Page.Band _), _ -> false
+  && Page.same a.pages b.pages
 
 (* A warm launch asks for the fingerprint twice (the compile memo's key,
    then the store's), each time of an arch its caller may have just

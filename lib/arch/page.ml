@@ -214,20 +214,31 @@ let build_tables t =
   in
   { page_size = size; page_of; local_of; pe_at; coord; orients; act }
 
-(* Keyed by value: callers rebuild equal [t]s freely (one per
-   [Cgra.standard] call), and a layout is only a grid and a shape. *)
-let tables_memo : (t, tables) Hashtbl.t = Hashtbl.create 16
+let same a b =
+  a.grid.Grid.rows = b.grid.Grid.rows
+  && a.grid.Grid.cols = b.grid.Grid.cols
+  &&
+  match (a.shape, b.shape) with
+  | Rect x, Rect y -> x.tile_rows = y.tile_rows && x.tile_cols = y.tile_cols
+  | Band x, Band y -> x.size = y.size
+  | (Rect _ | Band _), _ -> false
 
-let tables_lock = Mutex.create ()
+(* Found by value: callers rebuild equal [t]s freely (one per
+   [Cgra.standard] call), and a layout is only a grid and a shape.  Each
+   domain keeps the tables of every layout it has used, newest first, so
+   a lookup takes no lock. *)
+let known = Domain.DLS.new_key (fun () -> ref [])
+
+let rec find_tables known t = function
+  | (l, tb) :: rest -> if same l t then tb else find_tables known t rest
+  | [] ->
+      let tb = build_tables t in
+      known := (t, tb) :: !known;
+      tb
 
 let tables t =
-  Mutex.protect tables_lock (fun () ->
-      match Hashtbl.find_opt tables_memo t with
-      | Some tb -> tb
-      | None ->
-          let tb = build_tables t in
-          Hashtbl.add tables_memo t tb;
-          tb)
+  let known = Domain.DLS.get known in
+  find_tables known t !known
 
 let move tb ~orient ~dst_page i =
   tb.pe_at.((dst_page * tb.page_size) + tb.act.(orient).(tb.local_of.(i)))

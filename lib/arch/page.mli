@@ -106,9 +106,13 @@ type tables = private {
           to ({!Orient.apply} on the virtual tile) *)
 }
 
+val same : t -> t -> bool
+(** Same layout: equal grid dimensions and equal shape. *)
+
 val tables : t -> tables
-(** The tables of this layout (grid and shape).  Built on first use and
-    shared afterwards, across domains too, by every equal [t]. *)
+(** The tables of this layout (grid and shape).  Built on a domain's
+    first use of the layout and kept by that domain for every [t] that
+    is {!same}. *)
 
 val move : tables -> orient:int -> dst_page:int -> int -> int
 (** [move tb ~orient ~dst_page i] is where PE index [i] (a PE of some

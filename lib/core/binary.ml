@@ -126,10 +126,11 @@ let compile ?(seed = 0) ?pool ?trace arch (k : Cgra_kernels.Kernels.t) =
           r)
 
 let compile_suite ?(seed = 0) ?pool ?trace arch =
-  (* One kernel at a time — with [pool], each kernel races its scheduling
-     ladder across the whole pool: ladder attempts have near-uniform
-     cost, so racing them load-balances better than one-kernel-per-domain
-     (kernel compile times vary by an order of magnitude).  The walk
+  (* One kernel at a time — with [pool], each kernel races each II level
+     of its scheduling ladder across the whole pool: the attempts of a
+     level have near-uniform cost, so racing them load-balances better
+     than one-kernel-per-domain (kernel compile times vary by an order
+     of magnitude).  The walk
      short-circuits on the first [Error], so a failing early kernel does
      not pay for compiling the rest of the suite; the reported error —
      the first in suite order — is unchanged. *)

@@ -17,18 +17,17 @@ let cgra_sizes = [ 4; 6; 8 ]
 
 let page_sizes = [ 2; 4; 8 ]
 
-(* Optional pool plumbing: [None] keeps the historical strictly
-   sequential execution; [Some pool] fans independent tasks out across
-   its domains.  Both paths produce identical results (order-preserving
-   maps over per-task seeds), so figures are byte-identical at any
+(* Independent tasks fanned out across [pool]; no pool is a one-domain
+   pool, which runs them in order on the calling domain.  The maps keep
+   input order over per-task seeds, so figures are byte-identical at any
    width. *)
-let pmap pool f xs =
-  match pool with Some p -> Cgra_util.Pool.map p f xs | None -> List.map f xs
+let pool_or_one = function
+  | Some p -> p
+  | None -> Cgra_util.Pool.create ~domains:1 ()
 
-let pfilter_map pool f xs =
-  match pool with
-  | Some p -> Cgra_util.Pool.filter_map p f xs
-  | None -> List.filter_map f xs
+let pmap pool f xs = Cgra_util.Pool.map (pool_or_one pool) f xs
+
+let pfilter_map pool f xs = Cgra_util.Pool.filter_map (pool_or_one pool) f xs
 
 let arch_for ~size ~page_pes =
   match Cgra_arch.Cgra.standard ~size ~page_pes with

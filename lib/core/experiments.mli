@@ -17,8 +17,8 @@
     independent (CGRA-need, thread-count, replicate) tasks — each with
     its own derived seed — then fan out across domains.  Results are
     regrouped in sequential order, so output is {e byte-identical} at
-    any pool width; omitting [pool] keeps the historical sequential
-    path. *)
+    any pool width; omitting [pool] runs them in order on the calling
+    domain, as a one-domain pool does. *)
 
 type fig8_row = {
   kernel : string;

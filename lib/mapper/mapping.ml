@@ -340,8 +340,9 @@ let validate ?(check_mem = true) t =
           err "PE index %d needs %d registers (capacity %d)" pe_idx n
             arch.Cgra.rf_capacity)
       rf;
-    (* paged: used pages form a contiguous run of the ring order (the
-       compiler emits base 0; the runtime may relocate to any base) *)
+    (* paged: used pages form a contiguous run of the ring order.  Its
+       base is not always 0: a spreading attempt's spill can leave page 0
+       idle, and the runtime may relocate to any base. *)
     if t.paged then begin
       match pages_used t with
       | [] -> ()

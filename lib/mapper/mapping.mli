@@ -36,8 +36,13 @@
       consecutive along the serpentine path (so that reversing a page
       preserves legality);
     - the pages used form a contiguous run [b .. b+k-1] of the ring
-      order.  The compiler always emits [b = 0]; the multithreading
-      runtime may relocate a mapping to any base page. *)
+      order.  The compiler mostly emits [b = 0], but not always: the
+      bandwidth-aware spill of a spreading attempt can move every
+      operation off page 0 (the spreading cost does not price the page
+      index), and the page polish keeps such a winner when no packing
+      attempt uses fewer pages.  Five Fig. 8 grid mappings at seeds 0
+      and 1 start at page 1 or 2 this way.  The multithreading runtime
+      may relocate a mapping to any base page. *)
 
 type placement = { pe : Cgra_arch.Coord.t; time : int }
 

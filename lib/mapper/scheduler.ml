@@ -704,7 +704,8 @@ let winner_detail (ii, a) = Printf.sprintf "ii=%d attempt=%d" ii a
 let search ~seed ~start ~max_ii ~bus_aware ?pool ~trace ~key kind arch g =
   let prep = Prep.make kind arch g in
   (* A one-domain pool spawns no domain, so it needs no shutdown; on it
-     [race_poll] is the lazy sequential scan. *)
+     [race_poll] claims a level's attempts in order and starts none past
+     the winner. *)
   let pool =
     match pool with Some p -> p | None -> Cgra_util.Pool.create ~domains:1 ()
   in
@@ -747,16 +748,9 @@ let search ~seed ~start ~max_ii ~bus_aware ?pool ~trace ~key kind arch g =
     ignore (Atomic.fetch_and_add searches (Router.searches a.Attempt.router));
     r
   in
-  (* The (ii, attempt) ladder, in the deterministic priority order:
-     [race_poll] returns the earliest candidate here that succeeds at
-     any pool width. *)
-  let candidates =
-    List.concat_map
-      (fun i -> List.init per_ii (fun a -> (start + i, a)))
-      (List.init (max 0 (max_ii - start + 1)) Fun.id)
-  in
-  let n_candidates = List.length candidates in
-  let eval ~doomed (ii, a) =
+  let indices n = List.init n Fun.id in
+  let level = indices per_ii in
+  let eval ii ~doomed a =
     Atomic.incr launched;
     let bus = a < bus_n in
     let al = if bus then a else a - bus_n in
@@ -767,44 +761,48 @@ let search ~seed ~start ~max_ii ~bus_aware ?pool ~trace ~key kind arch g =
         None
     | Failed -> None
   in
-  (* Once the minimal feasible II is found, spend a few packing-personality
-     attempts reducing the page footprint at that II: unused pages are
-     what the multithreading runtime harvests.  The fold keeps the
-     earliest of the fewest-page results, so the parallel run (which
-     always evaluates all eight) agrees with the sequential one (which
-     may stop early once a single page is reached — no attempt can beat
-     that). *)
+  (* The ladder in its deterministic priority order, one II level at a
+     time: each level's attempts are raced, and the walk moves up only
+     when none of them succeeds, so the winner is the earliest (ii,
+     attempt) that succeeds at any pool width. *)
+  let rec climb ii =
+    if ii > max_ii then None
+    else
+      match Cgra_util.Pool.race_poll pool (eval ii) level with
+      | Some (a, m) -> Some ((ii, a), m)
+      | None -> climb (ii + 1)
+  in
+  (* Once the minimal feasible II is found, spend up to eight
+     packing-personality attempts reducing the page footprint at that II:
+     unused pages are what the multithreading runtime harvests.  A
+     single-page result ends the race (no attempt can beat it); otherwise
+     the earliest of the fewest-page results is kept. *)
   let polish_pages ii first =
-    if kind <> Paged then first
+    if kind <> Paged || Mapping.n_pages_used first = 1 then first
     else begin
-      let run_one a =
+      let found = Array.make 8 None in
+      let run_one ~doomed a =
         Atomic.incr polish_runs;
-        match one_attempt ~bus:bus_aware ~rng_a:(1000 + a) ~spread:false ~ii () with
-        | Attempt.Mapped m -> Some m
+        match
+          one_attempt ~cancel:doomed ~bus:bus_aware ~rng_a:(1000 + a) ~spread:false ~ii ()
+        with
+        | Attempt.Mapped m when Mapping.n_pages_used m = 1 -> Some m
+        | Attempt.Mapped m ->
+            found.(a) <- Some m;
+            None
         | Refused | Failed -> None
       in
-      let better best cand =
-        if Mapping.n_pages_used cand < Mapping.n_pages_used best then cand
-        else best
+      let better best = function
+        | Some m when Mapping.n_pages_used m < Mapping.n_pages_used best -> m
+        | Some _ | None -> best
       in
-      if Cgra_util.Pool.width pool > 1 then
-        List.fold_left
-          (fun best -> function Some m -> better best m | None -> best)
-          first
-          (Cgra_util.Pool.map pool run_one (List.init 8 Fun.id))
-      else
-        let rec go best a =
-          if a >= 8 || Mapping.n_pages_used best = 1 then best
-          else
-            match run_one a with
-            | Some m -> go (better best m) (a + 1)
-            | None -> go best (a + 1)
-        in
-        go first 0
+      match Cgra_util.Pool.race_poll pool run_one (indices 8) with
+      | Some (_, m) -> m
+      | None -> Array.fold_left better first found
     end
   in
   Cgra_trace.Trace.with_span trace "sched.race" (fun () ->
-      let res = Cgra_util.Pool.race_poll pool eval candidates in
+      let res = climb start in
       let res = Option.map (fun (w, m) -> (w, polish_pages (fst w) m)) res in
       (match (key, res) with
       | Some key, Some (w, m) when position w < Atomic.get first_refused ->
@@ -816,10 +814,11 @@ let search ~seed ~start ~max_ii ~bus_aware ?pool ~trace ~key kind arch g =
           Cgra_trace.Trace.emit trace
             (Cgra_trace.Trace.Counter { name; value = float_of_int value })
         in
-        counter "sched.race.candidates" n_candidates;
+        let candidates = max 0 (max_ii - start + 1) * per_ii in
+        counter "sched.race.candidates" candidates;
         counter "sched.race.launched" l;
         counter "sched.race.searches" (Atomic.get searches);
-        counter "sched.race.cancelled" (n_candidates - l);
+        counter "sched.race.cancelled" (candidates - l);
         counter "sched.race.polish" (Atomic.get polish_runs);
         Cgra_trace.Trace.emit trace
           (Cgra_trace.Trace.Mark

@@ -69,12 +69,18 @@ val map :
     pre-bandwidth scheduler exactly), at the price of more attempts on
     IIs that fail entirely.
 
-    [pool] races the (II, attempt) ladder speculatively across the
-    domain pool (see {!Cgra_util.Pool.race_poll}); without it the ladder
-    is scanned in order on the calling domain.  The winner is always the
-    {e lowest} [(ii, attempt)] pair that succeeds, and a success at II
-    [k] abandons in-flight work at II [> k].  The returned mapping — and
-    the [Error] text on failure — is bit-identical at any pool width.
+    The (II, attempt) ladder is walked one II level at a time: the
+    level's attempts are raced across [pool] (see
+    {!Cgra_util.Pool.race_poll}), and the walk moves up a level only
+    when none of them succeeds.  Without [pool] the race runs on a
+    one-domain pool, which tries the attempts in order on the calling
+    domain and starts none past the winner.  The winner is always the
+    {e lowest} [(ii, attempt)] pair that succeeds; no attempt above its
+    level starts, and within its level the attempts above it are
+    skipped or abandoned.  The page polish that follows races its eight
+    attempts the same way, and the first single-page result ends it.
+    The returned mapping — and the [Error] text on failure — is
+    bit-identical at any pool width.
 
     [trace] receives a ["sched.race"] span around the search plus
     counters (candidates / launched / searches / cancelled / polish) and

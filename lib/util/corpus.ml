@@ -20,9 +20,8 @@ let run ?pool h ~seeds =
             [ Printf.sprintf "seed %d: raised %s" seed (Printexc.to_string e) ];
         }
   in
-  let cases =
-    match pool with Some p -> Pool.map p one seeds | None -> List.map one seeds
-  in
+  let pool = match pool with Some p -> p | None -> Pool.create ~domains:1 () in
+  let cases = Pool.map pool one seeds in
   (* folded in seed order: the outcome is the same at any pool width *)
   let totals = Hashtbl.create 8 in
   List.iter (fun name -> Hashtbl.replace totals name 0) h.counters;

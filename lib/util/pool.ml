@@ -132,77 +132,57 @@ let run_batch t n ~body =
     Mutex.unlock fin_lock
   end
 
-let map_array t f xs =
-  let n = Array.length xs in
-  if t.pool_width <= 1 || n <= 1 then Array.map f xs
-  else begin
-    let out = Array.make n None in
-    let errs = Array.make n None in
-    run_batch t n ~body:(fun i ->
-        match f xs.(i) with
-        | y -> out.(i) <- Some y
-        | exception e -> errs.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-    (* re-raise the earliest failure: the one a sequential run hits first *)
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-      errs;
-    Array.map (function Some y -> y | None -> assert false) out
-  end
+(* Evaluate [f ~doomed i] for [i = 0 .. n-1] across the pool, claiming
+   indices in order, and return the lowest index that cut the batch — [f]
+   returned [true] or raised — or [n] when none did.  [cut] holds the
+   lowest cutting index recorded so far: an index above it can no longer
+   matter, so it is skipped at claim time, and [doomed] lets a
+   long-running evaluation notice mid-flight.  Every index below the final
+   cut runs to completion, so the result does not depend on the width; at
+   width 1 nothing past it starts.  A raising cut's exception is re-raised:
+   the one a sequential run meets first. *)
+let first_cut t n f =
+  let cut = Atomic.make n in
+  let errs = Array.make n None in
+  let rec lower i =
+    let c = Atomic.get cut in
+    if i < c && not (Atomic.compare_and_set cut c i) then lower i
+  in
+  run_batch t n ~body:(fun i ->
+      if i < Atomic.get cut then
+        let doomed () = i > Atomic.get cut in
+        match f ~doomed i with
+        | true -> lower i
+        | false -> ()
+        | exception e ->
+            errs.(i) <- Some (e, Printexc.get_raw_backtrace ());
+            lower i);
+  let c = Atomic.get cut in
+  if c < n then Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) errs.(c);
+  c
 
-let map t f xs = Array.to_list (map_array t f (Array.of_list xs))
+let map t f xs =
+  let xs = Array.of_list xs in
+  let out = Array.make (Array.length xs) None in
+  ignore
+    (first_cut t (Array.length xs) (fun ~doomed:_ i ->
+         out.(i) <- Some (f xs.(i));
+         false));
+  Array.fold_right (fun y acc -> Option.get y :: acc) out []
 
-(* Speculative race: evaluate candidates until the lowest-indexed success
-   is known.  [best] holds the lowest succeeding index found so far; a
-   candidate whose index is above it can no longer win, so it is skipped
-   at claim time and [doomed] lets a long-running task notice mid-flight.
-   Every index below the eventual winner is always fully evaluated (skips
-   only happen above a recorded success), which is what makes the result
-   deterministic. *)
+(* The lowest succeeding index cuts the race; its result is the one a
+   sequential first-success scan returns. *)
 let race_poll t f xs =
-  match xs with
-  | [] -> None
-  | _ when t.pool_width <= 1 ->
-      (* lazy sequential fallback: nothing past the winner runs at all *)
-      let doomed () = false in
-      let rec go = function
-        | [] -> None
-        | x :: rest -> (
-            match f ~doomed x with Some y -> Some (x, y) | None -> go rest)
-      in
-      go xs
-  | _ ->
-      let arr = Array.of_list xs in
-      let n = Array.length arr in
-      let results = Array.make n None in
-      let errs = Array.make n None in
-      let best = Atomic.make n in
-      let rec lower_best i =
-        let b = Atomic.get best in
-        if i < b && not (Atomic.compare_and_set best b i) then lower_best i
-      in
-      run_batch t n ~body:(fun i ->
-          if i < Atomic.get best then
-            let doomed () = i > Atomic.get best in
-            match f ~doomed arr.(i) with
-            | Some y ->
-                results.(i) <- Some y;
-                lower_best i
-            | None -> ()
-            | exception e -> errs.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-      (* Resolve in input order: the first success or failure met is the
-         one a sequential run would have met (later speculative outcomes
-         are unreachable sequentially and are discarded). *)
-      let rec resolve i =
-        if i >= n then None
-        else
-          match errs.(i) with
-          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> (
-              match results.(i) with
-              | Some y -> Some (arr.(i), y)
-              | None -> resolve (i + 1))
-      in
-      resolve 0
+  let xs = Array.of_list xs in
+  let found = Array.make (Array.length xs) None in
+  let w =
+    first_cut t (Array.length xs) (fun ~doomed i ->
+        match f ~doomed xs.(i) with
+        | Some _ as y ->
+            found.(i) <- y;
+            true
+        | None -> false)
+  in
+  if w = Array.length xs then None else Option.map (fun y -> (xs.(w), y)) found.(w)
 
 let filter_map t f xs = List.filter_map Fun.id (map t f xs)

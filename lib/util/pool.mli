@@ -12,9 +12,13 @@
     - {b Exception propagation}: if tasks raise, the exception of the
       {e earliest} failing input is re-raised in the caller (with its
       backtrace) — the same exception a sequential run would surface.
-    - {b Sequential fallback}: a pool of width 1 (the default when
-      [CGRA_DOMAINS] is unset) runs tasks in place on the calling domain
-      and spawns nothing, so default behaviour is unchanged.
+      A raise cuts the batch: no input past it starts once it is
+      recorded.
+    - {b One path at every width}: inputs are claimed in order from one
+      counter by the calling domain and the helpers alike.  A pool of
+      width 1 (the default when [CGRA_DOMAINS] is unset) is the calling
+      domain alone: it runs the tasks in input order and spawns
+      nothing.
 
     Tasks must be independent: they may share immutable data (compiled
     suites, kernel graphs) but must not race on mutable state.  Nested
@@ -64,23 +68,25 @@ val race_poll :
     [f ~doomed x = Some y] — exactly what a sequential first-success scan
     would return, at any pool width:
 
-    - {b Deterministic winner}: a shared best-bound records the lowest
-      succeeding index; every candidate below it still runs to
+    - {b Deterministic winner}: a shared bound records the lowest index
+      that succeeded or raised; every candidate below it still runs to
       completion (a lower index could still win), while candidates above
-      it are abandoned at claim time — they can no longer affect the
+      it are skipped at claim time — they can no longer affect the
       result.
     - {b Mid-flight cancellation}: [doomed] is a cheap poll that turns
-      [true] once some earlier candidate has succeeded — this candidate
-      can no longer win, so [f] may abandon it and return anything (the
-      value is discarded).  [doomed] never turns [true] for the eventual
-      winner or any candidate before it.
-    - {b Exception propagation}: as in {!map}, the earliest failing
+      [true] once some earlier candidate has succeeded or raised — this
+      candidate can no longer win, so [f] may abandon it and return
+      anything (the value is discarded).  [doomed] never turns [true]
+      for the eventual winner or any candidate before it.
+    - {b Exception propagation}: a raising candidate cuts the race the
+      way a success does.  As in {!map}, the earliest failing
       candidate's exception is re-raised — but only if no candidate
       before it succeeded, mirroring a sequential scan that stops at the
       first success.  Exceptions from speculative work past the winner
       are discarded (a sequential run would never have reached them).
-    - {b Width-1 fallback}: with one domain the scan is lazy — nothing
-      past the winner is evaluated at all.
+    - {b Width 1}: the calling domain claims the candidates in order,
+      so nothing past the winner or the first raise is evaluated at
+      all.
 
     [f] runs speculatively on candidates a sequential scan might never
     reach, so it must be effect-free (or idempotent) on losing

@@ -61,10 +61,10 @@ let test_race_matches_sequential () =
   (* the speculative (II, attempt) race must be bit-identical to the
      sequential ladder at any pool width — same mapping on success, same
      Error text on failure.  (The pool clamps to the machine's cores, so
-     on a single-core host this exercises the lazy fallback; on
-     multi-core hosts the same check covers the raced path.)  Each call
-     starts with no shared search, so the unconstrained ladder is raced
-     too. *)
+     on a single-core host this runs the race on one domain, which
+     starts nothing past the winner; on multi-core hosts it races across
+     domains.)  Each call starts with no shared search, so the
+     unconstrained ladder is raced too. *)
   let arch = arch_4x4_p4 () in
   Cgra_util.Pool.with_pool ~domains:4 (fun pool ->
       List.iter
@@ -938,51 +938,6 @@ let test_bus_aware_ii_monotone () =
         Cgra_kernels.Kernels.all)
     grid_fabrics
 
-let test_bus_aware_race_identical () =
-  (* byte-identical results from both compilers at -j 1/2/4 with the
-     bus-aware family in the raced ladder (the lowest-index-winner
-     contract must survive the doubled per-II attempt space); every call
-     starts with no shared search, so each width races the unconstrained
-     ladder as well *)
-  let kernels =
-    List.map Cgra_kernels.Kernels.find_exn [ "yuv2rgb"; "swim"; "sobel" ]
-  in
-  List.iter
-    (fun (size, page_pes) ->
-      let arch = Option.get (Cgra.standard ~size ~page_pes) in
-      List.iter
-        (fun (k : Cgra_kernels.Kernels.t) ->
-          let seqs =
-            List.map
-              (fun (kind, tag) ->
-                Scheduler.clear_shared ();
-                (kind, tag, map_ok kind arch k.graph))
-              [ (Scheduler.Unconstrained, "base"); (Scheduler.Paged, "paged") ]
-          in
-          List.iter
-            (fun j ->
-              Cgra_util.Pool.with_pool ~domains:j (fun pool ->
-                  List.iter
-                    (fun (kind, tag, seq) ->
-                      Scheduler.clear_shared ();
-                      match Scheduler.map ~pool kind arch k.graph with
-                      | Error e ->
-                          Alcotest.failf "%s %s %dx%d p%d -j %d failed: %s" k.name
-                            tag size size page_pes j e
-                      | Ok raced ->
-                          Alcotest.(check bool)
-                            (Printf.sprintf "%s %s %dx%d p%d -j %d = sequential"
-                               k.name tag size size page_pes j)
-                            true
-                            ((seq.Mapping.ii, seq.placements, seq.routes)
-                            = (raced.Mapping.ii, raced.placements, raced.routes)))
-                    seqs))
-            [ 1; 2; 4 ])
-        kernels)
-    grid_fabrics
-
-(* ---------- pinned scheduler output ---------- *)
-
 (* The [sched.race.<name>] counter of a traced call; [None] when the call
    ran no search. *)
 let race_counter trace name =
@@ -993,6 +948,77 @@ let race_counter trace name =
           Some (int_of_float value)
       | _ -> None)
     (Cgra_trace.Trace.events trace)
+
+let compilers = [ (Scheduler.Unconstrained, "base"); (Scheduler.Paged, "paged") ]
+
+let test_bus_aware_race_identical () =
+  (* byte-identical results from both compilers at -j 1/2/4 with the
+     bus-aware family in the raced ladder (the lowest-index-winner
+     contract must survive the doubled per-II attempt space); every call
+     starts with no shared search, so each width races the unconstrained
+     ladder as well.  The pools are not clamped, so -j 4 runs four
+     domains even on a smaller host.  A raced call starts no attempt
+     above its winning II level (80 attempts per level from the MII up).
+     It runs the sequential call's polish attempts at -j 1, and none at
+     any width when the race's winner already uses one page.  (How many
+     polish attempts past the first single-page one start at -j 2 or 4
+     depends on how many finish while it runs, so no tighter bound holds
+     on a loaded host.) *)
+  let traced ?pool kind arch g =
+    Scheduler.clear_shared ();
+    let trace = Cgra_trace.Trace.make () in
+    let r = Scheduler.map ?pool ~trace kind arch g in
+    let counter name = Option.get (race_counter trace name) in
+    (r, counter "launched", counter "polish")
+  in
+  List.iter
+    (fun (size, page_pes) ->
+      let arch = Option.get (Cgra.standard ~size ~page_pes) in
+      List.iter
+        (fun (k : Cgra_kernels.Kernels.t) ->
+          let seqs =
+            List.map
+              (fun (kind, tag) ->
+                match traced kind arch k.graph with
+                | Ok m, _, polish -> (kind, tag, m, polish)
+                | Error e, _, _ -> Alcotest.failf "%s %s failed: %s" k.name tag e)
+              compilers
+          in
+          List.iter
+            (fun j ->
+              Cgra_util.Pool.with_pool ~clamp:false ~domains:j (fun pool ->
+                  List.iter
+                    (fun (kind, tag, (seq : Mapping.t), seq_polish) ->
+                      let config =
+                        Printf.sprintf "%s %s %dx%d p%d -j %d" k.name tag size size
+                          page_pes j
+                      in
+                      match traced ~pool kind arch k.graph with
+                      | Error e, _, _ -> Alcotest.failf "%s failed: %s" config e
+                      | Ok raced, launched, polish ->
+                          Alcotest.(check bool)
+                            (config ^ " = sequential")
+                            true
+                            ((seq.ii, seq.placements, seq.routes)
+                            = (raced.Mapping.ii, raced.placements, raced.routes));
+                          let levels = raced.ii - Scheduler.mii kind arch k.graph + 1 in
+                          Alcotest.(check bool)
+                            (Printf.sprintf "%s: %d launched within %d levels" config
+                               launched levels)
+                            true
+                            (launched <= 80 * levels);
+                          Alcotest.(check bool)
+                            (Printf.sprintf "%s: %d polish, %d sequential" config polish
+                               seq_polish)
+                            true
+                            ((j > 1 || polish = seq_polish)
+                            && (seq_polish > 0 || polish = 0)))
+                    seqs))
+            [ 1; 2; 4 ])
+        Cgra_kernels.Kernels.all)
+    grid_fabrics
+
+(* ---------- pinned scheduler output ---------- *)
 
 (* One line of a pinned digest: the call's config, its launched and
    polish race counters and the codec bytes of its mapping, so a change
@@ -1008,8 +1034,6 @@ let digest_line b ~seed ~config kind arch g =
       let counter name = Option.get (race_counter trace name) in
       Printf.bprintf b "%s|%d|%d|%s\n" config (counter "launched") (counter "polish")
         (Cgra_isa.Codec.mapping_bytes m)
-
-let compilers = [ (Scheduler.Unconstrained, "base"); (Scheduler.Paged, "paged") ]
 
 (* One digest per seed over every call of the Fig. 8 grid: 8 fabric/page
    pairs x 11 kernels x both compilers.  Constant-cost rewrites of the

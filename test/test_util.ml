@@ -448,16 +448,26 @@ let test_race_exception_semantics () =
     [ 1; 4 ]
 
 let test_race_width1_lazy () =
-  (* sequential fallback: evaluation stops at the winner *)
+  (* one domain: evaluation stops at the winner, and a raise stops it
+     the way a success does *)
   let evaluated = ref 0 in
   let f ~doomed:_ x =
     incr evaluated;
     if x = 5 then Some x else None
   in
+  let raising ~doomed:_ x =
+    incr evaluated;
+    if x = 5 then failwith "five" else None
+  in
   Pool.with_pool ~domains:1 (fun p ->
-      match Pool.race_poll p f (List.init 100 Fun.id) with
+      (match Pool.race_poll p f (List.init 100 Fun.id) with
       | Some (5, 5) -> check_int "nothing past the winner runs" 6 !evaluated
-      | _ -> Alcotest.fail "wrong outcome")
+      | _ -> Alcotest.fail "wrong outcome");
+      evaluated := 0;
+      match Pool.race_poll p raising (List.init 100 Fun.id) with
+      | _ -> Alcotest.fail "no exception"
+      | exception Failure _ ->
+          check_int "nothing past the first raise runs" 6 !evaluated)
 
 let test_race_no_winner () =
   List.iter
