@@ -1061,6 +1061,51 @@ let test_pinned_fig8_grid seed expected () =
     (Printf.sprintf "Fig. 8 grid digest at seed %d" seed)
     expected (fig8_grid_digest seed)
 
+(* The race's own record of every call of the same grid, at width 1: the
+   five [sched.race] counters and the winner mark.  The mapping digest
+   sees only [launched] and [polish]; this one also pins how many
+   candidates the ladder offered, how many it cancelled and how many
+   best-first searches every attempt ran, so an attempt that does the
+   same placements with more or fewer searches moves it. *)
+let fig8_counter_digest seed =
+  let b = Buffer.create (1 lsl 14) in
+  List.iter
+    (fun (size, page_pes) ->
+      let arch = Option.get (Cgra.standard ~size ~page_pes) in
+      List.iter
+        (fun (k : Cgra_kernels.Kernels.t) ->
+          List.iter
+            (fun (kind, tag) ->
+              Scheduler.clear_shared ();
+              let trace = Cgra_trace.Trace.make () in
+              let config =
+                Printf.sprintf "%s %dx%d p%d %s" k.name size size page_pes tag
+              in
+              (match Scheduler.map ~seed ~trace kind arch k.graph with
+              | Error e -> Alcotest.failf "%s: %s" config e
+              | Ok _ -> ());
+              let counter name = Option.get (race_counter trace name) in
+              let winner =
+                List.find_map
+                  (fun (e : Cgra_trace.Trace.event) ->
+                    match e.payload with
+                    | Mark { name = "sched.race.winner"; detail } -> Some detail
+                    | _ -> None)
+                  (Cgra_trace.Trace.events trace)
+              in
+              Printf.bprintf b "%s|%d|%d|%d|%d|%d|%s\n" config (counter "candidates")
+                (counter "launched") (counter "searches") (counter "cancelled")
+                (counter "polish") (Option.get winner))
+            compilers)
+        Cgra_kernels.Kernels.all)
+    grid_fabrics;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_fig8_counters seed expected () =
+  Alcotest.(check string)
+    (Printf.sprintf "Fig. 8 grid counter digest at seed %d" seed)
+    expected (fig8_counter_digest seed)
+
 (* The same digest over 40 generated kernels — 8 to 15 operations, every
    third one with a recurrence — on 4x4/p2, 6x6/p8 (band pages) and
    8x8/p4, both compilers, at seed 0: kernels shaped unlike the bundled
@@ -1328,6 +1373,10 @@ let () =
             (test_pinned_fig8_grid 0 "5be48a1c2b89b6b0461d34ef7159f56c");
           Alcotest.test_case "Fig. 8 grid output at seed 1" `Slow
             (test_pinned_fig8_grid 1 "c09b6b6074508320dc8e7a665d1f24e2");
+          Alcotest.test_case "Fig. 8 grid race counters at seed 0" `Slow
+            (test_pinned_fig8_counters 0 "1e8e7fbdf52e817eef1130e4d3e57b0f");
+          Alcotest.test_case "Fig. 8 grid race counters at seed 1" `Slow
+            (test_pinned_fig8_counters 1 "b19963428a3066a868119353b7547863");
           Alcotest.test_case "synthetic kernels at seed 0" `Slow test_pinned_synthetic;
         ] );
       ( "shared",
