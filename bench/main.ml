@@ -123,6 +123,60 @@ let fig8_rows ~pool ~quiet =
         figs)
     Experiments.cgra_sizes
 
+(* The work one cold compile of the seed-0 grid does — the 176
+   [Scheduler.map] calls behind the three figures — summed from the race
+   counters of its searched calls: attempts launched, best-first routing
+   searches, and page-polish attempts.  On a one-domain pool these are
+   deterministic (a wider pool launches attempts that a winner then
+   cancels, depending on timing), so they are exact rows and any rise
+   fails.  The minor words of one untraced cold compile on that pool
+   are printed beside them, never gated. *)
+let fig8_work_rows ~quiet =
+  Cgra_util.Pool.with_pool ~domains:1 (fun pool ->
+      let compile_grid ?trace () =
+        Binary.clear_cache ();
+        List.iter
+          (fun size ->
+            List.iter
+              (fun page_pes ->
+                match Cgra_arch.Cgra.standard ~size ~page_pes with
+                | None -> ()
+                | Some arch -> (
+                    match Binary.compile_suite ~seed:0 ~pool ?trace arch with
+                    | Ok _ -> ()
+                    | Error e -> failwith e))
+              Experiments.page_sizes)
+          Experiments.cgra_sizes
+      in
+      let before = Gc.minor_words () in
+      compile_grid ();
+      let words = Gc.minor_words () -. before in
+      let trace = Cgra_trace.Trace.make () in
+      compile_grid ~trace ();
+      let sum name =
+        List.fold_left
+          (fun acc (e : Cgra_trace.Trace.event) ->
+            match e.payload with
+            | Counter { name = n; value } when n = name -> acc +. value
+            | _ -> acc)
+          0.0
+          (Cgra_trace.Trace.events trace)
+      in
+      if not quiet then
+        Printf.printf
+          "\nMinor words of one cold compile of the seed-0 grid (1 domain): %.0f\n"
+          words;
+      List.map
+        (fun (what, counter) ->
+          summarize ~better:Gate.Lower ~kind:Gate.Exact ~bound:0.0
+            (Printf.sprintf "fig8 seed-0 grid %s (-j 1)" what)
+            [ sum counter ])
+        [
+          ("attempts launched", "sched.race.launched");
+          ("best-first searches", "sched.race.searches");
+          ("polish attempts", "sched.race.polish");
+        ])
+
 (* ----- Fig. 9: multithreading improvement ----- *)
 
 (* Wall-clock rows are min-of-N too: each sample clears the compile memo
@@ -556,7 +610,10 @@ let families =
         "Figure 8 - performance cost of the paging constraints (100 * II_b / \
          II_c)";
       extras = [];
-      rows = fig8_rows;
+      rows =
+        (fun ~pool ~quiet ->
+          let rows = fig8_rows ~pool ~quiet in
+          rows @ fig8_work_rows ~quiet);
     };
     {
       bench = "farm";

@@ -261,6 +261,7 @@ let one_case seed =
       {
         Cgra_util.Corpus.counts = [ ("requests", p.Farm.n_requests) ];
         failures = [ tag e ];
+        digest = Digest.string e;
       }
   | Ok r ->
       let events =
@@ -271,6 +272,10 @@ let one_case seed =
         Cgra_util.Corpus.counts =
           [ ("requests", p.Farm.n_requests); ("events", events) ];
         failures = List.map tag (check r);
+        digest =
+          Digest.string
+            (String.concat ""
+               (List.map Cgra_trace.Export.jsonl (r.Farm.farm_events :: r.Farm.shard_events)));
       }
 
 let harness =

@@ -1,4 +1,4 @@
-type case = { counts : (string * int) list; failures : string list }
+type case = { counts : (string * int) list; failures : string list; digest : string }
 
 type harness = { name : string; counters : string list; case : int -> case }
 
@@ -7,6 +7,7 @@ type outcome = {
   cases : int;
   counts : (string * int) list;
   failures : string list;
+  digest : string;
 }
 
 let run ?pool h ~seeds =
@@ -18,6 +19,7 @@ let run ?pool h ~seeds =
           counts = [];
           failures =
             [ Printf.sprintf "seed %d: raised %s" seed (Printexc.to_string e) ];
+          digest = "";
         }
   in
   let pool = match pool with Some p -> p | None -> Pool.create ~domains:1 () in
@@ -42,12 +44,15 @@ let run ?pool h ~seeds =
     cases = List.length seeds;
     counts = List.map (fun name -> (name, Hashtbl.find totals name)) h.counters;
     failures = List.concat_map (fun (c : case) -> c.failures) cases;
+    digest =
+      Digest.to_hex
+        (Digest.string (String.concat "" (List.map (fun (c : case) -> c.digest) cases)));
   }
 
 let count o name = List.assoc name o.counts
 
 let pp ppf o =
-  Format.fprintf ppf "@[<v>%s: %d cases%s@,%s@]" o.harness o.cases
+  Format.fprintf ppf "@[<v>%s: %d cases%s@,%s@,digest %s@]" o.harness o.cases
     (String.concat ""
        (List.map (fun (name, n) -> Printf.sprintf ", %d %s" n name) o.counts))
     (match o.failures with
@@ -55,3 +60,4 @@ let pp ppf o =
     | fs ->
         Printf.sprintf "%d FAILURES:\n%s" (List.length fs)
           (String.concat "\n" fs))
+    o.digest

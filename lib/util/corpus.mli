@@ -11,6 +11,11 @@
 type case = {
   counts : (string * int) list;  (** values for some declared counters *)
   failures : string list;  (** human-readable, with seed context; [] = pass *)
+  digest : string;
+      (** what the case did, as bytes its harness chooses — usually the
+          {!Digest.string} of its event stream or of the bytes it built —
+          so that two runs with equal counts but different decisions
+          differ here; [""] when the harness pins nothing *)
 }
 (** What one seed contributed. *)
 
@@ -28,6 +33,9 @@ type outcome = {
   counts : (string * int) list;
       (** each declared counter summed over every case, in declared order *)
   failures : string list;  (** every case's failures, in seed order *)
+  digest : string;
+      (** hex MD5 of every case's [digest], concatenated in seed order (a
+          case that raised adds nothing) *)
 }
 
 val run : ?pool:Pool.t -> harness -> seeds:int list -> outcome
@@ -42,4 +50,4 @@ val count : outcome -> string -> int
 val pp : Format.formatter -> outcome -> unit
 (** [name: N cases, c1 counter1, c2 counter2, ...] on one line, then
     either [all checks hold] or the failure count and one failure per
-    line. *)
+    line, then [digest HEX]. *)

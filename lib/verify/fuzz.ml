@@ -13,6 +13,10 @@ let harness ~iterations =
     let refolds = ref 0 in
     let oracle_runs = ref 0 in
     let failures = ref [] in
+    (* the bytes of every mapping the case built: the source mapping, then
+       each fold in the order it ran *)
+    let built = Buffer.create 4096 in
+    let keep (q : Mapping.t) = Buffer.add_string built (Cgra_isa.Codec.mapping_bytes q) in
     let rng = Cgra_util.Rng.create ~seed in
     let size, page_pes = Cgra_util.Rng.choose rng fabrics in
     let fail fmt =
@@ -36,6 +40,7 @@ let harness ~iterations =
     | Error _ -> () (* a capacity miss, not an invariant failure *)
     | Ok m -> (
         incr mapped;
+        keep m;
         let mem = Cgra_kernels.Synthetic.memory_for ~seed g in
         let verify_and_simulate ~what ~check_mem q =
           (match Verify.mapping ~check_mem q with
@@ -57,6 +62,7 @@ let harness ~iterations =
             | Error e -> fail "fold target %d base %d refused: %s" target base e
             | Ok sh ->
                 incr folds;
+                keep sh.Transform.mapping;
                 if base > 0 then incr nonzero;
                 let expect = Transform.ii_q ~ii_p:m.ii ~n_used:n ~target_pages:target in
                 if sh.Transform.mapping.ii <> expect then
@@ -80,6 +86,7 @@ let harness ~iterations =
               fail "relocation to base %d not PE-exact on square tiles" b
           | Ok sh -> (
               incr refolds;
+              keep sh.Transform.mapping;
               let relocated = { sh.Transform.mapping with Mapping.paged = true } in
               (match Verify.mapping relocated with
               | Ok () -> ()
@@ -90,6 +97,7 @@ let harness ~iterations =
               | Error e -> fail "refold from base %d refused: %s" b e
               | Ok sh2 ->
                   incr folds;
+                  keep sh2.Transform.mapping;
                   let expect = Transform.ii_q ~ii_p:relocated.Mapping.ii ~n_used:n ~target_pages:1 in
                   if sh2.Transform.mapping.ii <> expect then
                     fail "refold from base %d: II %d, law says %d" b
@@ -109,6 +117,7 @@ let harness ~iterations =
           ("oracle runs", !oracle_runs);
         ];
       failures = List.rev !failures;
+      digest = Digest.string (Buffer.contents built);
     }
   in
   {

@@ -221,6 +221,15 @@ let one_case seed =
         ("mutants", !mutants);
       ];
     failures = List.rev !failures;
+    (* the grants the allocator made, then the runtime's check stream *)
+    digest =
+      Digest.string
+        (String.concat ""
+           (List.map
+              (fun (c, (r : Allocator.range)) ->
+                Printf.sprintf "%d:%d+%d\n" c r.base r.len)
+              (Allocator.clients al))
+        ^ Cgra_trace.Export.jsonl (T.events trace));
   }
 
 let harness =

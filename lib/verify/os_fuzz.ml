@@ -178,11 +178,15 @@ let replay_check (result : Os_sim.result_t) events =
       icheck "stalls" a.Replay.stalls result.Os_sim.stalls);
   !errs
 
+(* A run's event count, its event stream as JSONL, and every check's
+   failures. *)
 let check_run ?policy ?reconfig_cost (p : Os_sim.params) =
   let trace = T.make () in
   let result = Os_sim.run ?policy ?reconfig_cost ~trace p in
   let events = T.events trace in
-  (T.n_events trace, monitor events @ replay_check result events)
+  ( T.n_events trace,
+    Cgra_trace.Export.jsonl events,
+    monitor events @ replay_check result events )
 
 (* suites come from Binary's memoized compile cache (safe to share
    across domains): each fabric compiles once, whichever case asks
@@ -198,6 +202,7 @@ let suite (size, page_pes) =
 let one_case seed =
   let runs = ref 0 in
   let events = ref 0 in
+  let streams = ref [] in
   let failures = ref [] in
   let rng = Cgra_util.Rng.create ~seed in
   let ((size, page_pes) as fabric) =
@@ -218,11 +223,12 @@ let one_case seed =
   List.iter
     (fun mode ->
       incr runs;
-      let n, errs =
+      let n, stream, errs =
         check_run ~policy ~reconfig_cost
           { Os_sim.suite; threads; total_pages; mode }
       in
       events := !events + n;
+      streams := stream :: !streams;
       List.iter
         (fun e ->
           failures :=
@@ -237,6 +243,7 @@ let one_case seed =
   {
     Cgra_util.Corpus.counts = [ ("runs", !runs); ("events", !events) ];
     failures = List.rev !failures;
+    digest = Digest.string (String.concat "" (List.rev !streams));
   }
 
 let harness =

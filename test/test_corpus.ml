@@ -255,6 +255,7 @@ let parsers_case seed =
     Corpus.counts =
       [ ("accepted", !accepted); ("rejected", !rejected); ("profiled", !profiled) ];
     failures = List.rev !failures;
+    digest = "";
   }
 
 let parsers =

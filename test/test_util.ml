@@ -484,8 +484,9 @@ let test_race_no_winner () =
 
 (* ---------- Corpus ---------- *)
 
-(* a synthetic harness: seed s counts s items; an odd seed also counts
-   one [odd] and reports one failure; seed 7 raises *)
+(* a synthetic harness: seed s counts s items and records its own
+   number; an odd seed also counts one [odd] and reports one failure;
+   seed 7 raises *)
 let synthetic =
   {
     Corpus.name = "synthetic";
@@ -500,6 +501,7 @@ let synthetic =
           Corpus.counts = [ ("items", seed); ("odd", seed land 1) ];
           failures =
             (if seed land 1 = 1 then [ Printf.sprintf "seed %d: odd" seed ] else []);
+          digest = Printf.sprintf "%d," seed;
         });
   }
 
@@ -513,6 +515,8 @@ let test_corpus_aggregates_in_seed_order () =
       failures =
         [ "seed 1: odd"; "seed 3: odd"; "seed 5: odd";
           "seed 7: raised Failure(\"seven\")"; "seed 9: odd"; "seed 11: odd" ];
+      (* in seed order, and the raising seed adds nothing *)
+      digest = Digest.to_hex (Digest.string "0,1,2,3,4,5,6,8,9,10,11,");
     }
   in
   Alcotest.(check bool) "sequential" true
@@ -532,7 +536,7 @@ let test_corpus_rejects_undeclared_counter () =
   let h =
     {
       synthetic with
-      Corpus.case = (fun _ -> { Corpus.counts = [ ("itmes", 1) ]; failures = [] });
+      Corpus.case = (fun _ -> { Corpus.counts = [ ("itmes", 1) ]; failures = []; digest = "" });
     }
   in
   match Corpus.run h ~seeds:[ 0 ] with
