@@ -38,7 +38,7 @@ let flatten lists =
   Array.iteri (fun i l -> start.(i + 1) <- start.(i) + List.length l) lists;
   (start, Array.of_list (List.concat (Array.to_list lists)))
 
-let fabric (arch : Cgra.t) =
+let build_fabric (arch : Cgra.t) =
   let grid = arch.Cgra.grid in
   let pages = arch.Cgra.pages in
   let coords = Array.of_list (Grid.all_pes grid) in
@@ -75,6 +75,26 @@ let fabric (arch : Cgra.t) =
   let paged_in_start, paged_in = paged (fun b a -> paged_reads f a b) in
   { f with paged_out_start; paged_out; paged_in_start; paged_in }
 
+(* A fabric is a function of the page layout alone ([Cgra.t]'s grid is
+   its pages' grid), and every [Scheduler.map] call asks for one.  So
+   each domain keeps the fabric of every layout it has built, newest
+   first, found by {!Page.same} the way {!Page.tables} finds its tables:
+   no lock, and a fabric, read-only once built, may be read from any
+   domain. *)
+let known = Domain.DLS.new_key (fun () -> ref [])
+
+let rec find_fabric known (arch : Cgra.t) = function
+  | (pages, f) :: rest ->
+      if Page.same pages arch.Cgra.pages then f else find_fabric known arch rest
+  | [] ->
+      let f = build_fabric arch in
+      known := (arch.Cgra.pages, f) :: !known;
+      f
+
+let fabric arch =
+  let known = Domain.DLS.get known in
+  find_fabric known arch !known
+
 type reach = Mesh | Pages of { first : int; last : int }
 
 (* An entry is one pushed hop: five ints at [stride * e] in [ents]. *)
@@ -93,11 +113,13 @@ let e_parent = 4
 type strand = { mem_use : int array; row_occ : int array; budget : int }
 
 type t = {
-  fab : fabric;
+  mutable fab : fabric;
   ii : int;
+  magic : int;
+  mod_bits : int;  (* a time with any of these bits set takes [mod] *)
   occupied : Bytes.t;
   overlay : int array;
-  strand : strand option;
+  mutable strand : strand option;
   best_stamp : int array;
   best_h : int array;
   best_c : int array;
@@ -112,11 +134,31 @@ type t = {
   buckets : int array;  (* the bucket queue of the reachability passes *)
 }
 
+(* [time mod ii] by a multiply and a shift: with [magic] = ceil(2^32 / ii),
+   [(time * magic) lsr 32] is [time / ii] exactly for 0 <= time < 2^20
+   when ii <= 4096.  Writing [time = q * ii + r] and
+   [magic = (2^32 + e) / ii] with [0 <= e < ii], the product over 2^32
+   is [q + r / ii + time * e / (ii * 2^32)], and [time * e < 2^20 * 4096
+   = 2^32] keeps the last term below [1 / ii], so the floor is [q].  The
+   product stays below 2^53.  Any other time, or any time when ii >
+   4096 (where [mod_bits] lets only 0 through), takes [mod]. *)
+let slot_bits = 20
+
+let magic ii = ((1 lsl 32) + ii - 1) / ii
+
+let mod_bits ii = if ii <= 4096 then -1 lsl slot_bits else -1
+
+let slot t time =
+  if time land t.mod_bits = 0 then time - (((time * t.magic) lsr 32) * t.ii)
+  else time mod t.ii
+
 let create fab ~ii ~occupied ~overlay ?strand () =
   let n = Array.length fab.coords in
   {
     fab;
     ii;
+    magic = magic ii;
+    mod_bits = mod_bits ii;
     occupied;
     overlay;
     strand;
@@ -135,6 +177,14 @@ let create fab ~ii ~occupied ~overlay ?strand () =
     buckets = Array.make (ii + 1) (-1);
   }
 
+let restart t fab ?strand () =
+  if Array.length fab.coords <> Array.length t.best_stamp then
+    invalid_arg "Router.restart: fabric of another PE count";
+  t.fab <- fab;
+  t.strand <- strand;
+  t.searches <- 0;
+  t.misses <- 0
+
 let searches t = t.searches
 
 let misses t = t.misses
@@ -142,22 +192,25 @@ let misses t = t.misses
 let earliest_free t ~gen pe ~lower ~deadline =
   (* One full II window suffices: slots repeat modulo ii.  Returns -1
      when no slot in [lower, deadline] is free. *)
-  let stop = Int.min deadline (lower + t.ii - 1) in
-  let base = pe * t.ii in
-  let slot = ref (lower mod t.ii) in
-  let time = ref lower in
-  let found = ref (-1) in
-  while !found < 0 && !time <= stop do
-    let k = base + !slot in
-    if Bytes.get t.occupied k = '\000' && t.overlay.(k) <> gen then
-      found := !time
-    else begin
-      incr time;
-      incr slot;
-      if !slot = t.ii then slot := 0
-    end
-  done;
-  !found
+  if lower > deadline then -1
+  else begin
+    let stop = Int.min deadline (lower + t.ii - 1) in
+    let base = pe * t.ii in
+    let slot = ref (slot t lower) in
+    let time = ref lower in
+    let found = ref (-1) in
+    while !found < 0 && !time <= stop do
+      let k = base + !slot in
+      if Bytes.get t.occupied k = '\000' && t.overlay.(k) <> gen then
+        found := !time
+      else begin
+        incr time;
+        incr slot;
+        if !slot = t.ii then slot := 0
+      end
+    done;
+    !found
+  end
 
 (* [reads t reach a b]: hop [b] may read the value held at [a] — the
    same PE or a mesh neighbour, restricted under paging by
@@ -263,7 +316,7 @@ let strand_price t pe time =
   | None -> 0
   | Some s ->
       let r = t.fab.row.(pe) in
-      let k = (r * t.ii) + (time mod t.ii) in
+      let k = (r * t.ii) + slot t time in
       let slack = s.budget - s.mem_use.(k) in
       if slack > 0 && t.fab.cols - s.row_occ.(k) <= slack then 1 else 0
 
@@ -373,7 +426,7 @@ let find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops =
 let open_slot t pe ~from ~step =
   let base = pe * t.ii in
   let found = ref (-1) and time = ref from and k = ref 0 in
-  let slot = ref (if from >= 1 then from mod t.ii else 0) in
+  let slot = ref (if from >= 1 then slot t from else 0) in
   while !found < 0 && !k < t.ii && !time >= 1 do
     if Bytes.get t.occupied (base + !slot) = '\000' then found := !time
     else begin
@@ -393,27 +446,29 @@ let open_slot t pe ~from ~step =
    key up by 1 to [ii] (the next free slot within one II window), so the
    pending keys span at most [ii + 1] values and a circular bucket queue
    pops them in order, each bucket a stack of entries chained through
-   [e_parent].  [into.(b)] gets the least key of a read of [b] from a
-   settled PE. *)
+   [e_parent].  The bucket of the key being popped travels with it, and a
+   label [d] keys above it lands [d] buckets on, wrapped once: [d] is at
+   most [ii], one less than the ring.  [into.(b)] gets the least key of a
+   read of [b] from a settled PE. *)
 let pass t ~dir ~start ~adj ~pe0 ~time0 into =
   let w = t.ii + 1 in
-  let bucket key = ((key mod w) + w) mod w in
   let pending = ref 0 in
-  let label pe key =
+  let label pe key bucket =
     t.best_stamp.(pe) <- t.stamp;
     t.best_t.(pe) <- key;
-    let e = new_entry t ~hops:0 ~cost:0 ~time:key pe t.buckets.(bucket key) in
-    t.buckets.(bucket key) <- e;
+    let e = new_entry t ~hops:0 ~cost:0 ~time:key pe t.buckets.(bucket) in
+    t.buckets.(bucket) <- e;
     incr pending
   in
   Array.fill into 0 (Array.length into) max_int;
   Array.fill t.buckets 0 w (-1);
   reset t;
-  label pe0 (dir * time0);
   let key = ref (dir * time0) in
+  let bucket = ref (((!key mod w) + w) mod w) in
+  label pe0 !key !bucket;
   while !pending > 0 do
-    let e = ref t.buckets.(bucket !key) in
-    t.buckets.(bucket !key) <- -1;
+    let e = ref t.buckets.(!bucket) in
+    t.buckets.(!bucket) <- -1;
     while !e >= 0 do
       let o = stride * !e in
       let a = t.ents.(o + e_pe) in
@@ -426,12 +481,17 @@ let pass t ~dir ~start ~adj ~pe0 ~time0 into =
           let time = open_slot t b ~from:(dir * (!key + 1)) ~step:dir in
           if time >= 0 then begin
             let kb = dir * time in
-            if t.best_stamp.(b) <> t.stamp || kb < t.best_t.(b) then label b kb
+            if t.best_stamp.(b) <> t.stamp || kb < t.best_t.(b) then begin
+              let bb = !bucket + (kb - !key) in
+              label b kb (if bb >= w then bb - w else bb)
+            end
           end
         done;
       e := t.ents.(o + e_parent)
     done;
-    incr key
+    incr key;
+    incr bucket;
+    if !bucket = w then bucket := 0
   done
 
 let earliest_reads t ~paged ~src ~src_time into =
@@ -448,4 +508,7 @@ let latest_departures t ~paged ~dst ~deadline into =
   in
   (* the consumer reads at [deadline] as if it were a hop there *)
   pass t ~dir:(-1) ~start ~adj ~pe0:dst ~time0:deadline into;
-  Array.iteri (fun pe key -> into.(pe) <- (if key = max_int then -1 else -key)) into
+  for pe = 0 to Array.length into - 1 do
+    let key = into.(pe) in
+    into.(pe) <- (if key = max_int then -1 else -key)
+  done

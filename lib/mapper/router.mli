@@ -36,6 +36,9 @@ type fabric = private {
 (** Per-PE tables of one architecture, read-only once built. *)
 
 val fabric : Cgra_arch.Cgra.t -> fabric
+(** The tables of an architecture's page layout.  Each domain builds
+    them once per layout ({!Cgra_arch.Page.same}) and returns the same
+    value after that; it may be read from any domain. *)
 
 (** The reach relation a search runs under. *)
 type reach =
@@ -77,6 +80,19 @@ val create :
     unspent memory ports but runs short of free PEs to issue them from
     costs 1; the bandwidth-aware scheduler uses it to steer routing
     chains off port-saturated (row, slot) pairs. *)
+
+val restart : t -> fabric -> ?strand:strand -> unit -> unit
+(** [restart t fabric ?strand ()] readies [t] for the next attempt at the
+    same II over the same [occupied] and [overlay]: it searches [fabric]
+    (of the same PE count) with [strand], and {!searches} and {!misses}
+    count from 0 again.  Its per-PE tables and search stamps carry on, so
+    nothing is cleared.  Raises [Invalid_argument] for a fabric of
+    another PE count. *)
+
+val slot : t -> int -> int
+(** [slot t time] is [time mod ii] for [time >= 0], the slot every
+    lookup of [t] takes.  For [0 <= time < 2^20] and [ii <= 4096] it is
+    a multiply and a shift; any other time takes [mod]. *)
 
 val searches : t -> int
 (** The best-first searches {!find} has run on [t]: the calls that got

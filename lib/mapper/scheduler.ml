@@ -40,6 +40,9 @@ module Prep = struct
            and out of it *)
     order : int list;  (* node placement order (rank, height, asap, id) *)
     fabric : Router.fabric;  (* per-PE tables, PEs by row-major index *)
+    reach : Router.reach array array;
+        (* paged: [reach.(p).(q - p)] is the relation of an edge from page
+           [p] to page [q >= p], built once so a probe allocates none *)
     candidates : int array array;
         (* [max_page_used + 1] -> the row-major PEs a node may take:
            pages [0, max_page_used + 1] when paged (a contiguous prefix
@@ -73,6 +76,14 @@ module Prep = struct
             (Page.n_pages pages + 1)
             (fun k -> pes (fun i -> fabric.page.(i) >= 0 && fabric.page.(i) <= k))
     in
+    let reach =
+      match kind with
+      | Unconstrained -> [||]
+      | Paged ->
+          let n = Page.n_pages pages in
+          Array.init n (fun first ->
+              Array.init (n - first) (fun d -> Router.Pages { first; last = first + d }))
+    in
     let ordering = Memdep.ordering graph in
     let ord_by key =
       Array.init (Graph.n_nodes graph) (fun v ->
@@ -102,6 +113,7 @@ module Prep = struct
       ord_out = ord_by (fun o -> o.src);
       order;
       fabric;
+      reach;
       candidates;
       boundary;
       mem_ports = arch.Cgra.mem_ports_per_row;
@@ -111,6 +123,70 @@ end
 (* ----- one scheduling attempt ---------------------------------------- *)
 
 module Attempt = struct
+  (* The mutable tables of an attempt.  Each domain keeps one and hands
+     it to its next attempt when the PE count, rows and II match: the
+     reservation tables are cleared, and the overlay and the router's
+     search tables are reused as they are, since their stamps ([gen],
+     and the router's own) only ever grow, so an entry an earlier
+     attempt left never equals a live stamp.  Attempts never nest on a
+     domain (an attempt calls nothing that runs another), so no two
+     attempts share a scratch. *)
+  type scratch = {
+    n_pes : int;
+    rows : int;
+    ii : int;
+    occupied : Bytes.t;  (* pe_index * ii + slot *)
+    mem_use : int array;  (* row * ii + slot -> count *)
+    row_occ : int array;
+        (* row * ii + slot -> occupied PEs (ops and routing hops): how
+           much of the row is left to host its remaining port budget *)
+    overlay : int array;  (* generation stamps, pe_index * ii + slot *)
+    mutable gen : int;
+    router : Router.t;
+        (* search scratch over [occupied] and [overlay].  Bus-aware
+           routing prices hops from [mem_use] and [row_occ]: among
+           equally short chains it prefers hops that do not strand port
+           budget, while legacy attempts keep the (hops, time) search. *)
+    pes : int array;  (* a placement's shuffled candidate PEs, a prefix *)
+    table : int array;  (* one reachability table *)
+    earliest : int array;
+    latest : int array;  (* a placement's per-PE issue-time bounds *)
+  }
+
+  let scratches = Domain.DLS.new_key (fun () -> ref None)
+
+  let scratch fabric ~rows ~ii =
+    let cell = Domain.DLS.get scratches in
+    let n_pes = Array.length fabric.Router.coords in
+    match !cell with
+    | Some s when s.n_pes = n_pes && s.rows = rows && s.ii = ii ->
+        Bytes.fill s.occupied 0 (Bytes.length s.occupied) '\000';
+        Array.fill s.mem_use 0 (Array.length s.mem_use) 0;
+        Array.fill s.row_occ 0 (Array.length s.row_occ) 0;
+        s
+    | Some _ | None ->
+        let occupied = Bytes.make (n_pes * ii) '\000' in
+        let overlay = Array.make (n_pes * ii) 0 in
+        let s =
+          {
+            n_pes;
+            rows;
+            ii;
+            occupied;
+            mem_use = Array.make (rows * ii) 0;
+            row_occ = Array.make (rows * ii) 0;
+            overlay;
+            gen = 0;
+            router = Router.create fabric ~ii ~occupied ~overlay ();
+            pes = Array.make n_pes 0;
+            table = Array.make n_pes 0;
+            earliest = Array.make n_pes 0;
+            latest = Array.make n_pes 0;
+          }
+        in
+        cell := Some s;
+        s
+
   type t = {
     prep : Prep.t;
     ii : int;
@@ -130,36 +206,24 @@ module Attempt = struct
         (* polled between node placements: [true] once a better race
            candidate has won, making this attempt's outcome irrelevant *)
     placements : Mapping.placement option array;
-    occupied : Bytes.t;  (* pe_index * ii + slot *)
-    mem_use : int array;  (* row * ii + slot -> count *)
-    row_occ : int array;
-        (* row * ii + slot -> occupied PEs (ops and routing hops): how
-           much of the row is left to host its remaining port budget *)
-    overlay : int array;  (* generation stamps, pe_index * ii + slot *)
-    mutable overlay_gen : int;
-    router : Router.t;
-        (* search scratch over [occupied] and [overlay].  Bus-aware
-           routing prices hops from [mem_use] and [row_occ]: among
-           equally short chains it prefers hops that do not strand port
-           budget, while legacy attempts keep the (hops, time) search. *)
+    s : scratch;
     mutable routes : Mapping.route list;
     mutable max_page_used : int;  (* -1 when none *)
     mutable spills_left : int;
+    mutable routed : Mapping.route list;
+        (* the routes of the last probe [edges_feasible] accepted *)
   }
 
   let create ?(spread = false) ?(bus = false) ?(cancel = fun () -> false) prep ii
       rng =
     let fabric = prep.Prep.fabric in
-    let n_pes = Array.length fabric.Router.coords in
-    let rows = prep.Prep.arch.Cgra.grid.Grid.rows in
-    let occupied = Bytes.make (n_pes * ii) '\000' in
-    let mem_use = Array.make (rows * ii) 0 in
-    let row_occ = Array.make (rows * ii) 0 in
-    let overlay = Array.make (n_pes * ii) 0 in
+    let s = scratch fabric ~rows:prep.Prep.arch.Cgra.grid.Grid.rows ~ii in
     let strand =
-      if bus then Some { Router.mem_use; row_occ; budget = prep.Prep.mem_ports }
+      if bus then
+        Some { Router.mem_use = s.mem_use; row_occ = s.row_occ; budget = prep.Prep.mem_ports }
       else None
     in
+    Router.restart s.router fabric ?strand ();
     {
       prep;
       ii;
@@ -168,15 +232,11 @@ module Attempt = struct
       rng;
       cancel;
       placements = Array.make (Graph.n_nodes prep.Prep.graph) None;
-      occupied;
-      mem_use;
-      row_occ;
-      overlay;
-      overlay_gen = 0;
-      router = Router.create fabric ~ii ~occupied ~overlay ?strand ();
+      s;
       routes = [];
       max_page_used = -1;
       spills_left = (if bus then 8 else 0);
+      routed = [];
     }
 
   let graph t = t.prep.Prep.graph
@@ -185,7 +245,7 @@ module Attempt = struct
 
   let fabric t = t.prep.Prep.fabric
 
-  let slot t time = time mod t.ii
+  let searches t = Router.searches t.s.router
 
   (* Row-major index of a placed PE: the attempt works on indices and
      meets coordinates only in placements and route hops. *)
@@ -194,10 +254,11 @@ module Attempt = struct
   (* Packed single-int keys: with [slot < ii] the pair (pe index, slot)
      packs bijectively into [pe_index * ii + slot], and (row, slot) into
      [row * ii + slot] — a dense array index, no hashing in the
-     placement inner loop. *)
-  let occ_key t pe time = (pe * t.ii) + slot t time
+     placement inner loop.  The slot takes no division
+     ({!Router.slot}); [place_node] steps it along with the time. *)
+  let occ_key t pe time = (pe * t.ii) + Router.slot t.s.router time
 
-  let mem_key t row time = (row * t.ii) + slot t time
+  let mem_key t row time = (row * t.ii) + Router.slot t.s.router time
 
   let is_const t v =
     match (Graph.node (graph t) v).op with Op.Const _ -> true | _ -> false
@@ -208,37 +269,40 @@ module Attempt = struct
      [src] directly. *)
   let edge_route t (e : Graph.edge) ~src ~src_time ~dst ~dst_time =
     let deadline = dst_time + (e.distance * t.ii) in
-    let gen = t.overlay_gen in
+    let gen = t.s.gen in
     match kind t with
     | Unconstrained ->
-        Router.find t.router ~gen Mesh ~src ~src_time ~dst ~deadline ~max_hops:8
+        Router.find t.s.router ~gen Mesh ~src ~src_time ~dst ~deadline ~max_hops:8
     | Paged ->
         (* Values may relay forward through intermediate pages; each
            step stays in its page or crosses one boundary. *)
         let page = (fabric t).Router.page in
         let pu = page.(src) and pv = page.(dst) in
         if pu >= 0 && pv >= pu then
-          Router.find t.router ~gen
-            (Pages { first = pu; last = pv })
+          Router.find t.s.router ~gen
+            t.prep.Prep.reach.(pu).(pv - pu)
             ~src ~src_time ~dst ~deadline
             ~max_hops:(2 * (pv - pu + 4))
         else None
 
-  let add_overlay t hops =
-    List.iter
-      (fun (h : Mapping.placement) ->
-        t.overlay.(occ_key t (index t h.pe) h.time) <- t.overlay_gen)
-      hops
+  let rec add_overlay t = function
+    | [] -> ()
+    | (h : Mapping.placement) :: rest ->
+        t.s.overlay.(occ_key t (index t h.pe) h.time) <- t.s.gen;
+        add_overlay t rest
 
   (* All edges of candidate [v] at ([pe], [time]) whose other endpoint is
      already placed — [preds]/[succs] hold (edge, PE index, time) of that
-     endpoint and are precomputed once per node in [place_node].  Returns
-     the routes to commit, or None if infeasible. *)
+     endpoint and are built once per node in [place_node].  When every
+     edge routes, leaves the routes to commit in [routed] and returns
+     true. *)
   let rec succ_routes t pe time acc = function
-    | [] -> Some acc
+    | [] ->
+        t.routed <- acc;
+        true
     | (e, pw, tw) :: rest -> (
         match edge_route t e ~src:pe ~src_time:time ~dst:pw ~dst_time:tw with
-        | None -> None
+        | None -> false
         | Some [] -> succ_routes t pe time acc rest
         | Some hops ->
             add_overlay t hops;
@@ -248,126 +312,96 @@ module Attempt = struct
     | [] -> succ_routes t pe time acc succs
     | (e, pu, tu) :: rest -> (
         match edge_route t e ~src:pu ~src_time:tu ~dst:pe ~dst_time:time with
-        | None -> None
+        | None -> false
         | Some [] -> pred_routes t pe time ~succs acc rest
         | Some hops ->
             add_overlay t hops;
             pred_routes t pe time ~succs ({ Mapping.edge = e; hops } :: acc) rest)
 
   let edges_feasible t ~preds ~succs pe time =
-    t.overlay_gen <- t.overlay_gen + 1;
+    t.s.gen <- t.s.gen + 1;
     pred_routes t pe time ~succs [] preds
 
   (* Per-PE issue-time bounds from the reachability tables of [v]'s
-     placed-neighbour edges ([preds]/[succs] as in [place_node]): a probe
-     ([pe], [time]) outside [earliest.(pe), latest.(pe)] has an edge that
-     no chain over [occupied] can route, so [edges_feasible] would return
-     None for it ({!Router.earliest_reads}). *)
+     placed-neighbour edges ([preds]/[succs] as in [place_node]), left in
+     [earliest] and [latest]: a probe ([pe], [time]) outside
+     [earliest.(pe), latest.(pe)] has an edge that no chain over
+     [occupied] can route, so [edges_feasible] would return false for it
+     ({!Router.earliest_reads}). *)
   let reach_bounds t ~preds ~succs =
-    let n = Array.length (fabric t).Router.coords in
+    let s = t.s in
+    let n = s.n_pes in
     let paged = kind t = Paged in
-    let table = Array.make n 0 in
-    let earliest = Array.make n min_int and latest = Array.make n max_int in
+    Array.fill s.earliest 0 n min_int;
+    Array.fill s.latest 0 n max_int;
     List.iter
       (fun ((e : Graph.edge), pu, tu) ->
-        Router.earliest_reads t.router ~paged ~src:pu ~src_time:tu table;
+        Router.earliest_reads s.router ~paged ~src:pu ~src_time:tu s.table;
         (* [v] at [time] reads at [time + distance * ii] *)
         let slack = e.distance * t.ii in
         for pe = 0 to n - 1 do
-          earliest.(pe) <- Int.max earliest.(pe) (table.(pe) - slack)
+          s.earliest.(pe) <- Int.max s.earliest.(pe) (s.table.(pe) - slack)
         done)
       preds;
     List.iter
       (fun ((e : Graph.edge), pw, tw) ->
-        Router.latest_departures t.router ~paged ~dst:pw
+        Router.latest_departures s.router ~paged ~dst:pw
           ~deadline:(tw + (e.distance * t.ii))
-          table;
+          s.table;
         for pe = 0 to n - 1 do
-          latest.(pe) <- Int.min latest.(pe) table.(pe)
+          s.latest.(pe) <- Int.min s.latest.(pe) s.table.(pe)
         done)
-      succs;
-    (earliest, latest)
+      succs
 
-  let base_free t pe time = Bytes.get t.occupied (occ_key t pe time) = '\000'
+  let rec unplaced_dst t = function
+    | [] -> false
+    | (e : Graph.edge) :: rest -> (
+        match t.placements.(e.dst) with None -> true | Some _ -> unplaced_dst t rest)
 
-  let mem_ok t ~v_is_mem pe time =
-    (not v_is_mem)
-    || t.mem_use.(mem_key t (fabric t).Router.row.(pe) time) < t.prep.Prep.mem_ports
-
-  (* Only pages forming a contiguous prefix may be used; allow one fresh
-     page beyond the current maximum.  A fresh copy: [place_node]
-     shuffles it. *)
-  let candidate_pes t =
-    let c = t.prep.Prep.candidates in
-    Array.copy c.(min (t.max_page_used + 1) (Array.length c - 1))
-
-  let has_unplaced_consumer t v =
-    List.exists
-      (fun (e : Graph.edge) -> t.placements.(e.dst) = None)
-      (Graph.succs (graph t) v)
+  let has_unplaced_consumer t v = unplaced_dst t (Graph.succs (graph t) v)
 
   (* ----- bandwidth pricing ------------------------------------------- *)
 
-  (* Bus-pressure price of a feasible candidate, the bandwidth-aware
-     term of the cost tuple (0 for legacy attempts).  A memory op pays
-     for the load already on its (row, slot) — steering memory traffic
-     toward slack rows — plus a saturation surcharge when it would spend
-     the row's last port; any placement (op or routing hop) additionally
-     pays the stranding price of eating a would-be port issuer's PE.
-     Occupying (pe, time) "strands" row-bus budget when the row still has
-     unspent memory ports at that slot but is running out of free PEs to
-     issue them from: each such placement makes the residual bandwidth
-     harder to spend later ([Router.strand_price]). *)
-  let bus_cost t ~v_is_mem pe time routes =
+  let rec hop_prices t acc = function
+    | [] -> acc
+    | (h : Mapping.placement) :: rest ->
+        hop_prices t (acc + Router.strand_price t.s.router (index t h.pe) h.time) rest
+
+  let rec route_prices t acc = function
+    | [] -> acc
+    | (r : Mapping.route) :: rest -> route_prices t (hop_prices t acc r.hops) rest
+
+  (* Bus-pressure price of a feasible candidate at ([pe], [time]) in
+     [slot], the bandwidth-aware term of the cost (0 for legacy
+     attempts).  A memory op pays for the load already on its (row,
+     slot) — steering memory traffic toward slack rows — plus a
+     saturation surcharge when it would spend the row's last port; any
+     placement (op or routing hop) additionally pays the stranding price
+     of eating a would-be port issuer's PE.  Occupying (pe, time)
+     "strands" row-bus budget when the row still has unspent memory
+     ports at that slot but is running out of free PEs to issue them
+     from: each such placement makes the residual bandwidth harder to
+     spend later ([Router.strand_price]). *)
+  let bus_cost t ~v_is_mem pe time slot routes =
     if not t.bus then 0
     else begin
       let own =
         if v_is_mem then begin
-          let row = (fabric t).Router.row.(pe) in
-          let used = t.mem_use.(mem_key t row time) in
+          let used = t.s.mem_use.(((fabric t).Router.row.(pe) * t.ii) + slot) in
           let saturating = if used + 1 >= t.prep.Prep.mem_ports then 1 else 0 in
           (4 * used) + (2 * saturating)
         end
-        else Router.strand_price t.router pe time
+        else Router.strand_price t.s.router pe time
       in
-      List.fold_left
-        (fun acc (r : Mapping.route) ->
-          List.fold_left
-            (fun acc (h : Mapping.placement) ->
-              acc + Router.strand_price t.router (index t h.pe) h.time)
-            acc r.hops)
-        own routes
+      route_prices t own routes
     end
 
-  (* Cost of a feasible candidate.  Packing personality: fewer fresh
-     pages and lower page index first (harvestable fabric); spreading
-     personality: fewer routing hops and boundary access for ops whose
-     consumers are still unplaced (lower II pressure).  The fourth
-     component is the bus-pressure term — tie-break-level for legacy
-     attempts (always 0 there), an active allocation signal for
-     bandwidth-aware ones.  [unplaced_consumer] is
-     [has_unplaced_consumer t v], fixed while [v]'s candidates are
-     probed. *)
-  let cost t ~unplaced_consumer ~v_is_mem pe time routes =
-    let hops =
-      List.fold_left (fun acc (r : Mapping.route) -> acc + List.length r.hops) 0 routes
-    in
-    let bus = bus_cost t ~v_is_mem pe time routes in
-    match kind t with
-    | Unconstrained -> (0, 0, hops, bus, Cgra_util.Rng.int t.rng 1024)
-    | Paged when t.spread ->
-        let interior_penalty =
-          if unplaced_consumer && not t.prep.Prep.boundary.(pe) then 1 else 0
-        in
-        (0, hops, interior_penalty, bus, Cgra_util.Rng.int t.rng 1024)
-    | Paged ->
-        let pg = Int.max 0 (fabric t).Router.page.(pe) in
-        let fresh = if pg > t.max_page_used then 1 else 0 in
-        (fresh, pg, hops, bus, Cgra_util.Rng.int t.rng 1024)
+  let rec route_hops acc = function
+    | [] -> acc
+    | (r : Mapping.route) :: rest -> route_hops (acc + List.length r.hops) rest
 
-  (* Lexicographic order on cost tuples, compared as ints. *)
-  let cost_lt ((a1, a2, a3, a4, a5) : int * int * int * int * int)
-      (b1, b2, b3, b4, b5) =
+  (* Lexicographic order on the five cost components, as ints. *)
+  let cost_lt (a1 : int) (a2 : int) (a3 : int) (a4 : int) (a5 : int) b1 b2 b3 b4 b5 =
     a1 < b1
     || a1 = b1
        && (a2 < b2
@@ -377,23 +411,23 @@ module Attempt = struct
   let add_hops t delta hops =
     List.iter
       (fun (h : Mapping.placement) ->
-        Bytes.set t.occupied
+        Bytes.set t.s.occupied
           (occ_key t (index t h.pe) h.time)
           (if delta > 0 then '\001' else '\000');
         let k = mem_key t h.pe.Coord.row h.time in
-        t.row_occ.(k) <- t.row_occ.(k) + delta)
+        t.s.row_occ.(k) <- t.s.row_occ.(k) + delta)
       hops
 
   (* Take ([delta] = 1) or free ([delta] = -1) node [v]'s slot and bus
      port at [p]. *)
   let occupy t v delta (p : Mapping.placement) =
-    Bytes.set t.occupied
+    Bytes.set t.s.occupied
       (occ_key t (index t p.pe) p.time)
       (if delta > 0 then '\001' else '\000');
     let rk = mem_key t p.pe.Coord.row p.time in
-    t.row_occ.(rk) <- t.row_occ.(rk) + delta;
+    t.s.row_occ.(rk) <- t.s.row_occ.(rk) + delta;
     if Op.is_mem (Graph.node (graph t) v).op then
-      t.mem_use.(rk) <- t.mem_use.(rk) + delta
+      t.s.mem_use.(rk) <- t.s.mem_use.(rk) + delta
 
   let commit t v (cand : Mapping.placement) routes =
     t.placements.(v) <- Some cand;
@@ -428,75 +462,112 @@ module Attempt = struct
         t.routes <- keep;
         Some (p, mine)
 
-  (* Modulo scheduling window of node [v] from its placed neighbours —
-     data edges and memory ordering constraints alike. *)
-  let window t v =
-    let from_pred acc src distance =
-      match t.placements.(src) with
-      | Some (pu : Mapping.placement) -> max acc (pu.time + 1 - (distance * t.ii))
-      | None -> acc
-    in
-    let to_succ acc dst distance =
-      match t.placements.(dst) with
-      | Some (pw : Mapping.placement) -> min acc (pw.time - 1 + (distance * t.ii))
-      | None -> acc
-    in
-    let lo =
-      List.fold_left
-        (fun acc (e : Graph.edge) ->
-          if is_const t e.src then acc else from_pred acc e.src e.distance)
-        0
-        (Graph.preds (graph t) v)
-    in
-    let lo =
-      List.fold_left
-        (fun acc (o : Memdep.t) -> from_pred acc o.src o.distance)
-        lo t.prep.Prep.ord_in.(v)
-    in
+  (* Modulo scheduling window [lo, hi] of node [v] from its placed
+     neighbours — data edges and memory ordering constraints alike. *)
+  let rec lo_of_preds t acc = function
+    | [] -> acc
+    | (e : Graph.edge) :: rest ->
+        let acc =
+          if is_const t e.src then acc
+          else
+            match t.placements.(e.src) with
+            | Some pu -> Int.max acc (pu.time + 1 - (e.distance * t.ii))
+            | None -> acc
+        in
+        lo_of_preds t acc rest
+
+  let rec lo_of_ordering t acc = function
+    | [] -> acc
+    | (o : Memdep.t) :: rest ->
+        let acc =
+          match t.placements.(o.src) with
+          | Some pu -> Int.max acc (pu.time + 1 - (o.distance * t.ii))
+          | None -> acc
+        in
+        lo_of_ordering t acc rest
+
+  let rec hi_of_succs t acc = function
+    | [] -> acc
+    | (e : Graph.edge) :: rest ->
+        let acc =
+          match t.placements.(e.dst) with
+          | Some pw -> Int.min acc (pw.time - 1 + (e.distance * t.ii))
+          | None -> acc
+        in
+        hi_of_succs t acc rest
+
+  let rec hi_of_ordering t acc = function
+    | [] -> acc
+    | (o : Memdep.t) :: rest ->
+        let acc =
+          match t.placements.(o.dst) with
+          | Some pw -> Int.min acc (pw.time - 1 + (o.distance * t.ii))
+          | None -> acc
+        in
+        hi_of_ordering t acc rest
+
+  let window_lo t v =
+    lo_of_ordering t (lo_of_preds t 0 (Graph.preds (graph t) v)) t.prep.Prep.ord_in.(v)
+
+  let window_hi t v ~lo =
     let hi =
-      List.fold_left
-        (fun acc (e : Graph.edge) -> to_succ acc e.dst e.distance)
-        max_int
-        (Graph.succs (graph t) v)
-    in
-    let hi =
-      List.fold_left
-        (fun acc (o : Memdep.t) -> to_succ acc o.dst o.distance)
-        hi t.prep.Prep.ord_out.(v)
+      hi_of_ordering t
+        (hi_of_succs t max_int (Graph.succs (graph t) v))
+        t.prep.Prep.ord_out.(v)
     in
     (* Resource slots repeat modulo II, so [ii] distinct times cover every
        slot — but routing deadlines are not modular: a later time buys a
        longer cross-page relay chain.  The bandwidth-aware personality
        searches a second period for exactly that reason. *)
     let span = if t.bus && kind t = Paged then 2 * t.ii else t.ii in
-    (lo, min hi (lo + span - 1))
+    Int.min hi (lo + span - 1)
 
+  (* [v]'s placed producers and consumers as (edge, PE index, time), in
+     edge order. *)
+  let rec placed_preds t = function
+    | [] -> []
+    | (e : Graph.edge) :: rest -> (
+        if is_const t e.src then placed_preds t rest
+        else
+          match t.placements.(e.src) with
+          | Some pu -> (e, index t pu.pe, pu.time) :: placed_preds t rest
+          | None -> placed_preds t rest)
+
+  let rec placed_succs t = function
+    | [] -> []
+    | (e : Graph.edge) :: rest -> (
+        match t.placements.(e.dst) with
+        | Some pw -> (e, index t pw.pe, pw.time) :: placed_succs t rest
+        | None -> placed_succs t rest)
+
+  (* Place [v] at the first time of its window that has a feasible
+     candidate PE, taking that time's cheapest.  The candidates are
+     shuffled once per call, and each feasible one draws its random
+     tie-break before the comparison, so the draws follow the probe
+     order.  Cost, lexicographic: packing personality — a fresh page,
+     then the page index, then hops (harvestable fabric); spreading —
+     hops, then an interior PE for an op whose consumers are still
+     unplaced (lower II pressure); unconstrained — hops.  Then the bus
+     term ([bus_cost]) and the draw.  The slot of each time is stepped
+     with it, so no probe divides. *)
   let place_node t v =
-    let lo, hi = window t v in
+    let lo = window_lo t v in
+    let hi = window_hi t v ~lo in
     if hi < lo then false
     else begin
-      let pes = candidate_pes t in
-      Cgra_util.Rng.shuffle t.rng pes;
-      let preds =
-        List.filter_map
-          (fun (e : Graph.edge) ->
-            if is_const t e.src then None
-            else
-              match t.placements.(e.src) with
-              | Some pu -> Some (e, index t pu.pe, pu.time)
-              | None -> None)
-          (Graph.preds (graph t) v)
-      in
-      let succs =
-        List.filter_map
-          (fun (e : Graph.edge) ->
-            match t.placements.(e.dst) with
-            | Some pw -> Some (e, index t pw.pe, pw.time)
-            | None -> None)
-          (Graph.succs (graph t) v)
-      in
+      let s = t.s and f = fabric t and ii = t.ii in
+      let c = t.prep.Prep.candidates in
+      let cands = c.(Int.min (t.max_page_used + 1) (Array.length c - 1)) in
+      let n = Array.length cands in
+      Array.blit cands 0 s.pes 0 n;
+      Cgra_util.Rng.shuffle_prefix t.rng s.pes n;
+      let preds = placed_preds t (Graph.preds (graph t) v) in
+      let succs = placed_succs t (Graph.succs (graph t) v) in
       let v_is_mem = Op.is_mem (Graph.node (graph t) v).op in
       let unplaced_consumer = has_unplaced_consumer t v in
+      let paged = kind t = Paged in
+      let spread = paged && t.spread and pack = paged && not t.spread in
+      let ports = t.prep.Prep.mem_ports and boundary = t.prep.Prep.boundary in
       (* [occupied] holds still until the commit below, so the bounds
          stay exact for the whole call.  They are built at the first
          probe whose best-first search comes up empty, not at the first
@@ -504,39 +575,59 @@ module Attempt = struct
          calls that go on to place [v], where the tables would be wasted
          work.  After a failed search, the rest of the call's probes
          mostly cannot route either. *)
-      let bounds = ref None in
-      let misses = Router.misses t.router in
-      let reachable pe time =
-        match !bounds with
-        | None -> true
-        | Some (earliest, latest) -> earliest.(pe) <= time && time <= latest.(pe)
-      in
-      let rec try_time time =
-        if time > hi then false
-        else begin
-          let best = ref None in
-          for i = 0 to Array.length pes - 1 do
-            let pe = pes.(i) in
-            if base_free t pe time && mem_ok t ~v_is_mem pe time && reachable pe time
-            then
-              match edges_feasible t ~preds ~succs pe time with
-              | None ->
-                  if Option.is_none !bounds && Router.misses t.router <> misses then
-                    bounds := Some (reach_bounds t ~preds ~succs)
-              | Some routes -> (
-                  let c = cost t ~unplaced_consumer ~v_is_mem pe time routes in
-                  match !best with
-                  | Some (c0, _, _) when not (cost_lt c c0) -> ()
-                  | Some _ | None -> best := Some (c, pe, routes))
-          done;
-          match !best with
-          | Some (_, pe, routes) ->
-              commit t v { Mapping.pe = (fabric t).Router.coords.(pe); time } routes;
-              true
-          | None -> try_time (time + 1)
+      let bounded = ref false in
+      let misses = Router.misses s.router in
+      let placed = ref false in
+      let time = ref lo and slot = ref (lo mod ii) in
+      while (not !placed) && !time <= hi do
+        let now = !time and sl = !slot in
+        let best = ref (-1) and best_routes = ref [] in
+        let b1 = ref 0 and b2 = ref 0 and b3 = ref 0 and b4 = ref 0 and b5 = ref 0 in
+        for i = 0 to n - 1 do
+          let pe = s.pes.(i) in
+          if
+            Bytes.get s.occupied ((pe * ii) + sl) = '\000'
+            && ((not v_is_mem) || s.mem_use.((f.Router.row.(pe) * ii) + sl) < ports)
+            && ((not !bounded) || (s.earliest.(pe) <= now && now <= s.latest.(pe)))
+          then
+            if edges_feasible t ~preds ~succs pe now then begin
+              let routes = t.routed in
+              let hops = route_hops 0 routes in
+              let bus = bus_cost t ~v_is_mem pe now sl routes in
+              let pg = Int.max 0 f.Router.page.(pe) in
+              let c1 = if pack && pg > t.max_page_used then 1 else 0 in
+              let c2 = if pack then pg else if spread then hops else 0 in
+              let c3 =
+                if not spread then hops
+                else if unplaced_consumer && not boundary.(pe) then 1
+                else 0
+              in
+              let r = Cgra_util.Rng.int t.rng 1024 in
+              if !best < 0 || cost_lt c1 c2 c3 bus r !b1 !b2 !b3 !b4 !b5 then begin
+                best := pe;
+                best_routes := routes;
+                b1 := c1;
+                b2 := c2;
+                b3 := c3;
+                b4 := bus;
+                b5 := r
+              end
+            end
+            else if (not !bounded) && Router.misses s.router <> misses then begin
+              reach_bounds t ~preds ~succs;
+              bounded := true
+            end
+        done;
+        if !best >= 0 then begin
+          commit t v { Mapping.pe = f.Router.coords.(!best); time = now } !best_routes;
+          placed := true
         end
-      in
-      try_time lo
+        else begin
+          time := now + 1;
+          slot := if sl + 1 = ii then 0 else sl + 1
+        end
+      done;
+      !placed
     end
 
   (* Bounded repair for the bandwidth-aware personality: when a node has
@@ -583,14 +674,15 @@ module Attempt = struct
                     match t.placements.(n.id) with
                     | None -> []
                     | Some p ->
-                        [ (n.id, t.mem_use.(mem_key t p.pe.Coord.row p.time)) ])
+                        [ (n.id, t.s.mem_use.(mem_key t p.pe.Coord.row p.time)) ])
                 (Graph.nodes (graph t))))
       in
       (* A closed modulo window (hi < lo) is pinned entirely by the
          placed neighbours: evicting a non-adjacent memory op cannot
          reopen it, so skip the second tier and save the doomed
          placement scans. *)
-      let lo, hi = window t v in
+      let lo = window_lo t v in
+      let hi = window_hi t v ~lo in
       let rec go = function
         | [] -> false
         | u :: rest ->
@@ -745,7 +837,7 @@ let search ~seed ~start ~max_ii ~bus_aware ?pool ~trace ~key kind arch g =
     in
     let a = Attempt.create ~spread ~bus ?cancel prep ii rng in
     let r = Attempt.run a in
-    ignore (Atomic.fetch_and_add searches (Router.searches a.Attempt.router));
+    ignore (Atomic.fetch_and_add searches (Attempt.searches a));
     r
   in
   let indices n = List.init n Fun.id in

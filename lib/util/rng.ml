@@ -54,13 +54,16 @@ let choose t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
+let shuffle_prefix t arr n =
+  if n < 0 || n > Array.length arr then invalid_arg "Rng.shuffle_prefix";
+  for i = n - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = arr.(i) in
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
+
+let shuffle t arr = shuffle_prefix t arr (Array.length arr)
 
 let exponential t ~mean =
   assert (mean > 0.0);

@@ -42,7 +42,13 @@ val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
+(** In-place Fisher–Yates shuffle: [shuffle_prefix t arr (Array.length arr)]. *)
+
+val shuffle_prefix : t -> 'a array -> int -> unit
+(** [shuffle_prefix t arr n] shuffles [arr.(0)] to [arr.(n - 1)] in
+    place, with the draws {!shuffle} makes on an [n]-element array, and
+    leaves the rest of [arr] as it is.  Raises [Invalid_argument] unless
+    [0 <= n <= Array.length arr]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean (> 0). *)

@@ -861,12 +861,14 @@ let test_reach_tables_sound () =
     (!cases = 1_024 && !routed >= 300 && !rejected >= 300 && !searched >= 100)
 
 let test_reach_tables_exact () =
-  (* On 4x4/p2, 4x4/p4 and 6x6/p8 at II 1 to 3, under both relations,
-     every entry of both tables equals the brute-force one, for every
-     PE. *)
+  (* On 4x4/p2 at II 1 to 3, and on 4x4/p4 and 6x6/p8 at II 1 to 7 (7 is
+     sobel's winning paged II on 6x6/p8 at seed 0, the grid's largest),
+     under both relations, every entry of both tables equals the
+     brute-force one, for every PE.  Start times reach 12 II windows, so
+     the passes' bucket rings wrap many times. *)
   let rng = Cgra_util.Rng.create ~seed:2022 in
   List.iter
-    (fun (size, page_pes) ->
+    (fun ((size, page_pes), iis) ->
       let arch = Option.get (Cgra.standard ~size ~page_pes) in
       let fabric = Router.fabric arch in
       let n = Array.length fabric.coords in
@@ -886,7 +888,7 @@ let test_reach_tables_exact () =
             done;
             let paged = case mod 2 = 0 in
             let reads = reference_reads arch ~paged in
-            let pe = Cgra_util.Rng.int rng n and time = Cgra_util.Rng.int rng 12 in
+            let pe = Cgra_util.Rng.int rng n and time = Cgra_util.Rng.int rng (12 * ii) in
             let check what want =
               if got <> want then
                 Alcotest.failf "%dx%d p%d ii=%d case %d (%s): %s from PE %d at %d"
@@ -901,8 +903,55 @@ let test_reach_tables_exact () =
             check "latest departures"
               (brute_latest_departures ~n ~reads ~is_open ~dst:pe ~deadline:time)
           done)
-        [ 1; 2; 3 ])
-    [ (4, 2); (4, 4); (6, 8) ]
+        iis)
+    [
+      ((4, 2), [ 1; 2; 3 ]);
+      ((4, 4), [ 1; 2; 3; 4; 5; 6; 7 ]);
+      ((6, 8), [ 1; 2; 3; 4; 5; 6; 7 ]);
+    ]
+
+let test_fabric_per_layout () =
+  (* one fabric per page layout per domain, found again by value; a
+     router restarts on a fabric of its own PE count only, and counts
+     its searches from 0 again *)
+  let a = Router.fabric (arch_4x4_p4 ()) in
+  Alcotest.(check bool) "equal layouts share a fabric" true
+    (a == Router.fabric (arch_4x4_p4 ()));
+  Alcotest.(check bool) "another layout has its own" true
+    (a != Router.fabric (arch_4x4_p2 ()));
+  let n = Array.length a.coords in
+  let router =
+    Router.create a ~ii:2 ~occupied:(Bytes.make (n * 2) '\000')
+      ~overlay:(Array.make (n * 2) 0) ()
+  in
+  ignore (Router.find router ~gen:1 Mesh ~src:0 ~src_time:0 ~dst:15 ~deadline:9 ~max_hops:8);
+  Alcotest.(check int) "one search" 1 (Router.searches router);
+  Router.restart router (Router.fabric (arch_4x4_p2 ())) ();
+  Alcotest.(check int) "counted from 0 again" 0 (Router.searches router);
+  Alcotest.check_raises "another PE count refused"
+    (Invalid_argument "Router.restart: fabric of another PE count") (fun () ->
+      Router.restart router (Router.fabric (arch_6x6_p8 ())) ())
+
+let test_slot_matches_mod () =
+  (* [Router.slot] against [mod] at every time from 0 to just past 2^20,
+     where its multiply-shift ends, at II 1 to 64, and at the IIs around
+     4096, past which it always divides *)
+  let arch = arch_4x4_p4 () in
+  let fabric = Router.fabric arch in
+  let n = Array.length fabric.coords in
+  List.iter
+    (fun ii ->
+      let router =
+        Router.create fabric ~ii
+          ~occupied:(Bytes.make (n * ii) '\000')
+          ~overlay:(Array.make (n * ii) 0) ()
+      in
+      for time = 0 to (1 lsl 20) + (2 * ii) + 1 do
+        if Router.slot router time <> time mod ii then
+          Alcotest.failf "ii %d, time %d: slot %d, mod %d" ii time
+            (Router.slot router time) (time mod ii)
+      done)
+    (List.init 64 (fun i -> i + 1) @ [ 4095; 4096; 4097; 10_007 ])
 
 (* ---------- bandwidth-aware scheduling ---------- *)
 
@@ -1359,6 +1408,10 @@ let () =
             test_reach_tables_sound;
           Alcotest.test_case "reachability tables match brute force" `Quick
             test_reach_tables_exact;
+          Alcotest.test_case "slot = mod over its whole range" `Quick
+            test_slot_matches_mod;
+          Alcotest.test_case "one fabric per layout, restartable scratch" `Quick
+            test_fabric_per_layout;
         ] );
       ( "bus-aware",
         [

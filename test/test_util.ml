@@ -101,6 +101,46 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
+(* [shuffle_prefix] on a longer buffer against [shuffle] on a copy of the
+   prefix, and against the Fisher–Yates [shuffle] ran before it called
+   [shuffle_prefix] (copied here verbatim), for every length 0 to 70 at
+   40 seeds: the same permutation, the tail untouched, and the three
+   generators at the same state after. *)
+let test_rng_shuffle_prefix () =
+  let fisher_yates t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = Rng.int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+  in
+  for seed = 0 to 39 do
+    for n = 0 to 70 do
+      let buf = Array.init 80 (fun i -> 1000 + i) in
+      let copy = Array.sub buf 0 n and reference = Array.sub buf 0 n in
+      let a = Rng.create ~seed and b = Rng.create ~seed and c = Rng.create ~seed in
+      Rng.shuffle_prefix a buf n;
+      Rng.shuffle b copy;
+      fisher_yates c reference;
+      let tag = Printf.sprintf "seed %d, length %d" seed n in
+      Alcotest.(check (array int)) (tag ^ ": prefix = shuffle") copy (Array.sub buf 0 n);
+      Alcotest.(check (array int)) (tag ^ ": shuffle = Fisher-Yates") reference copy;
+      Alcotest.(check (array int)) (tag ^ ": tail untouched")
+        (Array.init (80 - n) (fun i -> 1000 + n + i))
+        (Array.sub buf n (80 - n));
+      let next = Rng.bits64 a in
+      Alcotest.(check int64) (tag ^ ": same draws as shuffle") (Rng.bits64 b) next;
+      Alcotest.(check int64) (tag ^ ": same draws as Fisher-Yates") (Rng.bits64 c) next
+    done
+  done;
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "length %d refused" n)
+        (Invalid_argument "Rng.shuffle_prefix") (fun () ->
+          Rng.shuffle_prefix (Rng.create ~seed:0) (Array.make 3 0) n))
+    [ -1; 4 ]
+
 let test_rng_choose () =
   let r = Rng.create ~seed:19 in
   for _ = 1 to 100 do
@@ -616,6 +656,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "bool balance" `Quick test_rng_bool_balanced;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "prefix shuffle = shuffle on a copy" `Quick
+            test_rng_shuffle_prefix;
           Alcotest.test_case "choose membership" `Quick test_rng_choose;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         ] );
