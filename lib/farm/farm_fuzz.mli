@@ -41,4 +41,5 @@ val harness : Cgra_util.Corpus.harness
     a random fleet, tenant mix, load, queue bound, residency limit,
     policy and reconfiguration cost, run with tracing on and held to
     {!check}.  Counters: [requests] (offered) and [events] (farm and
-    shard events checked). *)
+    shard events checked).  A case's digest covers the farm stream and
+    every shard stream, or the [Error] text of a run that failed. *)

@@ -245,8 +245,6 @@ module Attempt = struct
 
   let fabric t = t.prep.Prep.fabric
 
-  let searches t = Router.searches t.s.router
-
   (* Row-major index of a placed PE: the attempt works on indices and
      meets coordinates only in placements and route hops. *)
   let index t (pe : Coord.t) = (pe.row * (fabric t).Router.cols) + pe.col
@@ -556,6 +554,7 @@ module Attempt = struct
     if hi < lo then false
     else begin
       let s = t.s and f = fabric t and ii = t.ii in
+      (* only pages forming a contiguous prefix, plus one fresh page *)
       let c = t.prep.Prep.candidates in
       let cands = c.(Int.min (t.max_page_used + 1) (Array.length c - 1)) in
       let n = Array.length cands in
@@ -837,7 +836,7 @@ let search ~seed ~start ~max_ii ~bus_aware ?pool ~trace ~key kind arch g =
     in
     let a = Attempt.create ~spread ~bus ?cancel prep ii rng in
     let r = Attempt.run a in
-    ignore (Atomic.fetch_and_add searches (Attempt.searches a));
+    ignore (Atomic.fetch_and_add searches (Router.searches a.Attempt.s.router));
     r
   in
   let indices n = List.init n Fun.id in

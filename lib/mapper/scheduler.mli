@@ -18,12 +18,18 @@
     exhausted attempts escalate the II.  Every returned mapping has been
     re-checked by [Mapping.validate].
 
-    One [map] call computes its per-PE tables ({!Router.fabric}), the
-    candidate PEs for each page prefix and the per-node ordering
-    constraints once, and every attempt reads them without writing, so
-    raced attempts share them across domains.  Each attempt owns its
-    modulo reservation tables and one {!Router.t}, which every routing
-    search of the attempt reuses.
+    One [map] call computes the candidate PEs for each page prefix and
+    the per-node ordering constraints once, and takes its per-PE tables
+    from {!Router.fabric}, built once per page layout per domain; every
+    attempt reads them without writing, so raced attempts share them
+    across domains.  Each domain keeps one attempt scratch — the modulo
+    reservation tables, the routing overlay, and one {!Router.t} that
+    every routing search reuses — and hands it to its next attempt with
+    the same PE count, rows and II, clearing the reservation tables and
+    keeping the stamped tables as they are.  Attempts never nest on a
+    domain, so no two attempts share a scratch.  A probe computes no
+    division ({!Router.slot}) and allocates only the hop chains it
+    routes.
 
     Placing a node probes (PE, time) candidates, and every probe routes
     each edge to an already placed neighbour.  Most probes cannot route,

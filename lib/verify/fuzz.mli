@@ -25,4 +25,6 @@ val harness : iterations:int -> Cgra_util.Corpus.harness
     Counters: [mapped] (cases the scheduler mapped; the rest are
     capacity misses, not failures), [folds] (fold results checked),
     [folds at base > 0], [refolds] (relocate-then-refold exercises) and
-    [oracle runs] (differential simulations). *)
+    [oracle runs] (differential simulations).  A case's digest covers
+    the codec bytes of its mapping and of every fold, in the order they
+    ran. *)

@@ -30,4 +30,5 @@ val harness : Cgra_util.Corpus.harness
     (resident sets checked differentially, one per seed), [residents]
     (across those sets), [accepted] and [rejected] (sets both checkers
     accepted, with reports compared, or both rejected), and [mutants]
-    (corrupted sets injected and rejected). *)
+    (corrupted sets injected and rejected).  A case's digest covers the
+    allocator's grants and the runtime check's event stream. *)

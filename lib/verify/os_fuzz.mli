@@ -50,4 +50,4 @@ val harness : Cgra_util.Corpus.harness
     then runs the simulator with a live trace in both Single and Multi
     modes and holds each stream to {!monitor} and {!replay_check}.
     Counters: [runs] (traced simulations, two per seed) and [events]
-    (events monitored). *)
+    (events monitored).  A case's digest covers both event streams. *)
