@@ -861,11 +861,12 @@ let test_reach_tables_sound () =
     (!cases = 1_024 && !routed >= 300 && !rejected >= 300 && !searched >= 100)
 
 let test_reach_tables_exact () =
-  (* On 4x4/p2 at II 1 to 3, and on 4x4/p4 and 6x6/p8 at II 1 to 7 (7 is
-     sobel's winning paged II on 6x6/p8 at seed 0, the grid's largest),
-     under both relations, every entry of both tables equals the
-     brute-force one, for every PE.  Start times reach 12 II windows, so
-     the passes' bucket rings wrap many times. *)
+  (* On 4x4/p2 at II 1 to 3, on 6x6/p8 at II 1 to 7 (7 is sobel's
+     winning paged II on 6x6/p8 at seed 0, the grid's largest), and on
+     4x4/p4 at II 1 to 7 and at wider rings up to II 64, under both
+     relations, every entry of both tables equals the brute-force one,
+     for every PE.  Start times reach 12 II windows, so the passes'
+     bucket rings wrap many times. *)
   let rng = Cgra_util.Rng.create ~seed:2022 in
   List.iter
     (fun ((size, page_pes), iis) ->
@@ -906,7 +907,7 @@ let test_reach_tables_exact () =
         iis)
     [
       ((4, 2), [ 1; 2; 3 ]);
-      ((4, 4), [ 1; 2; 3; 4; 5; 6; 7 ]);
+      ((4, 4), [ 1; 2; 3; 4; 5; 6; 7; 9; 16; 33; 64 ]);
       ((6, 8), [ 1; 2; 3; 4; 5; 6; 7 ]);
     ]
 
