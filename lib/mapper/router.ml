@@ -229,7 +229,9 @@ let allowed t reach pe =
 
 (* ----- the search heap, ordered by (hops, cost, time, push order) ----- *)
 
-let less ents a b =
+(* [ents] is typed so that the comparisons below are int comparisons,
+   not calls to the polymorphic compare. *)
+let less (ents : int array) a b =
   let oa = stride * a and ob = stride * b in
   let ha = ents.(oa + e_hops) and hb = ents.(ob + e_hops) in
   ha < hb
@@ -364,16 +366,26 @@ let find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops =
   if reads t reach src dst && deadline >= src_time + 1 then Some []
   else if need > max_hops || deadline < src_time + need + 1 then None
   else begin
+    (* The read relation of [reach] as adjacency lists in [nbr] order:
+       [reads t reach a b] holds exactly for [b] on [a]'s out-list and
+       for [a] on [b]'s in-list, so walking a list visits the PEs that
+       walking [nbr] and testing [reads] would, in the same order.  Under
+       {!Mesh} every [nbr] entry reads and is read. *)
+    let paged = match reach with Mesh -> false | Pages _ -> true in
+    let out_start = if paged then f.paged_out_start else f.nbr_start in
+    let out = if paged then f.paged_out else f.nbr in
+    let in_start = if paged then f.paged_in_start else f.nbr_start in
+    let in_ = if paged then f.paged_in else f.nbr in
     (* The final hop must be an allowed PE that [dst] reads, with a free
        slot late enough to be reached (one cycle per unit of distance
        from [src], at least one hop) and early enough to be read by
        [deadline]. *)
     let last_hop = ref false in
-    let i = ref f.nbr_start.(dst) in
-    while (not !last_hop) && !i < f.nbr_start.(dst + 1) do
-      let pe = f.nbr.(!i) in
+    let i = ref in_start.(dst) in
+    while (not !last_hop) && !i < in_start.(dst + 1) do
+      let pe = in_.(!i) in
       if
-        allowed t reach pe && reads t reach pe dst
+        allowed t reach pe
         && earliest_free t ~gen pe
              ~lower:(src_time + Int.max 1 (dist f src pe))
              ~deadline:(deadline - 1)
@@ -389,9 +401,9 @@ let find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops =
       t.searches <- t.searches + 1;
       reset t;
       let last = deadline - 1 in
-      for i = f.nbr_start.(src) to f.nbr_start.(src + 1) - 1 do
-        let pe = f.nbr.(i) in
-        if allowed t reach pe && reads t reach src pe then
+      for i = out_start.(src) to out_start.(src + 1) - 1 do
+        let pe = out.(i) in
+        if allowed t reach pe then
           push t ~gen ~last ~hops:1 ~cost:0 ~time:(src_time + 1) pe (-1)
       done;
       let result = ref None in
@@ -404,9 +416,9 @@ let find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops =
           result := Some (chain t e)
         else if hops < max_hops then begin
           let cost = t.ents.(o + e_cost) in
-          for i = f.nbr_start.(pe) to f.nbr_start.(pe + 1) - 1 do
-            let pe' = f.nbr.(i) in
-            if allowed t reach pe' && reads t reach pe pe' then
+          for i = out_start.(pe) to out_start.(pe + 1) - 1 do
+            let pe' = out.(i) in
+            if allowed t reach pe' then
               push t ~gen ~last ~hops:(hops + 1) ~cost ~time:(time + 1) pe' e
           done
         end

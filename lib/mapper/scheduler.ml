@@ -436,7 +436,7 @@ module Attempt = struct
         t.routes <- r :: t.routes)
       routes;
     let pg = (fabric t).Router.page.(index t cand.pe) in
-    if pg >= 0 then t.max_page_used <- max t.max_page_used pg
+    if pg >= 0 then t.max_page_used <- Int.max t.max_page_used pg
 
   (* Roll node [u] back out of the schedule: its slot, bus ports, row
      occupancy, and every committed route with [u] as an endpoint.
