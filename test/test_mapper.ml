@@ -1186,6 +1186,51 @@ let test_pinned_synthetic () =
   Alcotest.(check string) "synthetic digest at seed 0" "90aa6a1014ac0b5893d5ba415c6417c3"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* [Paged] calls on layouts of one page: a rectangle covering 4x4 or 6x6,
+   and a 16-PE band on 4x4, every kernel at seeds 0 and 1.  The CLI
+   wants four pages, but [Scheduler.map] takes these, and on them the
+   paged search keeps what only it does: the two-period window, the
+   spill and the page polish.  Each line holds the five race counters,
+   the winner and the mapping's codec bytes or the [Error] text. *)
+let one_page_digest () =
+  let b = Buffer.create (1 lsl 14) in
+  List.iter
+    (fun (name, pages) ->
+      let arch = Cgra.make pages in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (k : Cgra_kernels.Kernels.t) ->
+              let trace = Cgra_trace.Trace.make () in
+              let result = Scheduler.map ~seed ~trace Paged arch k.graph in
+              let counter name = Option.get (race_counter trace name) in
+              let winner =
+                List.find_map
+                  (fun (e : Cgra_trace.Trace.event) ->
+                    match e.payload with
+                    | Mark { name = "sched.race.winner"; detail } -> Some detail
+                    | _ -> None)
+                  (Cgra_trace.Trace.events trace)
+              in
+              Printf.bprintf b "%s %s seed %d|%d|%d|%d|%d|%d|%s|%s\n" k.name name seed
+                (counter "candidates") (counter "launched") (counter "searches")
+                (counter "cancelled") (counter "polish") (Option.get winner)
+                (match result with
+                | Ok m -> Cgra_isa.Codec.mapping_bytes m
+                | Error e -> e))
+            Cgra_kernels.Kernels.all)
+        [ 0; 1 ])
+    [
+      ("4x4 rect-16", Page.rect (Grid.square 4) ~tile_rows:4 ~tile_cols:4);
+      ("4x4 band-16", Page.band (Grid.square 4) ~size:16);
+      ("6x6 rect-36", Page.rect (Grid.square 6) ~tile_rows:6 ~tile_cols:6);
+    ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_one_page () =
+  Alcotest.(check string) "one-page Paged digest" "d2531da80b24eb86cd6ee62d4d869e69"
+    (one_page_digest ())
+
 (* ---------- shared unconstrained searches ---------- *)
 
 (* What a call returned, as bytes: the mapping, and the arch it carries,
@@ -1432,6 +1477,8 @@ let () =
           Alcotest.test_case "Fig. 8 grid race counters at seed 1" `Slow
             (test_pinned_fig8_counters 1 "b19963428a3066a868119353b7547863");
           Alcotest.test_case "synthetic kernels at seed 0" `Slow test_pinned_synthetic;
+          Alcotest.test_case "Paged on one-page layouts at seeds 0 and 1" `Quick
+            test_pinned_one_page;
         ] );
       ( "shared",
         [
