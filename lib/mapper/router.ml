@@ -6,23 +6,21 @@ type fabric = {
   col : int array;
   serp : int array;
   page : int array;
-  nbr_start : int array;
-  nbr : int array;
-  paged_out_start : int array;
-  paged_out : int array;
-  paged_in_start : int array;
-  paged_in : int array;
+  out_start : int array;
+  out : int array;
+  in_start : int array;
+  in_ : int array;
   band : bool;
   cols : int;
 }
 
 let dist f a b = abs (f.row.(a) - f.row.(b)) + abs (f.col.(a) - f.col.(b))
 
-(* Under paging, [b] may read the value held at [a]: the same PE, or a
-   mesh neighbour that stays on [a]'s page (path-consecutive on band
-   pages) or crosses one boundary forward.  A PE in no page reads
-   nothing and is read by nothing. *)
-let paged_reads f a b =
+(* [b] may read the value held at [a]: the same PE, or a mesh neighbour
+   that stays on [a]'s page (path-consecutive on band pages) or crosses
+   one boundary forward.  A PE in no page reads nothing and is read by
+   nothing. *)
+let reads f a b =
   let pa = f.page.(a) in
   pa >= 0
   && (a = b
@@ -38,16 +36,9 @@ let flatten lists =
   Array.iteri (fun i l -> start.(i + 1) <- start.(i) + List.length l) lists;
   (start, Array.of_list (List.concat (Array.to_list lists)))
 
-let build_fabric (arch : Cgra.t) =
-  let grid = arch.Cgra.grid in
-  let pages = arch.Cgra.pages in
+let build_fabric (pages : Page.t) =
+  let grid = pages.Page.grid in
   let coords = Array.of_list (Grid.all_pes grid) in
-  let nbrs =
-    Array.map
-      (fun pe -> List.map (Grid.index grid) (Grid.neighbors grid pe @ [ pe ]))
-      coords
-  in
-  let nbr_start, nbr = flatten nbrs in
   let f =
     {
       coords;
@@ -58,44 +49,46 @@ let build_fabric (arch : Cgra.t) =
         Array.map
           (fun pe -> Option.value ~default:(-1) (Page.page_of_pe pages pe))
           coords;
-      nbr_start;
-      nbr;
-      paged_out_start = [||];
-      paged_out = [||];
-      paged_in_start = [||];
-      paged_in = [||];
+      out_start = [||];
+      out = [||];
+      in_start = [||];
+      in_ = [||];
       band = not (Page.is_rect pages);
       cols = grid.Grid.cols;
     }
   in
-  (* [paged_reads] only relates a PE to itself and its mesh neighbours,
-     so filtering each [nbr] list keeps the push order. *)
-  let paged keep = flatten (Array.mapi (fun i l -> List.filter (keep i) l) nbrs) in
-  let paged_out_start, paged_out = paged (fun a b -> paged_reads f a b) in
-  let paged_in_start, paged_in = paged (fun b a -> paged_reads f a b) in
-  { f with paged_out_start; paged_out; paged_in_start; paged_in }
+  (* Each PE's mesh neighbours in N/E/S/W order, then the PE itself: the
+     push order of every search.  [reads] only relates a PE to itself and
+     its mesh neighbours, so filtering these lists keeps that order. *)
+  let nbrs =
+    Array.map
+      (fun pe -> List.map (Grid.index grid) (Grid.neighbors grid pe @ [ pe ]))
+      coords
+  in
+  let lists keep = flatten (Array.mapi (fun i l -> List.filter (keep i) l) nbrs) in
+  let out_start, out = lists (fun a b -> reads f a b) in
+  let in_start, in_ = lists (fun b a -> reads f a b) in
+  { f with out_start; out; in_start; in_ }
 
-(* A fabric is a function of the page layout alone ([Cgra.t]'s grid is
-   its pages' grid), and every [Scheduler.map] call asks for one.  So
+(* Every [Scheduler.map] call asks for the fabric of its page layout.  So
    each domain keeps the fabric of every layout it has built, newest
    first, found by {!Page.same} the way {!Page.tables} finds its tables:
    no lock, and a fabric, read-only once built, may be read from any
    domain. *)
 let known = Domain.DLS.new_key (fun () -> ref [])
 
-let rec find_fabric known (arch : Cgra.t) = function
-  | (pages, f) :: rest ->
-      if Page.same pages arch.Cgra.pages then f else find_fabric known arch rest
+let rec find_fabric known pages = function
+  | (pages', f) :: rest -> if Page.same pages' pages then f else find_fabric known pages rest
   | [] ->
-      let f = build_fabric arch in
-      known := (arch.Cgra.pages, f) :: !known;
+      let f = build_fabric pages in
+      known := (pages, f) :: !known;
       f
 
-let fabric arch =
+let fabric pages =
   let known = Domain.DLS.get known in
-  find_fabric known arch !known
+  find_fabric known pages !known
 
-type reach = Mesh | Pages of { first : int; last : int }
+type reach = { first : int; last : int }
 
 (* An entry is one pushed hop: five ints at [stride * e] in [ents]. *)
 let stride = 5
@@ -212,20 +205,9 @@ let earliest_free t ~gen pe ~lower ~deadline =
     !found
   end
 
-(* [reads t reach a b]: hop [b] may read the value held at [a] — the
-   same PE or a mesh neighbour, restricted under paging by
-   [paged_reads]. *)
-let reads t reach a b =
-  match reach with
-  | Mesh -> a = b || dist t.fab a b = 1
-  | Pages _ -> paged_reads t.fab a b
-
 let allowed t reach pe =
-  match reach with
-  | Mesh -> true
-  | Pages { first; last } ->
-      let p = t.fab.page.(pe) in
-      p >= first && p <= last
+  let p = t.fab.page.(pe) in
+  p >= reach.first && p <= reach.last
 
 (* ----- the search heap, ordered by (hops, cost, time, push order) ----- *)
 
@@ -363,27 +345,17 @@ let find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops =
      whose edges cannot route; rejecting those without expanding the
      best-first frontier is cheaper than the exhausted search. *)
   let need = Int.max 1 (dist f src dst - 1) in
-  if reads t reach src dst && deadline >= src_time + 1 then Some []
+  if reads f src dst && deadline >= src_time + 1 then Some []
   else if need > max_hops || deadline < src_time + need + 1 then None
   else begin
-    (* The read relation of [reach] as adjacency lists in [nbr] order:
-       [reads t reach a b] holds exactly for [b] on [a]'s out-list and
-       for [a] on [b]'s in-list, so walking a list visits the PEs that
-       walking [nbr] and testing [reads] would, in the same order.  Under
-       {!Mesh} every [nbr] entry reads and is read. *)
-    let paged = match reach with Mesh -> false | Pages _ -> true in
-    let out_start = if paged then f.paged_out_start else f.nbr_start in
-    let out = if paged then f.paged_out else f.nbr in
-    let in_start = if paged then f.paged_in_start else f.nbr_start in
-    let in_ = if paged then f.paged_in else f.nbr in
-    (* The final hop must be an allowed PE that [dst] reads, with a free
-       slot late enough to be reached (one cycle per unit of distance
+    (* The final hop must be an allowed PE that [dst] reads (one on its
+       in-list), with a free slot late enough to be reached (one cycle per unit of distance
        from [src], at least one hop) and early enough to be read by
        [deadline]. *)
     let last_hop = ref false in
-    let i = ref in_start.(dst) in
-    while (not !last_hop) && !i < in_start.(dst + 1) do
-      let pe = in_.(!i) in
+    let i = ref f.in_start.(dst) in
+    while (not !last_hop) && !i < f.in_start.(dst + 1) do
+      let pe = f.in_.(!i) in
       if
         allowed t reach pe
         && earliest_free t ~gen pe
@@ -401,8 +373,8 @@ let find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops =
       t.searches <- t.searches + 1;
       reset t;
       let last = deadline - 1 in
-      for i = out_start.(src) to out_start.(src + 1) - 1 do
-        let pe = out.(i) in
+      for i = f.out_start.(src) to f.out_start.(src + 1) - 1 do
+        let pe = f.out.(i) in
         if allowed t reach pe then
           push t ~gen ~last ~hops:1 ~cost:0 ~time:(src_time + 1) pe (-1)
       done;
@@ -412,12 +384,12 @@ let find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops =
         let o = stride * e in
         let pe = t.ents.(o + e_pe) and time = t.ents.(o + e_time) in
         let hops = t.ents.(o + e_hops) in
-        if reads t reach pe dst && deadline >= time + 1 then
+        if reads f pe dst && deadline >= time + 1 then
           result := Some (chain t e)
         else if hops < max_hops then begin
           let cost = t.ents.(o + e_cost) in
-          for i = out_start.(pe) to out_start.(pe + 1) - 1 do
-            let pe' = out.(i) in
+          for i = f.out_start.(pe) to f.out_start.(pe + 1) - 1 do
+            let pe' = f.out.(i) in
             if allowed t reach pe' then
               push t ~gen ~last ~hops:(hops + 1) ~cost ~time:(time + 1) pe' e
           done
@@ -506,20 +478,12 @@ let pass t ~dir ~start ~adj ~pe0 ~time0 into =
     if !bucket = w then bucket := 0
   done
 
-let earliest_reads t ~paged ~src ~src_time into =
-  let f = t.fab in
-  let start, adj =
-    if paged then (f.paged_out_start, f.paged_out) else (f.nbr_start, f.nbr)
-  in
-  pass t ~dir:1 ~start ~adj ~pe0:src ~time0:src_time into
+let earliest_reads t ~src ~src_time into =
+  pass t ~dir:1 ~start:t.fab.out_start ~adj:t.fab.out ~pe0:src ~time0:src_time into
 
-let latest_departures t ~paged ~dst ~deadline into =
-  let f = t.fab in
-  let start, adj =
-    if paged then (f.paged_in_start, f.paged_in) else (f.nbr_start, f.nbr)
-  in
+let latest_departures t ~dst ~deadline into =
   (* the consumer reads at [deadline] as if it were a hop there *)
-  pass t ~dir:(-1) ~start ~adj ~pe0:dst ~time0:deadline into;
+  pass t ~dir:(-1) ~start:t.fab.in_start ~adj:t.fab.in_ ~pe0:dst ~time0:deadline into;
   for pe = 0 to Array.length into - 1 do
     let key = into.(pe) in
     into.(pe) <- (if key = max_int then -1 else -key)

@@ -7,6 +7,11 @@
     any number of cycles for the next hop (the paper's routing PEs
     "can only transfer input data to [their] outputs").
 
+    Both compilers route over a page layout (Section VI-B): a hop reads
+    its own register file or a mesh neighbour's on its page or the page
+    before it.  The baseline routes over the one page that covers the
+    grid ({!Scheduler.layout}), where every mesh read is allowed.
+
     The search is a best-first (fewest hops, then earliest arrival)
     expansion over PEs, assigning each hop the earliest free modulo slot
     after its predecessor.  PEs are row-major indices ({!Cgra_arch.Grid.index})
@@ -18,39 +23,29 @@ type fabric = private {
   col : int array;
   serp : int array;  (** PE index -> serpentine position *)
   page : int array;  (** PE index -> page, or [-1] when in no page *)
-  nbr_start : int array;
-  nbr : int array;
-      (** The expansion list of PE [i] is [nbr.(nbr_start.(i))] up to
-          [nbr.(nbr_start.(i + 1) - 1)]: its mesh neighbours in N/E/S/W
-          order, then [i] itself.  This order fixes the push order.  It
-          is also the read relation of {!Mesh}, which is symmetric. *)
-  paged_out_start : int array;
-  paged_out : int array;
-      (** Laid out like [nbr]: the PEs that may read PE [i] under
-          {!Pages}, in [nbr] order. *)
-  paged_in_start : int array;
-  paged_in : int array;  (** the PEs that PE [i] may read under {!Pages} *)
+  out_start : int array;
+  out : int array;
+      (** The PEs that may read PE [i] are [out.(out_start.(i))] up to
+          [out.(out_start.(i + 1) - 1)]: PE [i] itself and each mesh
+          neighbour on its page or the next one (path-consecutive on
+          band pages), listed in the order of its mesh neighbours
+          (N/E/S/W), then [i] itself.  This order fixes the push order.
+          A PE in no page reads nothing and is read by nothing. *)
+  in_start : int array;
+  in_ : int array;  (** laid out like [out]: the PEs that PE [i] may read *)
   band : bool;  (** band-shaped pages: same-page reads are path-consecutive *)
   cols : int;
 }
-(** Per-PE tables of one architecture, read-only once built. *)
+(** Per-PE tables of one page layout, read-only once built. *)
 
-val fabric : Cgra_arch.Cgra.t -> fabric
-(** The tables of an architecture's page layout.  Each domain builds
-    them once per layout ({!Cgra_arch.Page.same}) and returns the same
-    value after that; it may be read from any domain. *)
+val fabric : Cgra_arch.Page.t -> fabric
+(** The tables of a page layout.  Each domain builds them once per
+    layout ({!Cgra_arch.Page.same}) and returns the same value after
+    that; it may be read from any domain. *)
 
-(** The reach relation a search runs under. *)
-type reach =
-  | Mesh
-      (** Unconstrained: any PE may relay, and a hop reads its own
-          register file or a mesh neighbour's. *)
-  | Pages of { first : int; last : int }
-      (** Paged, for an edge from page [first] to page [last]: relays stay
-          on those pages, and each step stays on its page or crosses one
-          boundary forward.  On band pages a step is path-consecutive
-          (adjacent serpentine positions).  A PE in no page reads
-          nothing. *)
+type reach = { first : int; last : int }
+(** The PEs a chain for an edge from page [first] to page [last] may
+    relay through: those on pages [first] to [last]. *)
 
 type strand = {
   mem_use : int array;  (** row * ii + slot -> memory ops issued *)
@@ -120,7 +115,7 @@ val find :
 (** [find t ~gen reach ~src ~src_time ~dst ~deadline ~max_hops] returns a
     hop chain (empty when [dst] can read [src] directly) whose value PE
     [dst] can read at time [deadline], from a producer at PE [src] that
-    finishes at [src_time].  Times are non-negative.  The search
+    finishes at [src_time], relaying only through the PEs of [reach].  Times are non-negative.  The search
     minimizes (hops, total strand cost, arrival time) lexicographically
     and breaks the remaining ties by push order, so without [strand] it
     is the fewest-hops, earliest-arrival search.  [None] when no chain of
@@ -131,8 +126,8 @@ val find :
     Two passes bound every chain {!find} can return, for all PEs at once.
     Each is a relaxation of {!find}: it reads [occupied] alone, so a slot
     the overlay takes still counts as free; it drops the hop bound; it
-    drops the page range, which a paged chain obeys anyway (reads stay on
-    a page or move one page forward, so a chain from page [first] to a
+    drops the page range, which a chain obeys anyway (reads stay on a
+    page or move one page forward, so a chain from page [first] to a
     reader on page [last] only relays through the pages in between); and
     it ignores the strand price, which orders chains but forbids none.
     So every chain {!find} returns, and every direct read, is a chain of
@@ -142,21 +137,19 @@ val find :
     earliest (latest) time of any chain of free slots.
 
     Both are label-setting passes over the PEs on [t]'s search scratch,
-    and [paged] selects the {!Pages} read relation over the {!Mesh}
-    one. *)
+    along the fabric's [out] lists forward and its [in_] lists
+    backward. *)
 
-val earliest_reads :
-  t -> paged:bool -> src:int -> src_time:int -> int array -> unit
-(** [earliest_reads t ~paged ~src ~src_time into] sets [into.(pe)] to the
+val earliest_reads : t -> src:int -> src_time:int -> int array -> unit
+(** [earliest_reads t ~src ~src_time into] sets [into.(pe)] to the
     earliest time PE [pe] can read the value of a producer at PE [src]
     that finishes at [src_time], directly or through a chain of hops, or
     to [max_int] when no chain reaches it.  {!find} with that producer,
     consumer PE [pe] and a [deadline] below [into.(pe)] returns [None]. *)
 
-val latest_departures :
-  t -> paged:bool -> dst:int -> deadline:int -> int array -> unit
-(** [latest_departures t ~paged ~dst ~deadline into] sets [into.(pe)] to
-    the latest time a producer at PE [pe] can finish and still reach a
+val latest_departures : t -> dst:int -> deadline:int -> int array -> unit
+(** [latest_departures t ~dst ~deadline into] sets [into.(pe)] to the
+    latest time a producer at PE [pe] can finish and still reach a
     consumer at PE [dst] that reads at [deadline], or to [-1] when none
     at time 0 or later can.  {!find} with that consumer, producer PE
     [pe] and a [src_time] above [into.(pe)] returns [None]. *)

@@ -9,14 +9,19 @@ let schedulable_nodes g =
       match n.op with Op.Const _ -> None | _ -> Some n.id)
     (Graph.nodes g)
 
+(* The baseline searches the one page that covers the grid: on it the
+   paging rules allow every PE and every mesh read. *)
+let layout kind (arch : Cgra.t) =
+  match kind with
+  | Paged -> arch.Cgra.pages
+  | Unconstrained ->
+      let grid = arch.Cgra.grid in
+      Page.rect grid ~tile_rows:grid.Grid.rows ~tile_cols:grid.Grid.cols
+
 let mii kind arch g =
-  let pes =
-    match kind with
-    | Unconstrained -> Cgra.pe_count arch
-    | Paged -> Page.used_pe_count arch.Cgra.pages
-  in
   let res =
-    Analysis.res_mii ~pes
+    Analysis.res_mii
+      ~pes:(Page.used_pe_count (layout kind arch))
       ~mem_slots_per_cycle:(arch.Cgra.grid.Grid.rows * arch.Cgra.mem_ports_per_row)
       g
   in
@@ -41,13 +46,12 @@ module Prep = struct
     order : int list;  (* node placement order (rank, height, asap, id) *)
     fabric : Router.fabric;  (* per-PE tables, PEs by row-major index *)
     reach : Router.reach array array;
-        (* paged: [reach.(p).(q - p)] is the relation of an edge from page
-           [p] to page [q >= p], built once so a probe allocates none *)
+        (* [reach.(p).(q - p)] is the relay range of an edge from page [p]
+           to page [q >= p], built once so a probe allocates none *)
     candidates : int array array;
         (* [max_page_used + 1] -> the row-major PEs a node may take:
-           pages [0, max_page_used + 1] when paged (a contiguous prefix
-           plus one fresh page).  Unconstrained has the one entry, every
-           PE. *)
+           pages [0, max_page_used + 1] (a contiguous prefix plus one
+           fresh page) *)
     boundary : bool array;
         (* pe index -> boundary-adjacent to the next page (ops with
            unplaced consumers prefer these under the spread personality) *)
@@ -58,31 +62,26 @@ module Prep = struct
 
   let make kind arch graph =
     let grid = arch.Cgra.grid in
-    let pages = arch.Cgra.pages in
+    let pages = layout kind arch in
     let n = Grid.pe_count grid in
-    let fabric = Router.fabric arch in
+    let n_pages = Page.n_pages pages in
+    let fabric = Router.fabric pages in
     let boundary = Array.make n false in
-    for p = 0 to Page.n_pages pages - 2 do
+    for p = 0 to n_pages - 2 do
       List.iter
         (fun (a, _) -> boundary.(Grid.index grid a) <- true)
         (Page.boundary_pairs pages p)
     done;
     let candidates =
-      let pes keep = Array.of_list (List.filter keep (List.init n Fun.id)) in
-      match kind with
-      | Unconstrained -> [| pes (fun _ -> true) |]
-      | Paged ->
-          Array.init
-            (Page.n_pages pages + 1)
-            (fun k -> pes (fun i -> fabric.page.(i) >= 0 && fabric.page.(i) <= k))
+      Array.init (n_pages + 1) (fun k ->
+          Array.of_list
+            (List.filter
+               (fun i -> fabric.page.(i) >= 0 && fabric.page.(i) <= k)
+               (List.init n Fun.id)))
     in
     let reach =
-      match kind with
-      | Unconstrained -> [||]
-      | Paged ->
-          let n = Page.n_pages pages in
-          Array.init n (fun first ->
-              Array.init (n - first) (fun d -> Router.Pages { first; last = first + d }))
+      Array.init n_pages (fun first ->
+          Array.init (n_pages - first) (fun d -> { Router.first; last = first + d }))
     in
     let ordering = Memdep.ordering graph in
     let ord_by key =
@@ -267,21 +266,16 @@ module Attempt = struct
      [src] directly. *)
   let edge_route t (e : Graph.edge) ~src ~src_time ~dst ~dst_time =
     let deadline = dst_time + (e.distance * t.ii) in
-    let gen = t.s.gen in
-    match kind t with
-    | Unconstrained ->
-        Router.find t.s.router ~gen Mesh ~src ~src_time ~dst ~deadline ~max_hops:8
-    | Paged ->
-        (* Values may relay forward through intermediate pages; each
-           step stays in its page or crosses one boundary. *)
-        let page = (fabric t).Router.page in
-        let pu = page.(src) and pv = page.(dst) in
-        if pu >= 0 && pv >= pu then
-          Router.find t.s.router ~gen
-            t.prep.Prep.reach.(pu).(pv - pu)
-            ~src ~src_time ~dst ~deadline
-            ~max_hops:(2 * (pv - pu + 4))
-        else None
+    (* Values may relay forward through intermediate pages; each step
+       stays in its page or crosses one boundary. *)
+    let page = (fabric t).Router.page in
+    let pu = page.(src) and pv = page.(dst) in
+    if pu >= 0 && pv >= pu then
+      Router.find t.s.router ~gen:t.s.gen
+        t.prep.Prep.reach.(pu).(pv - pu)
+        ~src ~src_time ~dst ~deadline
+        ~max_hops:(2 * (pv - pu + 4))
+    else None
 
   let rec add_overlay t = function
     | [] -> ()
@@ -329,12 +323,11 @@ module Attempt = struct
   let reach_bounds t ~preds ~succs =
     let s = t.s in
     let n = s.n_pes in
-    let paged = kind t = Paged in
     Array.fill s.earliest 0 n min_int;
     Array.fill s.latest 0 n max_int;
     List.iter
       (fun ((e : Graph.edge), pu, tu) ->
-        Router.earliest_reads s.router ~paged ~src:pu ~src_time:tu s.table;
+        Router.earliest_reads s.router ~src:pu ~src_time:tu s.table;
         (* [v] at [time] reads at [time + distance * ii] *)
         let slack = e.distance * t.ii in
         for pe = 0 to n - 1 do
@@ -343,7 +336,7 @@ module Attempt = struct
       preds;
     List.iter
       (fun ((e : Graph.edge), pw, tw) ->
-        Router.latest_departures s.router ~paged ~dst:pw
+        Router.latest_departures s.router ~dst:pw
           ~deadline:(tw + (e.distance * t.ii))
           s.table;
         for pe = 0 to n - 1 do
@@ -545,9 +538,10 @@ module Attempt = struct
      order.  Cost, lexicographic: packing personality — a fresh page,
      then the page index, then hops (harvestable fabric); spreading —
      hops, then an interior PE for an op whose consumers are still
-     unplaced (lower II pressure); unconstrained — hops.  Then the bus
-     term ([bus_cost]) and the draw.  The slot of each time is stepped
-     with it, so no probe divides. *)
+     unplaced (lower II pressure).  Then the bus term ([bus_cost]) and
+     the draw.  On the baseline's one page the page terms are the same
+     for every PE, so both personalities order by hops there.  The slot
+     of each time is stepped with it, so no probe divides. *)
   let place_node t v =
     let lo = window_lo t v in
     let hi = window_hi t v ~lo in
@@ -564,8 +558,7 @@ module Attempt = struct
       let succs = placed_succs t (Graph.succs (graph t) v) in
       let v_is_mem = Op.is_mem (Graph.node (graph t) v).op in
       let unplaced_consumer = has_unplaced_consumer t v in
-      let paged = kind t = Paged in
-      let spread = paged && t.spread and pack = paged && not t.spread in
+      let spread = t.spread and pack = not t.spread in
       let ports = t.prep.Prep.mem_ports and boundary = t.prep.Prep.boundary in
       (* [occupied] holds still until the commit below, so the bounds
          stay exact for the whole call.  They are built at the first
@@ -739,13 +732,12 @@ end
 
 (* ----- shared unconstrained searches --------------------------------- *)
 
-(* Everything an unconstrained search reads.  Pages reach none of its
-   decisions: [Prep], [Attempt] and [Router] consult [fabric.page],
-   [boundary] and [max_page_used] only in Paged branches ([commit] raises
-   [max_page_used] in every attempt, but an unconstrained attempt has a
-   single candidate set and never reads it).  The register file reaches
-   the search only through the [Mapping.validate] that closes each
-   attempt.  [max_ii] is the ladder's effective top. *)
+(* Everything an unconstrained search reads.  It searches [layout
+   Unconstrained arch], the one page covering the grid, which depends
+   only on the grid's rows and columns, so the arch's own pages reach
+   none of its decisions.  The register file reaches the search only
+   through the [Mapping.validate] that closes each attempt.  [max_ii] is
+   the ladder's effective top. *)
 type shared_key = {
   rows : int;
   cols : int;

@@ -1,13 +1,18 @@
 (** Iterative modulo scheduling of a kernel onto the CGRA — the compiler
-    of Section II, in two flavours:
+    of Section II.  One engine, under the compile-time constraints of
+    Section VI-B (the ring-topology dataflow constraint between pages),
+    runs on one of two page layouts ({!layout}):
 
-    - {b Unconstrained}: the EMS-style baseline.  Operations may use any
-      PE; operands travel via neighbour register-file reads or routing-PE
-      chains.  This produces the paper's baseline [II_b].
-    - {b Paged}: adds the compile-time constraints of Section VI-B — the
-      ring-topology dataflow constraint between pages and the
-      register-usage rule — and packs operations into as few pages as
-      possible (unused pages are what multithreading harvests).  This
+    - {b Unconstrained}: the EMS-style baseline, on one page covering the
+      grid.  There the paging rules allow every PE and every
+      neighbour register-file read, so operations may use any PE and
+      operands travel via neighbour reads or routing-PE chains.  This
+      produces the paper's baseline [II_b].
+    - {b Paged}: the arch's own pages, with the register-usage rule.
+      The engine packs operations into as few pages as possible (unused
+      pages are what multithreading harvests) and polishes the page
+      footprint at the winning II; its bandwidth-aware attempts also
+      search a second window period and spill memory operations.  This
       produces the constrained [II_c] compared in Fig. 8.
 
     The engine is a priority-ordered list scheduler over the modulo
@@ -47,6 +52,11 @@
     as when every candidate is routed. *)
 
 type kind = Unconstrained | Paged
+
+val layout : kind -> Cgra_arch.Cgra.t -> Cgra_arch.Page.t
+(** The page layout a [kind] of search runs on: for [Paged], the arch's
+    pages; for [Unconstrained], one rectangular page covering the grid,
+    a function of the grid's rows and columns alone. *)
 
 val map :
   ?seed:int ->
@@ -93,12 +103,14 @@ val map :
     a winner mark; [searches] sums {!Router.searches} over every attempt
     the call ran, the polish attempts included.
 
-    {b Shared unconstrained searches.}  The unconstrained search reads
-    the grid's rows and columns, [mem_ports_per_row], the graph, [seed],
-    the effective [max_ii] and [bus_aware], and nothing else: the pages
-    and the register file reach it only through the [Mapping.validate]
-    that closes each attempt.  So every page layout of one fabric
-    searches the same baseline.  An unconstrained call whose
+    {b Shared unconstrained searches.}  The unconstrained search runs on
+    [layout Unconstrained arch], the one-page layout of the grid, which
+    depends only on the grid's rows and columns.  Besides those it reads
+    [mem_ports_per_row], the graph, [seed], the effective [max_ii] and
+    [bus_aware], and nothing else: the arch's pages and the register
+    file reach it only through the [Mapping.validate] that closes each
+    attempt.  So every page layout of one fabric searches the same
+    baseline.  An unconstrained call whose
     search has those inputs equal (the graph structurally) to a stored
     search's takes the stored winner instead of searching, once
     [Mapping.validate] accepts it under the caller's arch; it returns it
@@ -120,7 +132,7 @@ val clear_shared : unit -> unit
 
 val mii : kind -> Cgra_arch.Cgra.t -> Cgra_dfg.Graph.t -> int
 (** The lower bound the search starts from: the larger of
-    {!Cgra_dfg.Analysis.res_mii} over the PEs the compiler may use (every
-    PE, or every paged PE) and the fabric's memory ports, and
+    {!Cgra_dfg.Analysis.res_mii} over the PEs of the kind's {!layout}
+    (every PE, or every paged PE) and the fabric's memory ports, and
     {!Cgra_dfg.Analysis.rec_mii_with} over the memory ordering
     constraints. *)

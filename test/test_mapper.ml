@@ -342,9 +342,16 @@ let test_route_through_pe () =
 (* The eight (size, page PEs) fabrics of Fig. 8. *)
 let grid_fabrics = [ (4, 2); (4, 4); (6, 2); (6, 4); (6, 8); (8, 2); (8, 4); (8, 8) ]
 
-(* A router over [arch] at [ii] whose taken slots are [busy pe slot]. *)
+(* The unconstrained search's fabric of [arch]: one page covering the
+   grid, so every edge relays through page 0 alone. *)
+let one_page arch = Router.fabric (Scheduler.layout Unconstrained arch)
+
+let whole_grid : Router.reach = { first = 0; last = 0 }
+
+(* An unconstrained router over [arch] at [ii] whose taken slots are
+   [busy pe slot]. *)
 let router_on ?(busy = fun _ _ -> false) arch ~ii =
-  let fabric = Router.fabric arch in
+  let fabric = one_page arch in
   let n = Array.length fabric.coords in
   let occupied =
     Bytes.init (n * ii) (fun k ->
@@ -358,7 +365,7 @@ let test_router_finds_path () =
   let arch = arch_4x4_p4 () in
   let read_adjacent a b = Coord.equal a b || Coord.adjacent a b in
   match
-    Router.find (router_on arch ~ii:4) ~gen:1 Mesh ~src:(pe_at arch ~row:0 ~col:0)
+    Router.find (router_on arch ~ii:4) ~gen:1 whole_grid ~src:(pe_at arch ~row:0 ~col:0)
       ~src_time:0 ~dst:(pe_at arch ~row:3 ~col:3) ~deadline:8 ~max_hops:8
   with
   | Some hops ->
@@ -378,7 +385,7 @@ let test_router_finds_path () =
 let test_router_direct_case () =
   let arch = arch_4x4_p4 () in
   match
-    Router.find (router_on arch ~ii:2) ~gen:1 Mesh ~src:(pe_at arch ~row:0 ~col:0)
+    Router.find (router_on arch ~ii:2) ~gen:1 whole_grid ~src:(pe_at arch ~row:0 ~col:0)
       ~src_time:0 ~dst:(pe_at arch ~row:0 ~col:1) ~deadline:5 ~max_hops:4
   with
   | Some [] -> ()
@@ -388,7 +395,7 @@ let test_router_direct_case () =
 let test_router_respects_deadline () =
   let arch = arch_4x4_p4 () in
   match
-    Router.find (router_on arch ~ii:8) ~gen:1 Mesh ~src:(pe_at arch ~row:0 ~col:0)
+    Router.find (router_on arch ~ii:8) ~gen:1 whole_grid ~src:(pe_at arch ~row:0 ~col:0)
       ~src_time:0 ~dst:(pe_at arch ~row:3 ~col:3) ~deadline:2 ~max_hops:8
   with
   | None -> ()
@@ -400,7 +407,7 @@ let test_router_respects_occupancy () =
   let arch = arch_4x4_p4 () in
   let busy (pe : Coord.t) _ = pe.col = 1 && pe.row <> 2 in
   match
-    Router.find (router_on ~busy arch ~ii:8) ~gen:1 Mesh
+    Router.find (router_on ~busy arch ~ii:8) ~gen:1 whole_grid
       ~src:(pe_at arch ~row:0 ~col:0) ~src_time:0 ~dst:(pe_at arch ~row:0 ~col:3)
       ~deadline:20 ~max_hops:10
   with
@@ -600,14 +607,16 @@ let test_router_corpus () =
      2-, 4- and 8-PE pages, 6x6's band pages included): random II,
      occupancy, overlay, endpoints, deadline and hop bound, under both
      relations, with and without the strand price.  Each fabric reuses
-     one scratch per (II, price) across its cases.  The int-indexed
+     one scratch per (II, relation, price) across its cases; the
+     unconstrained relation is the one-page fabric's.  The int-indexed
      router must return the reference's hop list, or None, every time. *)
   let rng = Cgra_util.Rng.create ~seed:2011 in
   let direct = ref 0 and chains = ref 0 and none = ref 0 and cases = ref 0 in
   List.iter
     (fun (size, page_pes) ->
       let arch = Option.get (Cgra.standard ~size ~page_pes) in
-      let fabric = Router.fabric arch in
+      let fabric = Router.fabric arch.Cgra.pages in
+      let mesh = one_page arch in
       let n = Array.length fabric.coords in
       let rows = arch.Cgra.grid.Grid.rows and cols = arch.Cgra.grid.Grid.cols in
       let paged_pes =
@@ -625,8 +634,11 @@ let test_router_corpus () =
               budget = arch.Cgra.mem_ports_per_row;
             }
           in
-          let plain = Router.create fabric ~ii ~occupied ~overlay () in
-          let priced = Router.create fabric ~ii ~occupied ~overlay ~strand () in
+          let routers f =
+            ( Router.create f ~ii ~occupied ~overlay (),
+              Router.create f ~ii ~occupied ~overlay ~strand () )
+          in
+          let on_pages = routers fabric and on_mesh = routers mesh in
           for case = 1 to 32 do
             incr cases;
             let density = Cgra_util.Rng.int rng 70 in
@@ -658,10 +670,10 @@ let test_router_corpus () =
               else 2 + Cgra_util.Rng.int rng 8
             in
             let with_strand = Cgra_util.Rng.bool rng in
+            let plain, priced = if paged then on_pages else on_mesh in
             let reach : Router.reach =
-              if paged then
-                Pages { first = fabric.page.(src); last = fabric.page.(dst) }
-              else Mesh
+              if paged then { first = fabric.page.(src); last = fabric.page.(dst) }
+              else whole_grid
             in
             let got =
               Router.find (if with_strand then priced else plain) ~gen reach ~src
@@ -773,7 +785,8 @@ let test_reach_tables_sound () =
   List.iter
     (fun (size, page_pes) ->
       let arch = Option.get (Cgra.standard ~size ~page_pes) in
-      let fabric = Router.fabric arch in
+      let fabric = Router.fabric arch.Cgra.pages in
+      let mesh = one_page arch in
       let n = Array.length fabric.coords in
       let rows = arch.Cgra.grid.Grid.rows and cols = arch.Cgra.grid.Grid.cols in
       let paged_pes =
@@ -792,8 +805,11 @@ let test_reach_tables_sound () =
               budget = arch.Cgra.mem_ports_per_row;
             }
           in
-          let plain = Router.create fabric ~ii ~occupied ~overlay () in
-          let priced = Router.create fabric ~ii ~occupied ~overlay ~strand () in
+          let routers f =
+            ( Router.create f ~ii ~occupied ~overlay (),
+              Router.create f ~ii ~occupied ~overlay ~strand () )
+          in
+          let on_pages = routers fabric and on_mesh = routers mesh in
           for case = 1 to 16 do
             incr cases;
             let density = Cgra_util.Rng.int rng 80 in
@@ -823,14 +839,14 @@ let test_reach_tables_sound () =
                 2 * (fabric.page.(dst) - fabric.page.(src) + 4) - Cgra_util.Rng.int rng 4
               else 2 + Cgra_util.Rng.int rng 8
             in
+            let plain, priced = if paged then on_pages else on_mesh in
             let router = if Cgra_util.Rng.bool rng then priced else plain in
             let reach : Router.reach =
-              if paged then
-                Pages { first = fabric.page.(src); last = fabric.page.(dst) }
-              else Mesh
+              if paged then { first = fabric.page.(src); last = fabric.page.(dst) }
+              else whole_grid
             in
-            Router.earliest_reads router ~paged ~src ~src_time fwd;
-            Router.latest_departures router ~paged ~dst ~deadline bwd;
+            Router.earliest_reads router ~src ~src_time fwd;
+            Router.latest_departures router ~dst ~deadline bwd;
             let admits = fwd.(dst) <= deadline in
             let tag =
               Printf.sprintf "%dx%d p%d ii=%d case %d: src %d@%d dst %d deadline %d"
@@ -871,15 +887,14 @@ let test_reach_tables_exact () =
   List.iter
     (fun ((size, page_pes), iis) ->
       let arch = Option.get (Cgra.standard ~size ~page_pes) in
-      let fabric = Router.fabric arch in
+      let fabric = Router.fabric arch.Cgra.pages in
       let n = Array.length fabric.coords in
       let got = Array.make n 0 in
       List.iter
         (fun ii ->
           let occupied = Bytes.make (n * ii) '\000' in
-          let router =
-            Router.create fabric ~ii ~occupied ~overlay:(Array.make (n * ii) 0) ()
-          in
+          let router f = Router.create f ~ii ~occupied ~overlay:(Array.make (n * ii) 0) () in
+          let on_pages = router fabric and on_mesh = router (one_page arch) in
           let is_open pe time = Bytes.get occupied ((pe * ii) + (time mod ii)) = '\000' in
           for case = 1 to 24 do
             let density = Cgra_util.Rng.int rng 80 in
@@ -888,6 +903,7 @@ let test_reach_tables_exact () =
                 (if Cgra_util.Rng.int rng 100 < density then '\001' else '\000')
             done;
             let paged = case mod 2 = 0 in
+            let router = if paged then on_pages else on_mesh in
             let reads = reference_reads arch ~paged in
             let pe = Cgra_util.Rng.int rng n and time = Cgra_util.Rng.int rng (12 * ii) in
             let check what want =
@@ -897,10 +913,10 @@ let test_reach_tables_exact () =
                   (if paged then "paged" else "unconstrained")
                   what pe time
             in
-            Router.earliest_reads router ~paged ~src:pe ~src_time:time got;
+            Router.earliest_reads router ~src:pe ~src_time:time got;
             check "earliest reads"
               (brute_earliest_reads ~n ~ii ~reads ~is_open ~src:pe ~src_time:time);
-            Router.latest_departures router ~paged ~dst:pe ~deadline:time got;
+            Router.latest_departures router ~dst:pe ~deadline:time got;
             check "latest departures"
               (brute_latest_departures ~n ~reads ~is_open ~dst:pe ~deadline:time)
           done)
@@ -915,30 +931,58 @@ let test_fabric_per_layout () =
   (* one fabric per page layout per domain, found again by value; a
      router restarts on a fabric of its own PE count only, and counts
      its searches from 0 again *)
-  let a = Router.fabric (arch_4x4_p4 ()) in
+  let fabric arch = Router.fabric arch.Cgra.pages in
+  let a = fabric (arch_4x4_p4 ()) in
   Alcotest.(check bool) "equal layouts share a fabric" true
-    (a == Router.fabric (arch_4x4_p4 ()));
+    (a == fabric (arch_4x4_p4 ()));
   Alcotest.(check bool) "another layout has its own" true
-    (a != Router.fabric (arch_4x4_p2 ()));
+    (a != fabric (arch_4x4_p2 ()));
   let n = Array.length a.coords in
   let router =
-    Router.create a ~ii:2 ~occupied:(Bytes.make (n * 2) '\000')
+    Router.create (one_page (arch_4x4_p4 ())) ~ii:2
+      ~occupied:(Bytes.make (n * 2) '\000')
       ~overlay:(Array.make (n * 2) 0) ()
   in
-  ignore (Router.find router ~gen:1 Mesh ~src:0 ~src_time:0 ~dst:15 ~deadline:9 ~max_hops:8);
+  ignore
+    (Router.find router ~gen:1 whole_grid ~src:0 ~src_time:0 ~dst:15 ~deadline:9
+       ~max_hops:8);
   Alcotest.(check int) "one search" 1 (Router.searches router);
-  Router.restart router (Router.fabric (arch_4x4_p2 ())) ();
+  Router.restart router (fabric (arch_4x4_p2 ())) ();
   Alcotest.(check int) "counted from 0 again" 0 (Router.searches router);
   Alcotest.check_raises "another PE count refused"
     (Invalid_argument "Router.restart: fabric of another PE count") (fun () ->
-      Router.restart router (Router.fabric (arch_6x6_p8 ())) ())
+      Router.restart router (fabric (arch_6x6_p8 ())) ())
+
+let test_one_page_is_mesh () =
+  (* The unconstrained search reads the mesh on every grid up to 16x16:
+     in its one-page fabric every PE is on page 0, and each PE's out-list
+     and in-list are its grid neighbours in N/E/S/W order, then itself.
+     The arch's own pages, one per PE here, do not enter. *)
+  let list start adj i =
+    Array.to_list (Array.sub adj start.(i) (start.(i + 1) - start.(i)))
+  in
+  for rows = 1 to 16 do
+    for cols = 1 to 16 do
+      let grid = Grid.make ~rows ~cols in
+      let f = one_page (Cgra.make (Page.rect grid ~tile_rows:1 ~tile_cols:1)) in
+      List.iter
+        (fun pe ->
+          let i = Grid.index grid pe in
+          let want = List.map (Grid.index grid) (Grid.neighbors grid pe @ [ pe ]) in
+          if f.page.(i) <> 0 then Alcotest.failf "%dx%d PE %d on page %d" rows cols i f.page.(i);
+          if list f.out_start f.out i <> want then
+            Alcotest.failf "%dx%d PE %d: out-list is not the mesh" rows cols i;
+          if list f.in_start f.in_ i <> want then
+            Alcotest.failf "%dx%d PE %d: in-list is not the mesh" rows cols i)
+        (Grid.all_pes grid)
+    done
+  done
 
 let test_slot_matches_mod () =
   (* [Router.slot] against [mod] at every time from 0 to just past 2^20,
      where its multiply-shift ends, at II 1 to 64, and at the IIs around
      4096, past which it always divides *)
-  let arch = arch_4x4_p4 () in
-  let fabric = Router.fabric arch in
+  let fabric = Router.fabric (arch_4x4_p4 ()).Cgra.pages in
   let n = Array.length fabric.coords in
   List.iter
     (fun ii ->
@@ -1458,6 +1502,8 @@ let () =
             test_slot_matches_mod;
           Alcotest.test_case "one fabric per layout, restartable scratch" `Quick
             test_fabric_per_layout;
+          Alcotest.test_case "one-page fabric reads the mesh up to 16x16" `Quick
+            test_one_page_is_mesh;
         ] );
       ( "bus-aware",
         [
