@@ -88,7 +88,8 @@ let one_case seed =
   let binaries = Array.of_list suite in
   let total_pages = Cgra.n_pages arch in
   let policy =
-    if Cgra_util.Rng.bool rng then Allocator.Halving else Allocator.Repack_equal
+    Cgra_util.Rng.choose rng
+      [| Allocator.Halving; Allocator.Repack_equal; Allocator.Cost_halving |]
   in
   let al = Allocator.create ~policy ~total_pages () in
   let placed : (int, Binary.t) Hashtbl.t = Hashtbl.create 8 in

@@ -5,9 +5,10 @@
     Each seed drives one deterministic case through {!Cgra_util.Rng}:
     pick a fabric (4x4 with 2-PE pages, 6x6 or 8x8 with 4-PE pages),
     draw 1–4 random kernels from its suite ({!Os_fuzz.suite}), push
-    them through a random allocator grant/release churn (random policy,
-    random release and re-request orders), fold each survivor into its
-    granted range with the PageMaster transformation, and then
+    them through a random allocator grant/release churn (any of the
+    three policies, random release and re-request orders), fold each
+    survivor into its granted range with the PageMaster transformation,
+    and then
 
     - run [Coexec.check] (under a live trace) and {!Meld.check} on the
       same resident set and require accept/reject agreement — and, on

@@ -213,8 +213,8 @@ let one_case seed =
   let n_threads = Cgra_util.Rng.int_in rng 2 9 in
   let need = Cgra_util.Rng.choose rng [| 0.5; 0.75; 0.875 |] in
   let policy =
-    if Cgra_util.Rng.bool rng then Allocator.Halving
-    else Allocator.Repack_equal
+    Cgra_util.Rng.choose rng
+      [| Allocator.Halving; Allocator.Repack_equal; Allocator.Cost_halving |]
   in
   let reconfig_cost = Cgra_util.Rng.choose rng [| 0.0; 7.0; 250.0 |] in
   let threads =

@@ -46,8 +46,9 @@ val suite : int * int -> Cgra_arch.Cgra.t * Cgra_core.Binary.t list
 val harness : Cgra_util.Corpus.harness
 (** The ["os"] harness for {!Cgra_util.Corpus.run}.  Each seed picks a
     contended fabric (4x4 with 4-PE or 2-PE pages), a thread count in
-    [2..9], a CGRA-need level, a policy, and a reconfiguration cost,
-    then runs the simulator with a live trace in both Single and Multi
-    modes and holds each stream to {!monitor} and {!replay_check}.
+    [2..9], a CGRA-need level, one of the three allocator policies and
+    a reconfiguration cost, then runs the simulator with a live trace in
+    both Single and Multi modes and holds each stream to {!monitor} and
+    {!replay_check}.
     Counters: [runs] (traced simulations, two per seed) and [events]
     (events monitored).  A case's digest covers both event streams. *)
