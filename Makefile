@@ -1,4 +1,4 @@
-.PHONY: all test fmt smoke ci clean bench-json bench-gate fig8 farm farm-big profile fuzz-deep cache-clean
+.PHONY: all test fmt smoke ci clean bench-json bench-gate fig8 farm farm-big profile fuzz-deep cache-clean mutants
 
 # Default on-disk binary store used by `cgra_tool compile/cache --cache`
 # unless a different directory is passed.
@@ -91,6 +91,13 @@ fuzz-deep:
 	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- fuzz os 10000
 	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- fuzz meld 10000
 	CGRA_DOMAINS=$$(nproc) dune exec bin/cgra_tool.exe -- fuzz farm 500
+
+# Apply each committed mutant (test/mutants/NAME.patch) to a copy of the
+# working tree without _build, run every check the mutants name and
+# print the kill matrix; fails when a mutant survives every check it
+# names or a patch no longer applies.  Not part of runtest.
+mutants:
+	bash test/mutants/run.sh
 
 # Drop stale/corrupt artifacts from the binary store, then report what
 # survives.  `rm -rf $(CGRA_CACHE)` is the nuclear version.
