@@ -2,7 +2,7 @@
 # Apply each committed mutant to a copy of the working tree, run every
 # check the mutants name against it, and print the kill matrix.
 #
-#   bash test/mutants/run.sh [NAME...]    (make mutants runs them all)
+#   make mutants    (or: bash test/mutants/run.sh)
 #
 # A mutant is test/mutants/NAME.patch: a header, then a unified diff
 # against the repository root as `git diff` prints it.  The header is
@@ -22,14 +22,8 @@
 set -u
 root=$(cd "$(dirname "$0")/../.." && pwd)
 dir=$root/test/mutants
-limit=${MUTANT_TIMEOUT:-600}
-
-if [ $# -gt 0 ]; then
-  patches=()
-  for name in "$@"; do patches+=("$dir/$name.patch"); done
-else
-  patches=("$dir"/*.patch)
-fi
+limit=600
+patches=("$dir"/*.patch)
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
@@ -48,7 +42,6 @@ passes() { timeout "$limit" bash -c "$1" >/dev/null 2>&1; }
 checks=()
 declare -A named
 for p in "${patches[@]}"; do
-  [ -f "$p" ] || continue
   while IFS= read -r c; do
     [ -n "${named[$c]:-}" ] || checks+=("$c")
     named[$c]=1
@@ -76,8 +69,8 @@ i=0
 for p in "${patches[@]}"; do
   i=$((i + 1))
   name=$(basename "$p" .patch)
-  echo "  M$i $name: $(sed -n 's/^Mutant: //p' "$p" 2>/dev/null)"
-  if [ ! -f "$p" ] || ! git apply --check "$p" 2>/dev/null; then
+  echo "  M$i $name: $(sed -n 's/^Mutant: //p' "$p")"
+  if ! git apply --check "$p" 2>/dev/null; then
     echo "     ERROR: the patch no longer applies"
     status=1
     continue

@@ -1161,6 +1161,21 @@ let test_pinned_fig8_grid seed expected () =
    candidates the ladder offered, how many it cancelled and how many
    best-first searches every attempt ran, so an attempt that does the
    same placements with more or fewer searches moves it. *)
+(* One searched call's race record: its five counters and the winner
+   mark, [candidates|launched|searches|cancelled|polish|winner]. *)
+let race_record trace =
+  let counter name = Option.get (race_counter trace name) in
+  let winner =
+    List.find_map
+      (fun (e : Cgra_trace.Trace.event) ->
+        match e.payload with
+        | Mark { name = "sched.race.winner"; detail } -> Some detail
+        | _ -> None)
+      (Cgra_trace.Trace.events trace)
+  in
+  Printf.sprintf "%d|%d|%d|%d|%d|%s" (counter "candidates") (counter "launched")
+    (counter "searches") (counter "cancelled") (counter "polish") (Option.get winner)
+
 let fig8_counter_digest seed =
   let b = Buffer.create (1 lsl 14) in
   List.iter
@@ -1178,18 +1193,7 @@ let fig8_counter_digest seed =
               (match Scheduler.map ~seed ~trace kind arch k.graph with
               | Error e -> Alcotest.failf "%s: %s" config e
               | Ok _ -> ());
-              let counter name = Option.get (race_counter trace name) in
-              let winner =
-                List.find_map
-                  (fun (e : Cgra_trace.Trace.event) ->
-                    match e.payload with
-                    | Mark { name = "sched.race.winner"; detail } -> Some detail
-                    | _ -> None)
-                  (Cgra_trace.Trace.events trace)
-              in
-              Printf.bprintf b "%s|%d|%d|%d|%d|%d|%s\n" config (counter "candidates")
-                (counter "launched") (counter "searches") (counter "cancelled")
-                (counter "polish") (Option.get winner))
+              Printf.bprintf b "%s|%s\n" config (race_record trace))
             compilers)
         Cgra_kernels.Kernels.all)
     grid_fabrics;
@@ -1247,18 +1251,8 @@ let one_page_digest () =
             (fun (k : Cgra_kernels.Kernels.t) ->
               let trace = Cgra_trace.Trace.make () in
               let result = Scheduler.map ~seed ~trace Paged arch k.graph in
-              let counter name = Option.get (race_counter trace name) in
-              let winner =
-                List.find_map
-                  (fun (e : Cgra_trace.Trace.event) ->
-                    match e.payload with
-                    | Mark { name = "sched.race.winner"; detail } -> Some detail
-                    | _ -> None)
-                  (Cgra_trace.Trace.events trace)
-              in
-              Printf.bprintf b "%s %s seed %d|%d|%d|%d|%d|%d|%s|%s\n" k.name name seed
-                (counter "candidates") (counter "launched") (counter "searches")
-                (counter "cancelled") (counter "polish") (Option.get winner)
+              Printf.bprintf b "%s %s seed %d|%s|%s\n" k.name name seed
+                (race_record trace)
                 (match result with
                 | Ok m -> Cgra_isa.Codec.mapping_bytes m
                 | Error e -> e))
@@ -1485,6 +1479,8 @@ let () =
           Alcotest.test_case "rf capacity" `Quick test_validate_rf_capacity;
           Alcotest.test_case "memdep ordering" `Quick test_validate_memdep_violation;
         ] );
+      (* test/mutants/*.patch run cases of [router] and [pinned] by index
+         (and check the name at it): append new cases to these groups *)
       ( "router",
         [
           Alcotest.test_case "route through PEs" `Quick test_route_through_pe;
